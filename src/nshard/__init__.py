@@ -29,7 +29,6 @@ from .hard1d import (
     build_r,
     eval_r,
     schedule_params,
-    subdiff_r,
     write_profile_csv,
 )
 from .embed import (
@@ -41,8 +40,6 @@ from .embed import (
     cap_value,
     choose_w_mu,
     load_instance,
-    min_norm_point,
-    min_norm_subgrad,
     save_instance,
 )
 from .oracles import (

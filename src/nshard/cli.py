@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -76,9 +77,17 @@ def _resolve_config(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        types = typing.get_type_hints(RunConfig)
+        for key, val in file_cfg.items():
+            # bool is an int subclass; a float field also takes an integer
+            want = (int, float) if types[key] is float else types[key]
+            if isinstance(val, bool) or not isinstance(val, want):
+                raise ValueError(f"config key {key!r} must be {types[key].__name__}, got {val!r}")
         cfg.update(file_cfg)
     for key in DEFAULTS:
         val = getattr(args, key, None)
@@ -116,6 +125,17 @@ def _instance(cfg: RunConfig):
     else:
         inst = build_instance(cfg.d, bits, cfg.rho, seed=int(w_ss.generate_state(1)[0]), sched=sched)
     return inst, params
+
+
+def _algorithm(cfg: RunConfig):
+    """The configured algorithm with its own flags (eta, noise, radius, resolution)."""
+    kwargs = {
+        "sgd": {"eta0": cfg.eta},
+        "pgd": {"eta0": cfg.eta, "noise_scale": cfg.noise},
+        "random": {"radius": cfg.radius},
+        "grid": {"resolution": cfg.resolution},
+    }.get(cfg.algo, {})
+    return make_algorithm(cfg.algo, **kwargs)
 
 
 def _write_config(cfg: RunConfig, params, path) -> None:
@@ -167,13 +187,7 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_run(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     inst, params = _instance(cfg)
-    algo_kwargs = {
-        "sgd": {"eta0": cfg.eta},
-        "pgd": {"eta0": cfg.eta, "noise_scale": cfg.noise},
-        "random": {"radius": cfg.radius},
-        "grid": {"resolution": cfg.resolution},
-    }.get(cfg.algo, {})
-    algo = make_algorithm(cfg.algo, **algo_kwargs)
+    algo = _algorithm(cfg)
     algo_ss, cert_ss = np.random.SeedSequence(cfg.seed).spawn(4)[2:]
     traj = run(algo, inst, np.zeros(inst.d), cfg.T, seed=int(algo_ss.generate_state(1)[0]))
     proc = progress_process(traj)
@@ -207,7 +221,7 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_mc(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     params = _params(cfg)
-    algo = make_algorithm(cfg.algo, **({"eta0": cfg.eta, "noise_scale": cfg.noise} if cfg.algo == "pgd" else {}))
+    algo = _algorithm(cfg)
     hit_ss, conc_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     hit = mc_hitting(
         algo,

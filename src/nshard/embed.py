@@ -22,6 +22,7 @@ support functions are exact for this structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -52,74 +53,6 @@ def cap_slope(z, mu: float):
     z = np.asarray(z, dtype=float)
     out = np.where(z <= 0.0, 0.0, np.where(z <= mu, z / (4.0 * mu), 0.25))
     return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# minimal-norm point in a convex hull (finite generating sets)
-# ---------------------------------------------------------------------------
-
-
-def min_norm_point(points, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
-    """Project the origin onto the convex hull of finitely many points.
-
-    Exact for one or two points; otherwise runs Wolfe's minimum-norm-point
-    algorithm to the given tolerance.  Deterministic for a fixed input.
-    """
-    P = np.asarray(points, dtype=float)
-    if P.ndim == 1:
-        P = P[None, :]
-    m = P.shape[0]
-    if m == 1:
-        return P[0].copy()
-    if m == 2:
-        a, b = P
-        v = b - a
-        vv = float(v @ v)
-        if vv == 0.0:
-            return a.copy()
-        t = min(1.0, max(0.0, float(-(a @ v)) / vv))
-        return a + t * v
-
-    norms2 = np.einsum("ij,ij->i", P, P)
-    idx = [int(np.argmin(norms2))]
-    lam = np.array([1.0])
-    x = P[idx[0]].copy()
-    for _ in range(max_iter):
-        dots = P @ x
-        j = int(np.argmin(dots))
-        xx = float(x @ x)
-        if dots[j] >= xx - tol * max(1.0, xx) or j in idx:
-            break
-        idx.append(j)
-        lam = np.append(lam, 0.0)
-        while True:
-            Q = P[idx]
-            k = len(idx)
-            M = np.zeros((k + 1, k + 1))
-            M[:k, :k] = Q @ Q.T
-            M[:k, k] = 1.0
-            M[k, :k] = 1.0
-            rhs = np.zeros(k + 1)
-            rhs[k] = 1.0
-            alpha = np.linalg.lstsq(M, rhs, rcond=None)[0][:k]
-            if np.all(alpha > 1e-12):
-                lam = alpha
-                x = alpha @ Q
-                break
-            neg = alpha <= 1e-12
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(lam - alpha > 0, lam / (lam - alpha), np.inf)
-            theta = float(np.min(ratios[neg])) if np.any(neg) else 1.0
-            theta = min(1.0, max(0.0, theta))
-            lam = lam + theta * (alpha - lam)
-            keep = lam > 1e-12
-            if not np.any(keep):
-                keep[int(np.argmax(lam))] = True
-            idx = [i for i, k_ in zip(idx, keep) if k_]
-            lam = lam[keep]
-            lam = lam / lam.sum()
-            x = lam @ P[idx]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -171,42 +104,6 @@ class SubgradientSet:
         if self.includes_zero:
             return max(0.0, s)
         return s
-
-    def generators(self, ball_points: int = 0, seed: int = 0):
-        """Finite generating set (the ball factor is sampled, so approximate)."""
-        corners = [self.base + self.ed_lo * _ed(self.dim)]
-        if self.ed_hi != self.ed_lo:
-            corners.append(self.base + self.ed_hi * _ed(self.dim))
-        out = list(corners)
-        if self.ball_radius > 0.0 and ball_points > 0:
-            rng = np.random.default_rng(seed)
-            for _ in range(ball_points):
-                u = rng.standard_normal(self.dim - 1)
-                n = np.linalg.norm(u)
-                if n == 0.0:
-                    continue
-                shell = np.zeros(self.dim)
-                shell[:-1] = self.ball_radius * u / n
-                out.extend(c + shell for c in corners)
-        if self.includes_zero:
-            out.append(np.zeros(self.dim))
-        return out
-
-
-def _ed(d: int) -> np.ndarray:
-    e = np.zeros(d)
-    e[-1] = 1.0
-    return e
-
-
-def min_norm_subgrad(s: SubgradientSet) -> np.ndarray:
-    """Minimal-norm element of the subdifferential.
-
-    Exact via the structured decomposition; use min_norm_point on
-    s.generators() for the generic hull-projection route (the two are
-    cross-validated in tests).
-    """
-    return s.min_norm()
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +173,7 @@ class HardInstance:
         return float(self.w_unit @ z) - 0.5 * float(np.linalg.norm(z))
 
     def eval_f(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        h = self.eval_h(x)
-        if not self.has_cap:
-            return h
-        return max(h - cap_value(self.gap(x - self.x_star), self.mu), 0.0)
+        return self._oracle(x)[0]
 
     def eval_h_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -357,11 +250,60 @@ class HardInstance:
         return SubgradientSet(case, d, base, lo, hi, ball)
 
     def min_subgrad(self, x) -> np.ndarray:
-        return self.subgrad(x).min_norm()
+        return self._oracle(x)[1]
 
     def value_and_subgrad(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.eval_f(x), self.min_subgrad(x)
+        """f(x) and the minimal-norm Clarke subgradient at x, in one pass.
+
+        The leading norm, the table lookup and the cap gap are computed once
+        each; the ramp is evaluated on plain floats.  The arithmetic is that
+        of ``eval_h``, ``gap``, ``cap_value`` and ``subgrad(x).min_norm()``,
+        in the same order, so both outputs are bit-identical to that
+        composition.  Raises ValueError at a point whose last coordinate or
+        leading norm is not finite (an overflowing norm included).
+        """
+        return self._oracle(x)
+
+    def _oracle(self, x):
+        """Body of value_and_subgrad; eval_f and min_subgrad call it directly so
+        that they are not counted as oracle queries where value_and_subgrad is."""
+        # contiguous, so that p.dot(p) takes the same BLAS path as np.linalg.norm
+        x = np.ascontiguousarray(x, dtype=float)
+        p = x[:-1]
+        pn = math.sqrt(p.dot(p))
+        xd = float(x[-1])
+        if not (math.isfinite(pn) and math.isfinite(xd)):
+            raise ValueError(f"oracle query at a non-finite point: x_d={xd!r}, ||x_(1:d-1)||={pn!r}")
+        hv, lo, hi = self.hbar.value_and_subdiff(xd)
+        h = NORM_WEIGHT * pn + float(hv)
+        g = np.zeros(self.d)
+        if pn > 0.0:
+            g[:-1] = p / (32.0 * pn)
+        if self.has_cap:
+            z = (x - self.x_star) + self.w
+            nz = math.sqrt(z.dot(z))
+            cap = 0.0
+            if nz > 0.0:  # at the anchor the ramp and its gradient vanish
+                wu = self.w_unit
+                q = float(wu.dot(z)) - 0.5 * nz
+                mu = self.mu
+                if q <= 0.0:
+                    s = 0.0
+                elif q <= mu:
+                    cap, s = q * q / (8.0 * mu), q / (4.0 * mu)
+                else:
+                    cap, s = q / 4.0 - mu / 8.0, 0.25
+                g -= s * (wu - z / (2.0 * nz))
+            h -= cap
+            if h <= 0.0:  # zero region or max boundary: 0 is a subgradient
+                return 0.0, np.zeros(self.d)
+        if pn == 0.0:  # norm kink: project the leading part onto the 1/32 ball
+            gp = g[:-1]
+            gn = math.sqrt(gp.dot(gp))
+            g[:-1] = 0.0 if gn <= NORM_WEIGHT else gp * (1.0 - NORM_WEIGHT / gn)
+        gd = float(g[-1])
+        g[-1] = gd + min(max(-gd, float(lo)), float(hi))
+        return h, g
 
     def min_subgrad_norm_batch(self, X: np.ndarray) -> np.ndarray:
         """Norms of the minimal-norm subgradients, vectorized.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Tuple
 
@@ -71,13 +72,13 @@ class PiecewiseAffine1D:
         r = bisect.bisect_right(self.breakpoints, x)
         return self.slopes[l], self.slopes[r]
 
-    def min_norm_slope(self, x):
-        lo, hi = self.subdiff(x)
-        if lo > 0:
-            return lo
-        if hi < 0:
-            return hi
-        return 0.0
+    def value_and_subdiff(self, x):
+        """(value, lo, hi) at x from one table lookup; equals (self(x), *self.subdiff(x))."""
+        bp = self.breakpoints
+        r = bisect.bisect_right(bp, x)
+        a = r - 1 if r > 0 else 0
+        return (self.values[a] + self.slopes[r] * (x - bp[a]),
+                self.slopes[bisect.bisect_left(bp, x, 0, r)], self.slopes[r])
 
     # -- batch evaluation (float tables only) ---------------------------------
 
@@ -255,15 +256,6 @@ def eval_r(bits: BitsLike, x, sched: AngleSchedule = DEFAULT_SCHEDULE):
     return v
 
 
-def subdiff_r(bits: BitsLike, x, sched: AngleSchedule = DEFAULT_SCHEDULE):
-    """Slope interval of r_b at x (singleton off breakpoints).
-
-    Convenience wrapper that builds the piece table; hold a table from
-    build_r when querying in bulk.
-    """
-    return build_r(bits, sched).subdiff(x)
-
-
 def build_hbar(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE):
     """Shifted table hbar = r_b + 2 - r_b(x_mid) and its minimizer.
 
@@ -294,14 +286,12 @@ def schedule_params(
     mode: str = "theory",
     k: Optional[int] = None,
     rho: Optional[float] = None,
-    log_base: float = 2.0,
 ) -> ScheduleParams:
     """Resolve (log2(1/rho), k, N) for an experiment.
 
-    theory mode: log(1/rho) = 256 T^2 / gamma^2 held in log space (rho itself
-    is astronomically small and never materialized), k = floor(sqrt(log)/4)
-    clamped to >= 1, N = k + 1.  The log base is 2 by default; pass
-    log_base=math.e to read the budget as a natural log.
+    theory mode: log2(1/rho) = 256 T^2 / gamma^2 held in log space (rho itself
+    is astronomically small and never materialized), k = floor(sqrt(log2)/4)
+    clamped to >= 1, N = k + 1.
 
     desk mode: caller supplies k and a representable rho directly; they are
     passed through with N = k + 1.
@@ -311,9 +301,8 @@ def schedule_params(
             raise ValueError(f"T must be an integer >= 1, got {T!r}")
         if gamma is None or not (0 < gamma <= 1):
             raise ValueError(f"gamma must be in (0, 1], got {gamma!r}")
-        log_inv_rho = 256.0 * T * T / (gamma * gamma)
-        kk = separation_depth(log_inv_rho)
-        log2_inv_rho = log_inv_rho * np.log2(log_base) if log_base != 2.0 else log_inv_rho
+        log2_inv_rho = 256.0 * T * T / (gamma * gamma)
+        kk = separation_depth(log2_inv_rho)
         return ScheduleParams(log2_inv_rho, kk, kk + 1)
     if mode == "desk":
         if k is None or not isinstance(k, int) or k < 1:
@@ -341,12 +330,13 @@ class OneDimInstance:
     def d(self) -> int:
         return 1
 
-    def eval(self, x) -> float:
-        return float(self.pwa(float(np.asarray(x).reshape(-1)[0])))
-
     def value_and_subgrad(self, x):
+        """Value and minimal-norm slope from one table lookup; rejects a non-finite x."""
         x0 = float(np.asarray(x, dtype=float).reshape(-1)[0])
-        return float(self.pwa(x0)), np.array([self.pwa.min_norm_slope(x0)])
+        if not math.isfinite(x0):
+            raise ValueError(f"oracle query at a non-finite point x={x0!r}")
+        v, lo, hi = self.pwa.value_and_subdiff(x0)
+        return float(v), np.array([float(lo if lo > 0 else hi if hi < 0 else 0.0)])
 
 
 def build_1d_instance(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> OneDimInstance:

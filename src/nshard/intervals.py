@@ -59,9 +59,6 @@ class AffineMap:
     def __call__(self, x):
         return self.slope * x + self.intercept
 
-    def inverse(self, y):
-        return (y - self.intercept) / self.slope
-
     def image(self) -> Tuple[float, float]:
         lo, hi = self.domain
         return self(lo), self(hi)

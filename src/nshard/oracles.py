@@ -174,20 +174,28 @@ class Trajectory:
 def run(algorithm, instance, x0=None, T: int = 1, seed: int = 0) -> Trajectory:
     """Drive an algorithm for T oracle queries; replayable from the seed.
 
-    x0 defaults to the origin of the instance's space.
+    x0 defaults to the origin of the instance's space.  A point the oracle
+    rejects (a non-finite one) stops the run with a ValueError naming the
+    step t at which it was proposed (t = 0 for x0).
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     rng = np.random.default_rng(seed)
     if x0 is None:
         x0 = np.zeros(instance.d)
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    points, responses = [x.copy()], [query(instance, x)]
-    for t in range(1, T):
-        x = np.atleast_1d(np.asarray(
-            algorithm.propose(t, points, responses, rng), dtype=float))
-        points.append(x.copy())
-        responses.append(query(instance, x))
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    points, responses = [], []
+    # an overflow ends in a non-finite point, which the oracle rejects below
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            if t > 0:
+                x = np.atleast_1d(np.asarray(
+                    algorithm.propose(t, points, responses, rng), dtype=float))
+            points.append(x.copy())
+            try:
+                responses.append(query(instance, x))
+            except ValueError as exc:
+                raise ValueError(f"run stopped at step t={t}: {exc}") from exc
     return Trajectory(
         algorithm=getattr(algorithm, "name", type(algorithm).__name__),
         seed=seed,

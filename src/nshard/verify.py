@@ -325,14 +325,15 @@ def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, halt_thr
         eta = delta / 1000.0
     if eta > delta / 100.0:
         raise ValueError("eta must be at most delta/100")
+    # x is rebound by every step and never written to, so points need no copies
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     f0, g = fn.value_and_subgrad(x)
-    best_point, best_value = x.copy(), f0
+    best_point, best_value = x, f0
     steps = int(round(delta / eta))
     status = "ok"
     taken = 0
     for _ in range(steps):
-        gn = float(np.linalg.norm(g))
+        gn = math.sqrt(g.dot(g))
         if gn < halt_threshold:
             status = "stalled"
             break
@@ -340,7 +341,7 @@ def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, halt_thr
         taken += 1
         v, g = fn.value_and_subgrad(x)
         if v < best_value:
-            best_point, best_value = x.copy(), v
+            best_point, best_value = x, v
     end_value = fn.value_and_subgrad(x)[0]
     return FlowResult(
         endpoint=x,

@@ -173,3 +173,53 @@ def test_build_replay_bit_identical(tmp_path):
     first = file_hashes(out)
     assert main(args) == 0
     assert file_hashes(out) == first
+
+
+def test_run_non_finite_iterate_exits_2_with_one_line(tmp_path, capsys):
+    # eta = 1e308 sends the second pgd iterate so far out that its leading
+    # norm overflows; the run stops there instead of writing inf or NaN
+    out = tmp_path / "o"
+    out.mkdir()
+    rc = main(["run", "--mode", "desk", "--d", "5", "--k", "3", "--rho", "1e-3", "--algo", "pgd",
+               "--eta", "1e308", "--T", "5", "--seed", "3", "--delta", "0", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: run stopped at step t=")
+    assert "non-finite" in err
+    assert not (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("algo,flag,a,b", [
+    ("sgd", "--eta", "0.001", "0.5"),
+    ("random", "--radius", "0.01", "5"),
+    ("grid", "--resolution", "0.1", "0.7"),
+])
+def test_mc_honours_algorithm_flags(tmp_path, algo, flag, a, b):
+    reports = []
+    for val in (a, b):
+        out = tmp_path / val
+        out.mkdir()
+        assert main(["mc", "--mode", "desk", "--k", "2", "--rho", "1e-3", "--T", "4", "--d", "4",
+                     "--algo", algo, flag, val, "--runs", "100", "--seed", "2", "--out", str(out)]) == 0
+        reports.append((out / "mc_report.csv").read_bytes())
+    assert reports[0] != reports[1]
+
+
+@pytest.mark.parametrize("bad", [{"rho": "1e-3"}, {"T": 2.5}, {"d": True}, {"algo": 3}, {"delta": None}])
+def test_config_rejects_mistyped_values(tmp_path, capsys, bad):
+    out = tmp_path / "o"
+    out.mkdir()
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(bad))
+    assert main(["build", "--config", str(cfgp), "--out", str(out)]) == 2
+    key = next(iter(bad))
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_accepts_integer_for_float(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"eta": 1, "delta": 1, "k": 2}))
+    assert main(["build", "--config", str(cfgp), "--d", "3", "--out", str(out)]) == 0
+    assert json.loads((out / "config.json").read_text())["eta"] == 1

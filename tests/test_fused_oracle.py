@@ -1,0 +1,137 @@
+"""The one-pass oracle against the oracle composed from its separate parts.
+
+``HardInstance.value_and_subgrad`` computes the leading norm, the table
+lookup and the cap gap once each; the reference recomputes them through
+``eval_h``, ``gap``, ``cap_value`` and ``subgrad(x).min_norm()``.  The
+arithmetic is the same, so the outputs must be equal exactly, not within a
+tolerance.  Points are drawn at random and also on every kink: the last
+axis, valley breakpoints, x_star, the cap anchor x_star - w, the cap band
+where the ramp is quadratic, and the zero region.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nshard.embed import build_h, build_instance
+from nshard.hard1d import build_1d_instance
+from nshard.schedule import DEFAULT_SCHEDULE, AngleSchedule
+from oracle_reference import composed_1d, composed_subgrad, composed_value
+
+EXTENDED = AngleSchedule("extended")
+SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+bits_st = st.lists(st.integers(0, 1), min_size=1, max_size=8)
+sched_st = st.sampled_from([DEFAULT_SCHEDULE, EXTENDED])
+KINDS = ("uniform", "axis", "breakpoint", "x_star", "anchor", "cap_band", "zero_region", "near_star", "strided")
+
+
+@st.composite
+def instances(draw):
+    d = draw(st.integers(2, 60))
+    bits = draw(bits_st)
+    sched = draw(sched_st)
+    if draw(st.booleans()):
+        return build_h(d, bits, sched)
+    rho = draw(st.floats(1e-6, 0.9))
+    return build_instance(d, bits, rho=rho, seed=draw(st.integers(0, 2**32 - 1)), sched=sched)
+
+
+def _point(inst, kind, rng):
+    d = inst.d
+    x = rng.uniform(-3.0, 3.0, size=d) * rng.choice([1e-6, 1e-2, 1.0, 10.0])
+    if kind == "axis":
+        x[:-1] = 0.0
+    elif kind == "breakpoint":
+        x[-1] = float(inst.hbar.breakpoints[rng.integers(len(inst.hbar.breakpoints))])
+        if rng.uniform() < 0.5:
+            x[:-1] = 0.0
+    elif kind == "x_star":
+        x = inst.x_star.copy()
+    elif kind == "near_star":
+        x = inst.x_star + rng.normal(scale=1e-3, size=d)
+        x[-1] = inst.x_star[-1]
+    elif kind == "strided":
+        return np.repeat(x, 2)[::2]
+    elif inst.has_cap and kind == "anchor":
+        x = inst.x_star - inst.w
+    elif inst.has_cap and kind == "cap_band":
+        # gap q = r (cos t - 1/2) in (0, mu]: the quadratic piece of the ramp
+        v = rng.normal(size=d)
+        if d > 2 and rng.uniform() < 0.5:
+            v[-1] = 0.0  # stay on the slice through x_star
+        v -= (v @ inst.w_unit) * inst.w_unit
+        v /= np.linalg.norm(v)
+        r = inst.mu * rng.uniform(2.0, 2000.0)
+        cos = 0.5 + rng.uniform(0.0, 1.0) * inst.mu / r
+        x = inst.x_star - inst.w + r * (cos * inst.w_unit + np.sqrt(1.0 - cos * cos) * v)
+    elif inst.has_cap and kind == "zero_region":
+        # far along w the cap exceeds h: f = 0 beyond t = 32/3
+        x = inst.x_star - inst.w + rng.uniform(11.0, 40.0) * inst.w_unit
+    return x
+
+
+def _assert_same(inst, x):
+    v, g = inst.value_and_subgrad(x)
+    assert v == composed_value(inst, x)
+    assert np.array_equal(g, composed_subgrad(inst, x))
+    assert inst.eval_f(x) == v
+    assert np.array_equal(inst.min_subgrad(x), g)
+
+
+@SETTINGS
+@given(inst=instances(), seed=st.integers(0, 2**32 - 1))
+def test_fused_oracle_matches_composition(inst, seed):
+    rng = np.random.default_rng(seed)
+    for kind in KINDS:
+        for _ in range(3):
+            _assert_same(inst, _point(inst, kind, rng))
+
+
+def test_engineered_points_hit_every_branch():
+    """The point kinds above reach the zero region, the cap band and both kinks."""
+    inst = build_instance(7, "0110", rho=0.25, seed=4)
+    rng = np.random.default_rng(0)
+    cases = {inst.subgrad(_point(inst, kind, rng)).case for kind in KINDS for _ in range(20)}
+    assert {"zero_region", "at_minimizer", "at_cap_anchor", "off_slice"} <= cases
+    assert cases & {"slice_cap_band_near", "slice_cap_band_far"}
+    band = [_point(inst, "cap_band", rng) for _ in range(20)]
+    gaps = [inst.gap(x - inst.x_star) for x in band]
+    assert all(0.0 < q <= inst.mu * (1 + 1e-9) for q in gaps)
+
+
+@SETTINGS
+@given(bits=bits_st, sched=sched_st, seed=st.integers(0, 2**32 - 1))
+def test_fused_1d_oracle_matches_composition(bits, sched, seed):
+    inst = build_1d_instance(bits, sched)
+    rng = np.random.default_rng(seed)
+    xs = list(rng.uniform(-1.0, 2.0, size=10)) + [float(b) for b in inst.pwa.breakpoints]
+    for x in xs:
+        v, g = inst.value_and_subgrad(np.array([x]))
+        rv, rg = composed_1d(inst, x)
+        assert v == rv
+        assert np.array_equal(g, rg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, -1])
+def test_oracle_rejects_non_finite_points(bad, where):
+    for inst in (build_instance(4, "011", rho=1e-3, seed=2), build_h(4, "011")):
+        x = np.array([0.1, -0.2, 0.3, 0.4])
+        x[where] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            inst.value_and_subgrad(x)
+        with pytest.raises(ValueError, match="non-finite"):
+            inst.eval_f(x)
+    with pytest.raises(ValueError, match="non-finite"):
+        build_1d_instance("01").value_and_subgrad(np.array([bad]))
+
+
+def test_oracle_rejects_overflowing_norm():
+    inst = build_instance(4, "011", rho=1e-3, seed=2)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        inst.value_and_subgrad(np.array([1e200, -1e200, 1e200, 0.5]))
+    # a huge but representable point is still answered
+    v, g = inst.value_and_subgrad(np.array([1e150, 0.0, 0.0, 0.5]))
+    assert np.isfinite(v) and np.all(np.isfinite(g))

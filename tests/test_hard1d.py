@@ -13,7 +13,6 @@ from nshard.hard1d import (
     eval_r,
     profile_rows,
     schedule_params,
-    subdiff_r,
     wedge_slopes,
     write_profile_csv,
 )
@@ -142,7 +141,7 @@ def test_subdiff_interval_at_minimizer():
 
 
 def test_subdiff_at_zero():
-    lo, hi = subdiff_r("0110", 0.0)
+    lo, hi = build_r("0110").subdiff(0.0)
     assert lo == -1.0
     assert -1.0 <= hi <= -1.0 / 8.0
     assert lo <= hi
@@ -222,12 +221,6 @@ def test_schedule_params_theory():
     assert p.log2_inv_rho == 102400.0
     assert p.k == 80
     assert p.N == 81
-
-
-def test_schedule_params_theory_natural_log_base():
-    p = schedule_params(T=1, gamma=1.0, mode="theory", log_base=math.e)
-    assert p.k == 4
-    assert p.log2_inv_rho == pytest.approx(256.0 / math.log(2.0), rel=1e-12)
 
 
 def test_schedule_params_desk_passthrough():

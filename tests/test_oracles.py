@@ -202,3 +202,22 @@ def test_run_on_1d_instance():
     assert traj.points.shape == (40, 1)
     # descent from 0 decreases the objective from hbar(0)
     assert traj.values.min() < traj.values[0]
+
+
+class ProposesNaN:
+    """Walks along the first axis and proposes a NaN at step 3."""
+
+    name = "nan"
+
+    def propose(self, t, points, responses, rng):
+        x = points[-1] + np.eye(points[-1].shape[0])[0]
+        if t == 3:
+            x[0] = np.nan
+        return x
+
+
+def test_run_names_the_step_of_a_non_finite_proposal(inst):
+    with pytest.raises(ValueError, match=r"step t=3: .*non-finite"):
+        run(ProposesNaN(), inst, T=6, seed=0)
+    with pytest.raises(ValueError, match=r"step t=0: .*non-finite"):
+        run(ProposesNaN(), inst, np.full(4, np.inf), T=2, seed=0)
