@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -31,74 +31,59 @@ from .verify import (
     progress_process,
 )
 
-DEFAULTS = {
-    "mode": "desk",
-    "T": 30,
-    "d": 10,
-    "gamma": 1.0,
-    "k": 4,
-    "rho": 1e-3,
-    "algo": "pgd",
-    "eta": 0.1,
-    "noise": 0.01,
-    "runs": 200,
-    "seed": 0,
-    "out": ".",
-    "precision": "binary64",
-    "delta": 1.0,
-    "resolution": 0.25,
-    "radius": 1.0,
-}
-
 
 @dataclass
 class RunConfig:
-    mode: str
-    T: int
-    d: int
-    gamma: float
-    k: int
-    rho: float
-    algo: str
-    eta: float
-    noise: float
-    runs: int
-    seed: int
-    out: str
-    precision: str
-    delta: float
-    resolution: float
-    radius: float
+    """Every command's settings, with their defaults; each field but
+    ``mutate`` is both a ``--flag`` and a ``--config`` key."""
+
+    mode: str = "desk"
+    T: int = 30
+    d: int = 10
+    gamma: float = 1.0
+    k: int = 4
+    rho: float = 1e-3
+    algo: str = "pgd"
+    eta: float = 0.1
+    noise: float = 0.01
+    runs: int = 200
+    seed: int = 0
+    out: str = "."
+    precision: str = "binary64"
+    delta: float = 1.0
+    resolution: float = 0.25
+    radius: float = 1.0
     mutate: bool = False
 
 
+TYPES = typing.get_type_hints(RunConfig)
+KEYS = [f.name for f in fields(RunConfig) if f.name != "mutate"]
+CHOICES = {
+    "mode": ["theory", "desk"],
+    "algo": ["sgd", "pgd", "random", "grid"],
+    "precision": ["binary64", "extended"],
+}
+
+
 def _resolve_config(args) -> RunConfig:
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    cfg = {}
+    if args.config:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
+            cfg = json.load(fh)
+        if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(cfg) - set(KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        types = typing.get_type_hints(RunConfig)
-        for key, val in file_cfg.items():
+        for key, val in cfg.items():
             # bool is an int subclass; a float field also takes an integer
-            want = (int, float) if types[key] is float else types[key]
+            want = (int, float) if TYPES[key] is float else TYPES[key]
             if isinstance(val, bool) or not isinstance(val, want):
-                raise ValueError(f"config key {key!r} must be {types[key].__name__}, got {val!r}")
-        cfg.update(file_cfg)
-    for key in DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    cfg["T"] = int(cfg["T"])
-    cfg["d"] = int(cfg["d"])
-    cfg["k"] = int(cfg["k"])
-    cfg["runs"] = int(cfg["runs"])
-    cfg["seed"] = int(cfg["seed"])
-    return RunConfig(mutate=bool(getattr(args, "mutate", False)), **cfg)
+                raise ValueError(f"config key {key!r} must be {TYPES[key].__name__}, got {val!r}")
+    for key in KEYS:
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+    return RunConfig(mutate=getattr(args, "mutate", False), **cfg)
 
 
 def _require_out(cfg: RunConfig) -> str:
@@ -261,22 +246,8 @@ def cmd_mc(cfg: RunConfig) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--mode", choices=["theory", "desk"])
-    p.add_argument("--T", type=int)
-    p.add_argument("--d", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--k", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--algo", choices=["sgd", "pgd", "random", "grid"])
-    p.add_argument("--eta", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--precision", choices=["binary64", "extended"])
-    p.add_argument("--delta", type=float)
-    p.add_argument("--resolution", type=float)
-    p.add_argument("--radius", type=float)
+    for key in KEYS:
+        p.add_argument(f"--{key}", type=TYPES[key], choices=CHOICES.get(key))
 
 
 def main(argv=None) -> int:

@@ -13,17 +13,20 @@ leaving f equal to h everywhere the cone misses; w is orthogonal to the last
 axis with ||w|| = 1000 mu, so the subdifferential keeps a certified minimum
 norm (at least 1/50) wherever f is positive.
 
-Subdifferentials are represented structurally: a smooth base vector, a slope
-interval along the last axis (the valley kink), an optional radius-1/32 ball
-in the leading coordinates (the norm kink at x_{1:d-1} = 0), and an optional
-scaling segment to the origin (the max kink).  Minimal-norm elements and
-support functions are exact for this structure.
+Each point is evaluated by one scalar pass up to the kinks; the oracle
+(value and minimal-norm subgradient) and the structured subdifferential are
+views of it.  Stacks of rows go through one batch pass, whose views are the
+value kernel and the minimal-subgradient-norm kernel.  The subdifferential's
+structure is a smooth base vector, a slope interval along the last axis (the
+valley kink), an optional radius-1/32 ball in the leading coordinates (the
+norm kink at x_{1:d-1} = 0), and an optional scaling segment to the origin
+(the max kink); its support function is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -78,22 +81,6 @@ class SubgradientSet:
     ball_radius: float = 0.0
     includes_zero: bool = False
 
-    def min_norm(self) -> np.ndarray:
-        """The unique minimal-norm element (exact for this structure)."""
-        if self.includes_zero:
-            return np.zeros(self.dim)
-        g = np.array(self.base, dtype=float, copy=True)
-        p = g[:-1]
-        pn = float(np.linalg.norm(p))
-        if self.ball_radius > 0.0:
-            if pn <= self.ball_radius:
-                g[:-1] = 0.0
-            else:
-                g[:-1] = p * (1.0 - self.ball_radius / pn)
-        lam = min(max(-g[-1], self.ed_lo), self.ed_hi)
-        g[-1] = g[-1] + lam
-        return g
-
     def support(self, v) -> float:
         """max over the set of <g, v>; equals the directional derivative."""
         v = np.asarray(v, dtype=float)
@@ -138,7 +125,10 @@ def choose_w_mu(d: int, rho: float, seed=0) -> Tuple[np.ndarray, float]:
 
 @dataclass
 class HardInstance:
-    """Immutable d-dimensional instance; evaluation and subgradients are pure."""
+    """Immutable d-dimensional instance; evaluation and subgradients are pure.
+
+    Every query is a view of the scalar pass ``_pass`` or the batch pass ``_batch``.
+    """
 
     d: int
     bits: Bits
@@ -161,112 +151,17 @@ class HardInstance:
             self._w_unit = self.w / np.linalg.norm(self.w)
         return self._w_unit
 
-    # -- values ---------------------------------------------------------------
+    # -- scalar pass and its views ----------------------------------------------
 
-    def eval_h(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return NORM_WEIGHT * float(np.linalg.norm(x[:-1])) + float(self.hbar(float(x[-1])))
+    def _pass(self, x):
+        """One point up to the kinks: (x, pn, h, psi, g, lo, hi, z, nz).
 
-    def gap(self, y) -> float:
-        """<w_unit, y + w> - ||y + w|| / 2 for y = x - x_star."""
-        z = np.asarray(y, dtype=float) + self.w
-        return float(self.w_unit @ z) - 0.5 * float(np.linalg.norm(z))
-
-    def eval_f(self, x) -> float:
-        return self._oracle(x)[0]
-
-    def eval_h_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return NORM_WEIGHT * np.linalg.norm(X[:, :-1], axis=1) + self.hbar.eval_batch(X[:, -1])
-
-    def eval_f_batch(self, X: np.ndarray) -> np.ndarray:
-        h = self.eval_h_batch(X)
-        if not self.has_cap:
-            return h
-        Z = np.asarray(X, dtype=float) - self.x_star + self.w
-        nz = np.linalg.norm(Z, axis=1)
-        q = Z @ self.w_unit - 0.5 * nz
-        return np.maximum(h - cap_value(q, self.mu), 0.0)
-
-    # -- subdifferential --------------------------------------------------------
-
-    def subgrad(self, x) -> SubgradientSet:
-        """Clarke subdifferential with its pointwise case label.
-
-        Every point is classified; the cap contribution is a plain gradient
-        (the ramp composition is continuously differentiable, including at
-        the anchor x_star - w where its gradient vanishes).
+        x as a contiguous float array, pn = ||x_{1:d-1}||, psi = h - cap, g the
+        gradient of the smooth parts (leading part zero at pn = 0), [lo, hi]
+        the valley slopes, z = x - x_star + w and nz = ||z|| (None without a
+        cap).  Raises ValueError where x_d or pn is not finite (an overflowing
+        norm included).
         """
-        x = np.asarray(x, dtype=float)
-        d = self.d
-        p = x[:-1]
-        pn = float(np.linalg.norm(p))
-        lo, hi = self.hbar.subdiff(float(x[-1]))
-        lo, hi = float(lo), float(hi)
-
-        base = np.zeros(d)
-        ball = 0.0
-        if pn > 0.0:
-            base[:-1] = p / (32.0 * pn)
-        else:
-            ball = NORM_WEIGHT
-
-        if not self.has_cap:
-            return SubgradientSet("no_cap", d, base, lo, hi, ball)
-
-        y = x - self.x_star
-        z = y + self.w
-        nz = float(np.linalg.norm(z))
-        if nz > 0.0:
-            q = float(self.w_unit @ z) - 0.5 * nz
-            s = cap_slope(q, self.mu)
-            base -= s * (self.w_unit - z / (2.0 * nz))
-        else:
-            q = 0.0  # ramp gradient vanishes at the anchor
-
-        h = NORM_WEIGHT * pn + float(self.hbar(float(x[-1])))
-        psi = h - cap_value(q, self.mu)
-        if psi < 0.0:
-            return SubgradientSet("zero_region", d, np.zeros(d), 0.0, 0.0, 0.0)
-        if psi == 0.0:
-            return SubgradientSet("max_boundary", d, base, lo, hi, ball, includes_zero=True)
-
-        if not np.any(y):
-            case = "at_minimizer"
-        elif nz == 0.0:
-            case = "at_cap_anchor"
-        elif y[-1] != 0.0:
-            case = "off_slice"
-        else:
-            align = float(self.w_unit @ z) / nz
-            if align < 0.5:
-                case = "slice_cap_off"
-            elif align > 0.5 + self.mu / nz:
-                case = "slice_cap_linear"
-            elif nz <= 10.0 * self.mu:
-                case = "slice_cap_band_near"
-            else:
-                case = "slice_cap_band_far"
-        return SubgradientSet(case, d, base, lo, hi, ball)
-
-    def min_subgrad(self, x) -> np.ndarray:
-        return self._oracle(x)[1]
-
-    def value_and_subgrad(self, x):
-        """f(x) and the minimal-norm Clarke subgradient at x, in one pass.
-
-        The leading norm, the table lookup and the cap gap are computed once
-        each; the ramp is evaluated on plain floats.  The arithmetic is that
-        of ``eval_h``, ``gap``, ``cap_value`` and ``subgrad(x).min_norm()``,
-        in the same order, so both outputs are bit-identical to that
-        composition.  Raises ValueError at a point whose last coordinate or
-        leading norm is not finite (an overflowing norm included).
-        """
-        return self._oracle(x)
-
-    def _oracle(self, x):
-        """Body of value_and_subgrad; eval_f and min_subgrad call it directly so
-        that they are not counted as oracle queries where value_and_subgrad is."""
         # contiguous, so that p.dot(p) takes the same BLAS path as np.linalg.norm
         x = np.ascontiguousarray(x, dtype=float)
         p = x[:-1]
@@ -279,67 +174,137 @@ class HardInstance:
         g = np.zeros(self.d)
         if pn > 0.0:
             g[:-1] = p / (32.0 * pn)
-        if self.has_cap:
-            z = (x - self.x_star) + self.w
-            nz = math.sqrt(z.dot(z))
-            cap = 0.0
-            if nz > 0.0:  # at the anchor the ramp and its gradient vanish
-                wu = self.w_unit
-                q = float(wu.dot(z)) - 0.5 * nz
-                mu = self.mu
-                if q <= 0.0:
-                    s = 0.0
-                elif q <= mu:
-                    cap, s = q * q / (8.0 * mu), q / (4.0 * mu)
-                else:
-                    cap, s = q / 4.0 - mu / 8.0, 0.25
-                g -= s * (wu - z / (2.0 * nz))
-            h -= cap
-            if h <= 0.0:  # zero region or max boundary: 0 is a subgradient
-                return 0.0, np.zeros(self.d)
+        if not self.has_cap:
+            return x, pn, h, h, g, float(lo), float(hi), None, None
+        z = (x - self.x_star) + self.w
+        nz = math.sqrt(z.dot(z))
+        cap = 0.0
+        if nz > 0.0:  # at the anchor the ramp and its gradient vanish
+            wu = self.w_unit
+            q = float(wu.dot(z)) - 0.5 * nz
+            mu = self.mu
+            if q <= 0.0:
+                s = 0.0
+            elif q <= mu:
+                cap, s = q * q / (8.0 * mu), q / (4.0 * mu)
+            else:
+                cap, s = q / 4.0 - mu / 8.0, 0.25
+            g -= s * (wu - z / (2.0 * nz))
+        return x, pn, h, h - cap, g, float(lo), float(hi), z, nz
+
+    def eval_h(self, x) -> float:
+        return self._pass(x)[2]
+
+    def eval_f(self, x) -> float:
+        return self._oracle(x)[0]
+
+    def min_subgrad(self, x) -> np.ndarray:
+        return self._oracle(x)[1]
+
+    def value_and_subgrad(self, x):
+        """f(x) and the minimal-norm Clarke subgradient at x.
+
+        The minimal-norm element of ``subgrad(x)``, computed in place: zero
+        where f = 0, else the leading part projected onto the 1/32 ball at
+        the norm kink and the last component clipped by the valley interval.
+        Raises ValueError at a non-finite point, as ``_pass`` does.
+        """
+        return self._oracle(x)
+
+    def _oracle(self, x):
+        """Body of value_and_subgrad; eval_f and min_subgrad call it directly so
+        that they are not counted as oracle queries where value_and_subgrad is."""
+        _, pn, _, psi, g, lo, hi, _, _ = self._pass(x)
+        if psi <= 0.0:  # zero region or max boundary: 0 is a subgradient
+            return 0.0, np.zeros(self.d)
         if pn == 0.0:  # norm kink: project the leading part onto the 1/32 ball
             gp = g[:-1]
             gn = math.sqrt(gp.dot(gp))
             g[:-1] = 0.0 if gn <= NORM_WEIGHT else gp * (1.0 - NORM_WEIGHT / gn)
         gd = float(g[-1])
-        g[-1] = gd + min(max(-gd, float(lo)), float(hi))
-        return h, g
+        g[-1] = gd + min(max(-gd, lo), hi)
+        return psi, g
+
+    def subgrad(self, x) -> SubgradientSet:
+        """Clarke subdifferential with its pointwise case label.
+
+        Every point is classified; the cap contribution is a plain gradient
+        (the ramp composition is continuously differentiable, including at
+        the anchor x_star - w where its gradient vanishes).
+        """
+        x, pn, _, psi, g, lo, hi, z, nz = self._pass(x)
+        d = self.d
+        ball = NORM_WEIGHT if pn == 0.0 else 0.0
+        if not self.has_cap:
+            return SubgradientSet("no_cap", d, g, lo, hi, ball)
+        if psi < 0.0:
+            return SubgradientSet("zero_region", d, np.zeros(d), 0.0, 0.0, 0.0)
+        if psi == 0.0:
+            return SubgradientSet("max_boundary", d, g, lo, hi, ball, includes_zero=True)
+        y = x - self.x_star
+        if not np.any(y):
+            case = "at_minimizer"
+        elif nz == 0.0:
+            case = "at_cap_anchor"
+        elif y[-1] != 0.0:
+            case = "off_slice"
+        else:
+            align = float(self.w_unit.dot(z)) / nz
+            if align < 0.5:
+                case = "slice_cap_off"
+            elif align > 0.5 + self.mu / nz:
+                case = "slice_cap_linear"
+            elif nz <= 10.0 * self.mu:
+                case = "slice_cap_band_near"
+            else:
+                case = "slice_cap_band_far"
+        return SubgradientSet(case, d, g, lo, hi, ball)
+
+    # -- batch pass and its views -----------------------------------------------
+
+    def _batch(self, X: np.ndarray):
+        """Rows of X up to the kinks: (X, pn, psi, Z, nz, q).
+
+        pn are the leading norms, psi = h - cap, and Z = X - x_star + w with
+        its row norms nz and gaps q (all three None without a cap).
+        """
+        X = np.asarray(X, dtype=float)
+        pn = np.linalg.norm(X[:, :-1], axis=1)
+        psi = NORM_WEIGHT * pn + self.hbar.eval_batch(X[:, -1])
+        if not self.has_cap:
+            return X, pn, psi, None, None, None
+        Z = X - self.x_star + self.w
+        nz = np.linalg.norm(Z, axis=1)
+        q = Z @ self.w_unit - 0.5 * nz
+        return X, pn, psi - cap_value(q, self.mu), Z, nz, q
+
+    def eval_f_batch(self, X: np.ndarray) -> np.ndarray:
+        return np.maximum(self._batch(X)[2], 0.0)
 
     def min_subgrad_norm_batch(self, X: np.ndarray) -> np.ndarray:
         """Norms of the minimal-norm subgradients, vectorized.
 
-        Degenerate rows (on the last axis, at the cap anchor, or in the zero
-        region) fall back to the exact per-point path.
+        Row by row these are the norms of ``min_subgrad`` up to rounding,
+        including at the norm kink, at the cap anchor and in the zero region.
         """
-        X = np.asarray(X, dtype=float)
-        n, d = X.shape
-        P = X[:, :-1]
-        pn = np.linalg.norm(P, axis=1)
+        X, pn, psi, Z, nz, q = self._batch(X)
         lo, hi = self.hbar.subdiff_batch(X[:, -1])
-
-        slow = pn == 0.0
-        safe_pn = np.where(slow, 1.0, pn)
-        base_perp = P / (32.0 * safe_pn[:, None])
-        base_d = np.zeros(n)
-        psi = NORM_WEIGHT * pn + self.hbar.eval_batch(X[:, -1])
+        kink = pn == 0.0
+        base_perp = X[:, :-1] / (32.0 * np.where(kink, 1.0, pn)[:, None])
+        base_d = np.zeros(X.shape[0])
         if self.has_cap:
-            Z = X - self.x_star + self.w
-            nz = np.linalg.norm(Z, axis=1)
-            slow |= nz == 0.0
+            # at the anchor q = 0, so the gradient is 0 once the divisor is safe
             safe_nz = np.where(nz == 0.0, 1.0, nz)
-            q = Z @ self.w_unit - 0.5 * nz
-            s = cap_slope(q, self.mu)
-            capg = -s[:, None] * (self.w_unit[None, :] - Z / (2.0 * safe_nz[:, None]))
+            capg = -cap_slope(q, self.mu)[:, None] * (self.w_unit[None, :] - Z / (2.0 * safe_nz[:, None]))
             base_perp = base_perp + capg[:, :-1]
             base_d = capg[:, -1]
-            psi = psi - cap_value(q, self.mu)
 
-        lam = np.clip(-base_d, lo, hi)
-        ed = base_d + lam
-        out = np.sqrt(np.einsum("ij,ij->i", base_perp, base_perp) + ed * ed)
+        ed = base_d + np.clip(-base_d, lo, hi)
+        perp2 = np.einsum("ij,ij->i", base_perp, base_perp)
+        # norm kink: projecting onto the 1/32 ball shortens the leading part by 1/32
+        perp2[kink] = np.maximum(np.sqrt(perp2[kink]) - NORM_WEIGHT, 0.0) ** 2
+        out = np.sqrt(perp2 + ed * ed)
         out[psi <= 0.0] = 0.0
-        for i in np.flatnonzero(slow):
-            out[i] = float(np.linalg.norm(self.min_subgrad(X[i])))
         return out
 
 
@@ -370,16 +335,7 @@ def build_instance(
     """Full capped instance; the cap vector is drawn from ``seed``."""
     inst = build_h(d, bits, sched)
     w, mu = choose_w_mu(d, rho, seed)
-    return HardInstance(
-        d=d,
-        bits=inst.bits,
-        hbar=inst.hbar,
-        x_star=inst.x_star,
-        w=w,
-        mu=mu,
-        seed=seed,
-        precision=sched.backend,
-    )
+    return replace(inst, w=w, mu=mu, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +386,4 @@ def load_instance(path, sched: Optional[AngleSchedule] = None) -> HardInstance:
         w = np.array([float(tok) for tok in kv["w"].split()])
         if w.shape != (d,):
             raise ValueError("w length does not match d")
-    return HardInstance(
-        d=d,
-        bits=bits,
-        hbar=inst.hbar,
-        x_star=inst.x_star,
-        w=w,
-        mu=mu,
-        c=float(kv.get("c", STATIONARITY_C)),
-        seed=seed,
-        precision=precision,
-    )
+    return replace(inst, w=w, mu=mu, c=float(kv.get("c", STATIONARITY_C)), seed=seed, precision=precision)

@@ -213,8 +213,9 @@ def build_r(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> Piecewis
             a = a * d
             level_values.append(a + c)
 
-        infs = [interval(bits[:i], sched).lo for i in range(1, N + 1)]
-        sups = [interval(bits[:i], sched).hi for i in range(1, N + 1)]
+        spans = [interval(bits[:i], sched) for i in range(1, N + 1)]
+        infs = [s.lo for s in spans]
+        sups = [s.hi for s in spans]
         x_mid = (infs[-1] + sups[-1]) / 2
         cot = sched.cot_base(N + 1)
         r_min = level_values[N] - cot * a / 2  # a = prod of deltas

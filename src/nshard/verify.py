@@ -302,6 +302,7 @@ def concentration_check(
 @dataclass
 class FlowResult:
     endpoint: np.ndarray
+    start_value: float
     end_value: float
     decrease: float
     status: str  # "ok" or "stalled"
@@ -317,7 +318,8 @@ def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, halt_thr
     step is re-queried every iteration, which handles sliding along valleys
     without event detection.  Halts with status "stalled" if a subgradient
     norm below halt_threshold is encountered (on a hard instance with value
-    at least 1 inside the ball this cannot happen).
+    at least 1 inside the ball this cannot happen).  Every point is queried
+    once: the start and end values are the first and last values returned.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
@@ -329,6 +331,7 @@ def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, halt_thr
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     f0, g = fn.value_and_subgrad(x)
     best_point, best_value = x, f0
+    v = f0
     steps = int(round(delta / eta))
     status = "ok"
     taken = 0
@@ -342,11 +345,11 @@ def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, halt_thr
         v, g = fn.value_and_subgrad(x)
         if v < best_value:
             best_point, best_value = x, v
-    end_value = fn.value_and_subgrad(x)[0]
     return FlowResult(
         endpoint=x,
-        end_value=float(end_value),
-        decrease=float(f0 - end_value),
+        start_value=float(f0),
+        end_value=float(v),
+        decrease=float(f0 - v),
         status=status,
         best_point=best_point,
         best_value=float(best_value),
@@ -379,12 +382,10 @@ def local_decrease_certificate(
     which stays inside the ball) plus uniform ball samples give an upper
     bound on the minimum, which is all the certificate needs.
     """
-    if not 0 < delta <= 1:
-        raise ValueError("delta must be in (0, 1]")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    f_x = float(instance.value_and_subgrad(x)[0])
-    target = f_x - delta * c
     flow = subgradient_flow(instance, x, delta, eta)
+    f_x = flow.start_value
+    target = f_x - delta * c
     best_point, best_value = flow.best_point, flow.best_value
     if best_value >= target and n_samples > 0:
         rng = np.random.default_rng(seed)
@@ -393,10 +394,7 @@ def local_decrease_certificate(
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         R = delta * rng.uniform(size=n_samples) ** (1.0 / d)
         pts = x[None, :] + R[:, None] * U
-        if hasattr(instance, "eval_f_batch"):
-            vals = instance.eval_f_batch(pts)
-        else:
-            vals = np.array([instance.value_and_subgrad(p)[0] for p in pts])
+        vals = instance.eval_f_batch(pts)
         j = int(np.argmin(vals))
         if vals[j] < best_value:
             best_point, best_value = pts[j], float(vals[j])

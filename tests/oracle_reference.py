@@ -4,15 +4,18 @@
   projection of the origin onto the convex hull of finitely many points.
 * ``generators``: a finite generating set of a structured subdifferential,
   for feeding ``min_norm_point``.
+* ``reference_h``, ``gap``, ``reference_subgrad`` and ``min_norm``: h, the
+  cap gap, the structured subdifferential and its minimal-norm element, each
+  computed on its own through ``np.linalg.norm``, the table's ``__call__``
+  and ``subdiff``, and the vectorized ``cap_value`` / ``cap_slope``.
 * ``composed_value`` / ``composed_subgrad`` / ``composed_1d``: the oracle
-  assembled from its separate parts (``eval_h``, ``gap``, ``cap_value``,
-  ``subgrad(x).min_norm()`` and the table's ``__call__`` and ``subdiff``),
-  which the one-pass ``value_and_subgrad`` must reproduce bit for bit.
+  assembled from those parts, which the one-pass ``value_and_subgrad`` (and
+  ``subgrad``, which shares its pass) must reproduce bit for bit.
 """
 
 import numpy as np
 
-from nshard.embed import cap_value
+from nshard.embed import NORM_WEIGHT, SubgradientSet, cap_slope, cap_value
 
 
 def min_norm_point(points, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
@@ -101,18 +104,102 @@ def generators(s, ball_points: int = 0, seed: int = 0):
     return out
 
 
+def reference_h(inst, x) -> float:
+    """h(x) = (1/32) ||x_{1:d-1}|| + hbar(x_d)."""
+    x = np.asarray(x, dtype=float)
+    return NORM_WEIGHT * float(np.linalg.norm(x[:-1])) + float(inst.hbar(float(x[-1])))
+
+
+def gap(inst, y) -> float:
+    """<w_unit, y + w> - ||y + w|| / 2 for y = x - x_star."""
+    z = np.asarray(y, dtype=float) + inst.w
+    return float(inst.w_unit @ z) - 0.5 * float(np.linalg.norm(z))
+
+
+def reference_subgrad(inst, x) -> SubgradientSet:
+    """Clarke subdifferential with its case label, computed from scratch."""
+    x = np.asarray(x, dtype=float)
+    d = inst.d
+    p = x[:-1]
+    pn = float(np.linalg.norm(p))
+    lo, hi = inst.hbar.subdiff(float(x[-1]))
+    lo, hi = float(lo), float(hi)
+
+    base = np.zeros(d)
+    ball = 0.0
+    if pn > 0.0:
+        base[:-1] = p / (32.0 * pn)
+    else:
+        ball = NORM_WEIGHT
+
+    if not inst.has_cap:
+        return SubgradientSet("no_cap", d, base, lo, hi, ball)
+
+    y = x - inst.x_star
+    z = y + inst.w
+    nz = float(np.linalg.norm(z))
+    if nz > 0.0:
+        q = float(inst.w_unit @ z) - 0.5 * nz
+        s = cap_slope(q, inst.mu)
+        base -= s * (inst.w_unit - z / (2.0 * nz))
+    else:
+        q = 0.0  # ramp gradient vanishes at the anchor
+
+    h = NORM_WEIGHT * pn + float(inst.hbar(float(x[-1])))
+    psi = h - cap_value(q, inst.mu)
+    if psi < 0.0:
+        return SubgradientSet("zero_region", d, np.zeros(d), 0.0, 0.0, 0.0)
+    if psi == 0.0:
+        return SubgradientSet("max_boundary", d, base, lo, hi, ball, includes_zero=True)
+
+    if not np.any(y):
+        case = "at_minimizer"
+    elif nz == 0.0:
+        case = "at_cap_anchor"
+    elif y[-1] != 0.0:
+        case = "off_slice"
+    else:
+        align = float(inst.w_unit @ z) / nz
+        if align < 0.5:
+            case = "slice_cap_off"
+        elif align > 0.5 + inst.mu / nz:
+            case = "slice_cap_linear"
+        elif nz <= 10.0 * inst.mu:
+            case = "slice_cap_band_near"
+        else:
+            case = "slice_cap_band_far"
+    return SubgradientSet(case, d, base, lo, hi, ball)
+
+
+def min_norm(s) -> np.ndarray:
+    """The unique minimal-norm element of a SubgradientSet (exact for its structure)."""
+    if s.includes_zero:
+        return np.zeros(s.dim)
+    g = np.array(s.base, dtype=float, copy=True)
+    p = g[:-1]
+    pn = float(np.linalg.norm(p))
+    if s.ball_radius > 0.0:
+        if pn <= s.ball_radius:
+            g[:-1] = 0.0
+        else:
+            g[:-1] = p * (1.0 - s.ball_radius / pn)
+    lam = min(max(-g[-1], s.ed_lo), s.ed_hi)
+    g[-1] = g[-1] + lam
+    return g
+
+
 def composed_value(inst, x) -> float:
     """f(x) = max(h(x) - cap(gap(x - x_star)), 0), or h(x) without a cap."""
     x = np.asarray(x, dtype=float)
-    h = inst.eval_h(x)
+    h = reference_h(inst, x)
     if not inst.has_cap:
         return h
-    return max(h - cap_value(inst.gap(x - inst.x_star), inst.mu), 0.0)
+    return max(h - cap_value(gap(inst, x - inst.x_star), inst.mu), 0.0)
 
 
 def composed_subgrad(inst, x) -> np.ndarray:
-    """Minimal-norm element of the structured subdifferential."""
-    return inst.subgrad(x).min_norm()
+    """Minimal-norm element of the reference subdifferential."""
+    return min_norm(reference_subgrad(inst, x))
 
 
 def composed_1d(inst, x):

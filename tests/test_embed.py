@@ -12,7 +12,7 @@ from nshard.embed import (
     load_instance,
     save_instance,
 )
-from oracle_reference import generators, min_norm_point
+from oracle_reference import gap, generators, min_norm, min_norm_point
 
 RHO = 1e-3
 BITS = "010"
@@ -83,8 +83,8 @@ def test_cap_continuity_and_lipschitz():
 
 def test_gap_anchor_values(inst):
     w = inst.w
-    assert inst.gap(-w) == 0.0
-    assert inst.gap(np.zeros(D)) == pytest.approx(0.5 * np.linalg.norm(w), rel=1e-12)
+    assert gap(inst, -w) == 0.0
+    assert gap(inst, np.zeros(D)) == pytest.approx(0.5 * np.linalg.norm(w), rel=1e-12)
 
 
 def test_gap_upper_bound_and_sign(inst):
@@ -93,7 +93,7 @@ def test_gap_upper_bound_and_sign(inst):
         y = rng.normal(size=D)
         z = y + inst.w
         nz = np.linalg.norm(z)
-        q = inst.gap(y)
+        q = gap(inst, y)
         assert q <= 0.5 * nz + 1e-12
         if (inst.w_unit @ z) / nz < 0.5:
             assert q < 0
@@ -104,7 +104,7 @@ def test_gap_lipschitz(inst):
     Y = rng.normal(size=(2000, D))
     Z = Y + rng.normal(scale=0.3, size=(2000, D))
     for y, z in zip(Y[:200], Z[:200]):
-        num = abs(inst.gap(y) - inst.gap(z))
+        num = abs(gap(inst, y) - gap(inst, z))
         assert num <= 1.5 * np.linalg.norm(y - z) * (1 + 1e-12)
 
 
@@ -273,10 +273,10 @@ def test_case_classification_and_bounds(inst):
         assert s.case == name, f"{name}: got {s.case}"
         if name == "zero_region":
             assert inst.eval_f(x) == 0.0
-            assert np.linalg.norm(s.min_norm()) == 0.0
+            assert np.linalg.norm(min_norm(s)) == 0.0
         else:
             assert inst.eval_f(x) > 0
-            assert np.linalg.norm(s.min_norm()) >= CASE_MIN_NORMS[name] - 1e-12
+            assert np.linalg.norm(min_norm(s)) >= CASE_MIN_NORMS[name] - 1e-12
 
 
 def test_minimizer_set_structure(inst):
@@ -308,12 +308,21 @@ def test_stationarity_floor_random(inst):
 
 
 def test_batch_min_norm_matches_pointwise(inst):
+    # the batch kernel handles the norm kink, the cap anchor and the zero
+    # region itself, without a per-row scalar fallback
     rng = np.random.default_rng(8)
-    X = rng.uniform(-2, 2, size=(300, D))
-    X[0, :-1] = 0.0  # on-axis row exercises the slow path
-    batch = inst.min_subgrad_norm_batch(X)
-    for i in range(300):
-        assert batch[i] == pytest.approx(np.linalg.norm(inst.min_subgrad(X[i])), abs=1e-13)
+    for instance in (inst, build_h(D, BITS)):
+        X = rng.uniform(-2, 2, size=(300, D))
+        X[:20, :-1] = 0.0  # norm kink x_{1:d-1} = 0
+        X[20] = 0.0  # the origin
+        X[25] = instance.x_star
+        if instance.has_cap:
+            X[26] = instance.x_star - instance.w  # cap anchor
+            X[27:40] = instance.x_star - instance.w + rng.uniform(11.0, 40.0, size=(13, 1)) * instance.w_unit
+            assert np.all(instance.eval_f_batch(X[27:40]) == 0.0)  # zero region
+        batch = instance.min_subgrad_norm_batch(X)
+        for i in range(300):
+            assert batch[i] == pytest.approx(np.linalg.norm(instance.min_subgrad(X[i])), abs=1e-13)
 
 
 def test_zero_region_boundary_bracket(inst):
@@ -337,7 +346,7 @@ def test_zero_region_boundary_bracket(inst):
 
 def test_max_boundary_tie_branch():
     s = SubgradientSet("max_boundary", 3, np.array([0.2, 0.0, -0.1]), -0.5, 0.5, 0.0, includes_zero=True)
-    assert np.all(s.min_norm() == 0.0)
+    assert np.all(min_norm(s) == 0.0)
     v = np.array([1.0, 0.0, 0.0])
     assert s.support(v) == pytest.approx(max(0.0, 0.2 + 0.0))
     assert s.support(-v) == 0.0  # negative side clips at the zero scaling
@@ -369,7 +378,7 @@ def test_central_differences_match_gradient(inst):
         z = x - inst.x_star + inst.w
         if np.linalg.norm(z) < 1e-2:  # keep the step small against the cap scale
             continue
-        g = s.min_norm()
+        g = min_norm(s)
         for j in range(D):
             e = np.zeros(D)
             e[j] = h
@@ -477,7 +486,7 @@ def test_min_norm_subgrad_matches_generator_hull(inst):
     for _ in range(40):
         x = rng.uniform(-1.5, 1.5, size=D)
         s = inst.subgrad(x)
-        analytic = s.min_norm()
+        analytic = min_norm(s)
         hull = min_norm_point(np.stack(generators(s, ball_points=64, seed=3)), tol=1e-12)
         if s.ball_radius == 0.0:
             assert np.linalg.norm(analytic - hull) <= 1e-7
@@ -489,19 +498,19 @@ def test_min_norm_subgrad_matches_generator_hull(inst):
 
 def test_min_subgrad_matches_min_norm(inst):
     x = inst.x_star + 0.3 * np.eye(D)[0]
-    assert np.array_equal(inst.min_subgrad(x), inst.subgrad(x).min_norm())
+    assert np.array_equal(inst.min_subgrad(x), min_norm(inst.subgrad(x)))
 
 
 def test_subgradient_set_clipping():
     base = np.array([0.01, 0.0, -0.3])
     s = SubgradientSet("test", 3, base, -0.5, 0.5, 0.0)
-    g = s.min_norm()
+    g = min_norm(s)
     assert g[-1] == 0.0  # interval absorbs the last component
     assert g[:2] == pytest.approx(base[:2])
     s2 = SubgradientSet("test", 3, base, 0.4, 0.5, 0.0)
-    assert s2.min_norm()[-1] == pytest.approx(-0.3 + 0.4)
+    assert min_norm(s2)[-1] == pytest.approx(-0.3 + 0.4)
     s3 = SubgradientSet("test", 3, np.array([0.01, 0.0, 0.0]), 0.0, 0.0, 1.0 / 32.0)
-    assert np.linalg.norm(s3.min_norm()) == 0.0  # ball absorbs the small base
+    assert np.linalg.norm(min_norm(s3)) == 0.0  # ball absorbs the small base
 
 
 # ---------------------------------------------------------------------------

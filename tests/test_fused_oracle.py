@@ -1,10 +1,11 @@
 """The one-pass oracle against the oracle composed from its separate parts.
 
-``HardInstance.value_and_subgrad`` computes the leading norm, the table
-lookup and the cap gap once each; the reference recomputes them through
-``eval_h``, ``gap``, ``cap_value`` and ``subgrad(x).min_norm()``.  The
-arithmetic is the same, so the outputs must be equal exactly, not within a
-tolerance.  Points are drawn at random and also on every kink: the last
+``HardInstance.value_and_subgrad`` and ``HardInstance.subgrad`` are views of
+one scalar pass that computes the leading norm, the table lookup and the cap
+gap once each; the reference in ``oracle_reference`` recomputes them on its
+own, through ``np.linalg.norm``, the table's ``__call__`` and ``subdiff``,
+``cap_value`` and ``cap_slope``.  The arithmetic is the same, so the outputs
+must be equal exactly, not within a tolerance.  Points are drawn at random and also on every kink: the last
 axis, valley breakpoints, x_star, the cap anchor x_star - w, the cap band
 where the ramp is quadratic, and the zero region.
 """
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from nshard.embed import build_h, build_instance
 from nshard.hard1d import build_1d_instance
 from nshard.schedule import DEFAULT_SCHEDULE, AngleSchedule
-from oracle_reference import composed_1d, composed_subgrad, composed_value
+from oracle_reference import composed_1d, composed_subgrad, composed_value, gap, reference_subgrad
 
 EXTENDED = AngleSchedule("extended")
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -78,6 +79,11 @@ def _assert_same(inst, x):
     assert np.array_equal(g, composed_subgrad(inst, x))
     assert inst.eval_f(x) == v
     assert np.array_equal(inst.min_subgrad(x), g)
+    s, ref = inst.subgrad(x), reference_subgrad(inst, x)
+    assert s.case == ref.case
+    assert s.base.tobytes() == ref.base.tobytes()  # signs of zeros included
+    for name in ("ed_lo", "ed_hi", "ball_radius", "includes_zero"):
+        assert getattr(s, name) == getattr(ref, name), name
 
 
 @SETTINGS
@@ -97,7 +103,7 @@ def test_engineered_points_hit_every_branch():
     assert {"zero_region", "at_minimizer", "at_cap_anchor", "off_slice"} <= cases
     assert cases & {"slice_cap_band_near", "slice_cap_band_far"}
     band = [_point(inst, "cap_band", rng) for _ in range(20)]
-    gaps = [inst.gap(x - inst.x_star) for x in band]
+    gaps = [gap(inst, x - inst.x_star) for x in band]
     assert all(0.0 < q <= inst.mu * (1 + 1e-9) for q in gaps)
 
 
@@ -124,6 +130,8 @@ def test_oracle_rejects_non_finite_points(bad, where):
             inst.value_and_subgrad(x)
         with pytest.raises(ValueError, match="non-finite"):
             inst.eval_f(x)
+        with pytest.raises(ValueError, match="non-finite"):
+            inst.subgrad(x)
     with pytest.raises(ValueError, match="non-finite"):
         build_1d_instance("01").value_and_subgrad(np.array([bad]))
 

@@ -167,10 +167,28 @@ def test_flow_unit_speed_bound():
     assert np.linalg.norm(res.endpoint - np.array([5.0, 1.0])) <= delta + 10 * eta
 
 
+def test_flow_queries_each_point_once():
+    queried = []
+
+    class CountingOracle(NormOracle):
+        def value_and_subgrad(self, x):
+            queried.append(np.array(x))
+            return super().value_and_subgrad(x)
+
+    x0 = np.array([0.8, 0.0])
+    res = subgradient_flow(CountingOracle(), x0, delta=0.5)
+    assert len(queried) == res.steps + 1
+    assert np.array_equal(queried[0], x0) and np.array_equal(queried[-1], res.endpoint)
+    assert res.start_value == NormOracle().value_and_subgrad(x0)[0]
+    assert res.end_value == NormOracle().value_and_subgrad(res.endpoint)[0]
+    assert res.decrease == res.start_value - res.end_value
+
+
 def test_flow_stalls_on_flat():
     res = subgradient_flow(FlatOracle(), np.array([1.0]), delta=0.5)
     assert res.status == "stalled"
     assert res.steps == 0
+    assert res.start_value == res.end_value == 5.0  # no step: the end is the start
 
 
 def test_flow_rejects_coarse_step():
