@@ -281,11 +281,11 @@ class HardInstance:
     def eval_f_batch(self, X: np.ndarray) -> np.ndarray:
         return np.maximum(self._batch(X)[2], 0.0)
 
-    def min_subgrad_norm_batch(self, X: np.ndarray) -> np.ndarray:
-        """Norms of the minimal-norm subgradients, vectorized.
+    def min_subgrad_norm_batch(self, X: np.ndarray):
+        """(f, norms of the minimal-norm subgradients) from one vectorized pass.
 
-        Row by row these are the norms of ``min_subgrad`` up to rounding,
-        including at the norm kink, at the cap anchor and in the zero region.
+        f equals ``eval_f_batch(X)`` bit for bit; row by row the norms are those of
+        ``min_subgrad`` up to rounding, also at the norm kink, the cap anchor and in the zero region.
         """
         X, pn, psi, Z, nz, q = self._batch(X)
         lo, hi = self.hbar.subdiff_batch(X[:, -1])
@@ -305,7 +305,7 @@ class HardInstance:
         perp2[kink] = np.maximum(np.sqrt(perp2[kink]) - NORM_WEIGHT, 0.0) ** 2
         out = np.sqrt(perp2 + ed * ed)
         out[psi <= 0.0] = 0.0
-        return out
+        return np.maximum(psi, 0.0), out
 
 
 def build_h(d: int, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> HardInstance:

@@ -156,15 +156,14 @@ def wedge_value(i: int, bit: int, u, sched: AngleSchedule = DEFAULT_SCHEDULE):
 
     Defined on [0,1] minus the open child gap; equals 1 at both ends of [0,1]
     and epsilon(i) at both edges of the gap.  The bit-0 wedge is the mirror
-    image of the bit-1 wedge.
+    image of the bit-1 wedge.  u may be an array.
     """
     d = sched.delta(i)
     e = sched.epsilon(i)
     if bit == 0:
         u = 1 - u
-    if u <= 0.5 + d:
-        return -(1 - e) / (0.5 + d) * u + 1
-    return (1 - e) / (0.5 - 2 * d) * u + (-0.5 - 2 * d + e) / (0.5 - 2 * d)
+    return np.where(u <= 0.5 + d, -(1 - e) / (0.5 + d) * u + 1,
+                    (1 - e) / (0.5 - 2 * d) * u + (-0.5 - 2 * d + e) / (0.5 - 2 * d))[()]
 
 
 def wedge_slopes(i: int, bit: int, sched: AngleSchedule = DEFAULT_SCHEDULE):
@@ -233,28 +232,36 @@ def build_r(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> Piecewis
 
 
 def eval_r(bits: BitsLike, x, sched: AngleSchedule = DEFAULT_SCHEDULE):
-    """Evaluate r_b by recursive prefix descent.
+    """Evaluate r_b by recursive prefix descent at a scalar or an array x.
 
     Maintains the local coordinate level by level and lifts the wedge value
     back out, so precision does not degrade with depth the way the absolute
-    piece table does near the deepest breakpoints.
+    piece table does near the deepest breakpoints.  Rows stopped at depth k
+    take the level-(k+1) wedge (or the final V), then the lifts k..1.
     """
     bits = as_bits(bits)
     N = len(bits)
-    if x < 0:
-        return 1 - x
-    if x > 1:
-        return x * 1
-    depth, u = descend(x, bits, sched)
-    with sched.context():
-        if depth < N:
-            v = wedge_value(depth + 1, bits[depth], u, sched)
-        else:
-            cot = sched.cot_base(N + 1)
-            v = 1 - cot * u if u <= 0.5 else 1 - cot * (1 - u)
-        for j in range(depth, 0, -1):
-            v = lift_value(j, v, sched)
-    return v
+    x = np.array(x, dtype=float if sched.backend == "binary64" else object)
+    with np.errstate(invalid="ignore"):  # NaN compares False in object arrays too
+        left = x < 0
+        inner = ~(left | (x > 1))
+        depth, u = descend(x[inner], bits, sched)
+        v = np.empty_like(u)
+        top = int(depth.max(initial=0))
+        with sched.context():
+            for k in range(top + 1):
+                at = depth == k
+                if k < N:
+                    v[at] = wedge_value(k + 1, bits[k], u[at], sched)
+                else:
+                    cot, w = sched.cot_base(N + 1), u[at]
+                    v[at] = np.where(w <= 0.5, 1 - cot * w, 1 - cot * (1 - w))
+            for j in range(top, 0, -1):
+                deep = depth >= j
+                v[deep] = lift_value(j, v[deep], sched)
+    out = np.where(left, 1 - x, x * 1).astype(x.dtype)
+    out[inner] = v
+    return out if out.ndim else out.item()
 
 
 def build_hbar(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE):

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple, Union
 
+import numpy as np
+
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 
 Bits = Tuple[int, ...]
@@ -119,32 +121,41 @@ def interval(
     return Interval(lo, hi)
 
 
-def locate(x, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> int:
+def locate(x, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE):
     """Deepest prefix of ``bits`` whose open interval strictly contains x.
 
     Returns 0 when x is not inside the depth-1 interval.  Boundary hits count
     as outside (the intervals are open), and by nesting the set of containing
     prefixes is always an initial run, so a single descent suffices.  The
     descent rescales to local coordinates level by level, which stays exact
-    far beyond the absolute-endpoint depth cap.
+    far beyond the absolute-endpoint depth cap.  x may be an array.
     """
     return descend(x, bits, sched)[0]
 
 
 def descend(x, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE):
-    """Like locate, but also return the local coordinate at the stop depth."""
+    """Like locate, but also return the local coordinate at the stop depth.
+
+    Each level is one comparison over the points still inside; the extended
+    backend runs the same code on object arrays.
+    """
     bits = as_bits(bits)
-    with sched.context():
-        u = x
-        depth = 0
+    u = np.array(x, dtype=float if sched.backend == "binary64" else object)
+    depth = np.zeros(u.shape, dtype=int)
+    flat_u, flat_depth = u.reshape(-1), depth.reshape(-1)
+    live = np.arange(u.size)
+    with sched.context(), np.errstate(invalid="ignore"):  # NaN is never inside
         for j, b in enumerate(bits):
+            if not live.size:
+                break
             d = sched.delta(j + 1)
             lo = 0.5 + d if b else 0.5 - 2 * d
-            if not (lo < u < lo + d):
-                break
-            u = (u - lo) / d
-            depth = j + 1
-    return depth, u
+            w = flat_u[live]
+            inside = (lo < w) & (w < lo + d)
+            live = live[inside]
+            flat_u[live] = (w[inside] - lo) / d
+            flat_depth[live] = j + 1
+    return (depth, u) if u.ndim else (int(depth), u.item())
 
 
 def separation_depth(log2_inv_rho: float) -> int:

@@ -76,9 +76,7 @@ def progress_process(trajectory, bits=None, sched: AngleSchedule = DEFAULT_SCHED
     if inst_bits is not None and as_bits(inst_bits) != bits:
         raise ValueError("bit string does not match the trajectory's instance")
     Z = np.zeros(trajectory.T + 1, dtype=int)
-    for t, x in enumerate(trajectory.points, start=1):
-        depth = locate(float(np.atleast_1d(x)[-1]), bits, sched)
-        Z[t] = max(Z[t - 1], depth)
+    Z[1:] = np.maximum.accumulate(locate(trajectory.points[:, -1], bits, sched))
     return ProgressProcess(Z)
 
 
@@ -182,11 +180,10 @@ def mc_hitting(
         proc = progress_process(traj, bits, sched)
         if proc.final >= k:
             deep += 1
-        for j in proc.jumps:
-            jump_trials += 1
-            for m in range(1, m_max + 1):
-                if j >= m:
-                    jump_counts[m] += 1
+        jumps = proc.jumps
+        jump_trials += len(jumps)
+        for m in range(1, m_max + 1):
+            jump_counts[m] += int(np.count_nonzero(jumps >= m))
 
     hit_bound = 16.0 * T / math.sqrt(log2_inv_rho)
     deep_bound = 4.0 * T / k
@@ -596,8 +593,9 @@ def invariant_suite(
         pieces_ok &= table.piece_count == 2 * N + 4
         r_at_zero_ok &= table(0.0) == 1.0
         xs = rng.uniform(-0.5, 1.5, size=p.dual_points)
-        dual = np.abs(table.eval_batch(xs) - np.array([eval_r(bits, float(x), sched) for x in xs]))
-        worst_dual = max(worst_dual, float(np.max(dual / np.maximum(1.0, np.abs(table.eval_batch(xs))))))
+        ref = table.eval_batch(xs)
+        dual = np.abs(ref - eval_r(bits, xs, sched))
+        worst_dual = max(worst_dual, float(np.max(dual / np.maximum(1.0, np.abs(ref)))))
         hbar, x_mid = hard1d.build_hbar(bits, sched)
         hbar_zero_max = max(hbar_zero_max, float(hbar(0.0)))
         grid = rng.uniform(-1.0, 2.0, size=500)
@@ -631,8 +629,7 @@ def invariant_suite(
         worst_lip = max(worst_lip, float(np.max(np.abs(fx - fy)[ok] / dist[ok])))
         min_f = min(min_f, float(np.min(fx)))
         S = rng.uniform(-3.0, 3.0, size=(p.stationarity_points, d))
-        vals = inst.eval_f_batch(S)
-        norms = inst.min_subgrad_norm_batch(S)
+        vals, norms = inst.min_subgrad_norm_batch(S)
         active = vals > 1e-6
         if np.any(active):
             min_stat = min(min_stat, float(np.min(norms[active])))

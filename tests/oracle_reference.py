@@ -11,11 +11,16 @@
 * ``composed_value`` / ``composed_subgrad`` / ``composed_1d``: the oracle
   assembled from those parts, which the one-pass ``value_and_subgrad`` (and
   ``subgrad``, which shares its pass) must reproduce bit for bit.
+* ``reference_descend`` / ``reference_eval_r``: the interval descent and the
+  recursive evaluator of r_b one point at a time, which the array descent
+  and ``eval_r`` must reproduce bit for bit on every point.
 """
 
 import numpy as np
 
 from nshard.embed import NORM_WEIGHT, SubgradientSet, cap_slope, cap_value
+from nshard.intervals import as_bits
+from nshard.schedule import DEFAULT_SCHEDULE
 
 
 def min_norm_point(points, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
@@ -208,3 +213,50 @@ def composed_1d(inst, x):
     lo, hi = inst.pwa.subdiff(x0)
     slope = lo if lo > 0 else hi if hi < 0 else 0.0
     return float(inst.pwa(x0)), np.array([float(slope)])
+
+
+def reference_descend(x, bits, sched=DEFAULT_SCHEDULE):
+    """(depth, local coordinate) of one point: the scalar interval descent."""
+    bits = as_bits(bits)
+    with sched.context():
+        u = x
+        depth = 0
+        for j, b in enumerate(bits):
+            d = sched.delta(j + 1)
+            lo = 0.5 + d if b else 0.5 - 2 * d
+            if not (lo < u < lo + d):
+                break
+            u = (u - lo) / d
+            depth = j + 1
+    return depth, u
+
+
+def reference_wedge_value(i, bit, u, sched=DEFAULT_SCHEDULE):
+    """Level-i wedge profile at one local coordinate u."""
+    d = sched.delta(i)
+    e = sched.epsilon(i)
+    if bit == 0:
+        u = 1 - u
+    if u <= 0.5 + d:
+        return -(1 - e) / (0.5 + d) * u + 1
+    return (1 - e) / (0.5 - 2 * d) * u + (-0.5 - 2 * d + e) / (0.5 - 2 * d)
+
+
+def reference_eval_r(bits, x, sched=DEFAULT_SCHEDULE):
+    """r_b at one point: tails, descent, the wedge or final V, then the lifts."""
+    bits = as_bits(bits)
+    N = len(bits)
+    if x < 0:
+        return 1 - x
+    if x > 1:
+        return x * 1
+    depth, u = reference_descend(x, bits, sched)
+    with sched.context():
+        if depth < N:
+            v = reference_wedge_value(depth + 1, bits[depth], u, sched)
+        else:
+            cot = sched.cot_base(N + 1)
+            v = 1 - cot * u if u <= 0.5 else 1 - cot * (1 - u)
+        for j in range(depth, 0, -1):
+            v = sched.delta(j) * (v - 1) + sched.epsilon(j)
+    return v

@@ -124,7 +124,7 @@ def test_c04_dual_representation():
         table = build_r(bits)
         xs = rng.uniform(-0.5, 1.5, size=10000)
         ref = table.eval_batch(xs)
-        got = np.array([eval_r(bits, float(x)) for x in xs])
+        got = eval_r(bits, xs)
         worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))))
     assert worst <= 1e-9
     _finish(4, "dual-representation", t0, 10.0, f"max gap {worst:.2e}")
@@ -154,8 +154,7 @@ def test_c06_stationarity_sweep():
     for d in (2, 5, 10):
         inst = build_instance(d, random_bits(5, rng), rho=1e-3, seed=int(rng.integers(2**32)))
         X = ball_points(rng, 100000, d)
-        vals = inst.eval_f_batch(X)
-        norms = inst.min_subgrad_norm_batch(X)
+        vals, norms = inst.min_subgrad_norm_batch(X)
         active = vals > 1e-6
         assert int(active.sum()) > 90000
         m = float(np.min(norms[active]))

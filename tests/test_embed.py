@@ -221,7 +221,7 @@ def test_f_equals_h_where_cap_inactive(inst):
 def test_oracle_subgrad_norm_at_most_one(inst):
     rng = np.random.default_rng(6)
     X = rng.uniform(-3, 3, size=(2000, D))
-    norms = inst.min_subgrad_norm_batch(X)
+    _, norms = inst.min_subgrad_norm_batch(X)
     assert np.all(norms <= 1.0 + 1e-12)
 
 
@@ -301,8 +301,8 @@ def test_cap_anchor_reduces_to_h(inst):
 def test_stationarity_floor_random(inst):
     rng = np.random.default_rng(7)
     X = rng.uniform(-3, 3, size=(20000, D))
-    vals = inst.eval_f_batch(X)
-    norms = inst.min_subgrad_norm_batch(X)
+    vals, norms = inst.min_subgrad_norm_batch(X)
+    assert vals.tobytes() == inst.eval_f_batch(X).tobytes()
     active = vals > 1e-6
     assert np.min(norms[active]) >= 0.02 - 1e-9
 
@@ -320,7 +320,8 @@ def test_batch_min_norm_matches_pointwise(inst):
             X[26] = instance.x_star - instance.w  # cap anchor
             X[27:40] = instance.x_star - instance.w + rng.uniform(11.0, 40.0, size=(13, 1)) * instance.w_unit
             assert np.all(instance.eval_f_batch(X[27:40]) == 0.0)  # zero region
-        batch = instance.min_subgrad_norm_batch(X)
+        vals, batch = instance.min_subgrad_norm_batch(X)
+        assert vals.tobytes() == instance.eval_f_batch(X).tobytes()
         for i in range(300):
             assert batch[i] == pytest.approx(np.linalg.norm(instance.min_subgrad(X[i])), abs=1e-13)
 

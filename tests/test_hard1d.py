@@ -104,7 +104,7 @@ def test_descent_matches_table():
         bits = random_bits(int(rng.integers(1, 11)), rng)
         table = build_r(bits)
         xs = rng.uniform(-0.5, 1.5, size=1000)
-        got = np.array([eval_r(bits, float(x)) for x in xs])
+        got = eval_r(bits, xs)
         ref = table.eval_batch(xs)
         assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-9
 
