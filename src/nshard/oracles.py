@@ -1,16 +1,19 @@
 """Local first-order oracle and a small algorithm zoo.
 
-The oracle returns (value, minimal-norm subgradient) and nothing else, and
-algorithms receive only their own past iterates, the past oracle responses,
-and a seeded random stream.  This keeps every algorithm in the information
-model under which the hard instances are constructed: no peeking at the bit
-string, the cap vector, or the minimizer.
+The oracle returns (value, minimal-norm subgradient) and nothing else.  An
+algorithm's ``propose(t, x, response, rngs)`` receives only the (R, d)
+current iterates of R independent runs, the oracle's responses there and one
+seeded random stream per run, and row r of its proposal depends only on row r
+of these and on rngs[r].  This keeps every algorithm in the information model
+under which the hard instances are constructed: no peeking at the bit string,
+the cap vector, or the minimizer.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -18,7 +21,7 @@ import numpy as np
 
 
 class OracleResponse(NamedTuple):
-    value: float
+    value: float  # (R,) values and (R, d) subgradients in the lockstep loop
     subgrad: np.ndarray
 
 
@@ -28,12 +31,15 @@ def query(instance, x) -> OracleResponse:
     return OracleResponse(float(v), np.asarray(g, dtype=float))
 
 
-def pgd_step(x, g, eta: float, noise_scale: float, rng) -> np.ndarray:
-    """One perturbed step: x - eta * g + xi with isotropic Gaussian xi."""
-    x = np.asarray(x, dtype=float)
-    step = x - eta * np.asarray(g, dtype=float)
+def pgd_step(x, g, eta: float, noise_scale: float, rngs) -> np.ndarray:
+    """One perturbed step per row of x: x - eta * g + xi, with row r's
+    isotropic Gaussian xi drawn from rngs[r]."""
+    step = x - eta * g
     if noise_scale > 0.0:
-        step = step + noise_scale * rng.standard_normal(x.shape)
+        xi = np.empty_like(step)
+        for r, rng in enumerate(rngs):
+            rng.standard_normal(out=xi[r])
+        step = step + noise_scale * xi
     return step
 
 
@@ -50,8 +56,8 @@ class SubgradientDescent:
     def __init__(self, eta0: float = 0.1):
         self.eta0 = eta0
 
-    def propose(self, t, points, responses, rng):
-        return points[-1] - (self.eta0 / np.sqrt(t)) * responses[-1].subgrad
+    def propose(self, t, x, response, rngs):
+        return x - (self.eta0 / np.sqrt(t)) * response.subgrad
 
 
 class PerturbedGD:
@@ -63,8 +69,8 @@ class PerturbedGD:
         self.eta0 = eta0
         self.noise_scale = noise_scale
 
-    def propose(self, t, points, responses, rng):
-        return pgd_step(points[-1], responses[-1].subgrad, self.eta0 / np.sqrt(t), self.noise_scale, rng)
+    def propose(self, t, x, response, rngs):
+        return pgd_step(x, response.subgrad, self.eta0 / np.sqrt(t), self.noise_scale, rngs)
 
 
 class RandomSearch:
@@ -76,16 +82,17 @@ class RandomSearch:
         self.radius = radius
         self.center = center
 
-    def propose(self, t, points, responses, rng):
-        d = points[-1].shape[0]
+    def propose(self, t, x, response, rngs):
+        R, d = x.shape
         center = np.zeros(d) if self.center is None else np.asarray(self.center, dtype=float)
-        u = rng.standard_normal(d)
-        n = np.linalg.norm(u)
-        while n == 0.0:
-            u = rng.standard_normal(d)
-            n = np.linalg.norm(u)
-        r = self.radius * rng.uniform() ** (1.0 / d)
-        return center + r * u / n
+        u, n, r = np.empty_like(x), np.zeros(R), np.empty(R)
+        for row, rng in enumerate(rngs):
+            while n[row] == 0.0:  # redraw a zero direction
+                rng.standard_normal(out=u[row])
+                n[row] = math.sqrt(u[row].dot(u[row]))  # np.linalg.norm's dot and sqrt
+            r[row] = self.radius * rng.uniform() ** (1.0 / d)
+        return center + r[:, None] * u / n[:, None]
+
 
 class GridSearch:
     """Row-major sweep of a lattice over [lo, hi]^d with the given resolution."""
@@ -99,15 +106,15 @@ class GridSearch:
         self.lo = lo
         self.hi = hi
 
-    def propose(self, t, points, responses, rng):
-        d = points[-1].shape[0]
+    def propose(self, t, x, response, rngs):
+        d = x.shape[1]
         per_axis = int(np.floor((self.hi - self.lo) / self.resolution)) + 1
         idx = (t - 1) % per_axis**d
         coords = []
         for _ in range(d):
             coords.append(self.lo + (idx % per_axis) * self.resolution)
             idx //= per_axis
-        return np.array(coords[::-1])
+        return np.broadcast_to(np.array(coords[::-1]), x.shape)
 
 
 ALGORITHMS = {
@@ -171,31 +178,47 @@ class Trajectory:
                 w.writerow(row)
 
 
-def run(algorithm, instance, x0=None, T: int = 1, seed: int = 0) -> Trajectory:
-    """Drive an algorithm for T oracle queries; replayable from the seed.
+def lockstep(algorithm, instances, X0, T: int, rngs):
+    """Drive R = len(instances) independent runs together, one row per run.
 
-    x0 defaults to the origin of the instance's space.  A point the oracle
-    rejects (a non-finite one) stops the run with a ValueError naming the
-    step t at which it was proposed (t = 0 for x0).
+    Yields (t, X, values, G) for t = 0..T-1: the (R, d) iterates, their
+    oracle values (R,) and minimal-norm subgradients (R, d), the last two
+    fresh at each step; no history is kept.  Row r starts at X0[r], queries
+    instances[r] and draws from rngs[r] only.  A point the oracle rejects (a
+    non-finite one) stops all runs with a ValueError naming the step t at
+    which it was proposed (t = 0 for X0) and its row.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    rng = np.random.default_rng(seed)
+    X = np.asarray(X0, dtype=float)
+    R, d = X.shape
+    for t in range(T):
+        # an overflow ends in a non-finite point, which the oracle rejects below
+        with np.errstate(over="ignore"):
+            if t > 0:
+                X = np.asarray(algorithm.propose(t, X, response, rngs), dtype=float)
+            response = OracleResponse(np.empty(R), np.empty((R, d)))
+            try:
+                for r in range(R):
+                    response.value[r], response.subgrad[r] = query(instances[r], X[r])
+            except ValueError as exc:
+                raise ValueError(f"run stopped at step t={t}: row {r}: {exc}") from exc
+        yield t, X, response.value, response.subgrad
+
+
+def run(algorithm, instance, x0=None, T: int = 1, seed: int = 0) -> Trajectory:
+    """Drive an algorithm for T oracle queries; replayable from the seed.
+
+    One row of ``lockstep``.  x0 defaults to the origin of the instance's
+    space; a rejected point raises as in ``lockstep``.
+    """
     if x0 is None:
         x0 = np.zeros(instance.d)
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     points, responses = [], []
-    # an overflow ends in a non-finite point, which the oracle rejects below
-    with np.errstate(over="ignore"):
-        for t in range(T):
-            if t > 0:
-                x = np.atleast_1d(np.asarray(
-                    algorithm.propose(t, points, responses, rng), dtype=float))
-            points.append(x.copy())
-            try:
-                responses.append(query(instance, x))
-            except ValueError as exc:
-                raise ValueError(f"run stopped at step t={t}: {exc}") from exc
+    for _, X, values, G in lockstep(algorithm, [instance], x0[None], T, [np.random.default_rng(seed)]):
+        points.append(X[0])
+        responses.append(OracleResponse(float(values[0]), G[0]))
     return Trajectory(
         algorithm=getattr(algorithm, "name", type(algorithm).__name__),
         seed=seed,

@@ -25,7 +25,7 @@ from . import hard1d
 from .embed import build_h, build_instance
 from .hard1d import build_1d_instance, build_r, eval_r
 from .intervals import as_bits, interval, locate, phi, random_bits, separation_margins
-from .oracles import run
+from .oracles import lockstep
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 
 
@@ -151,9 +151,9 @@ def mc_hitting(
     """Estimate hitting and progress probabilities over fresh random bit draws.
 
     Each run draws a fresh bit string, builds the shifted 1D hard function,
-    runs the algorithm for T oracle steps from x0, and records whether any
-    iterate came within rho of the minimizer and how deep the progress
-    process got.  Estimates come with Wilson intervals and are compared to
+    runs the algorithm for T oracle steps from x0 (all runs in lockstep),
+    and records whether any iterate came within rho of the minimizer and how
+    deep the progress process got.  Estimates come with Wilson intervals and are compared to
     the analytic bounds 16 T / sqrt(log2(1/rho)) and min(1, 4T/k); bounds
     that exceed 1 are flagged vacuous rather than failed.
     """
@@ -165,25 +165,22 @@ def mc_hitting(
         log2_inv_rho = -math.log2(rho)
     rho_eval = rho if rho is not None else (2.0 ** (-log2_inv_rho) if log2_inv_rho < 1060 else 0.0)
 
-    hits = 0
-    deep = 0
-    jump_counts = {m: 0 for m in range(1, m_max + 1)}
-    jump_trials = 0
-    for child in _split_seeds(seed, n_runs):
-        bits_seed, algo_seed = (int(s) for s in child.generate_state(2))
-        bits = random_bits(N, np.random.default_rng(bits_seed))
-        inst = build_1d_instance(bits, sched)
-        traj = run(algorithm, inst, np.array([x0]), T, seed=algo_seed)
-        dists = np.abs(traj.points[:, -1] - inst.x_star)
-        if np.any(dists <= rho_eval):
-            hits += 1
-        proc = progress_process(traj, bits, sched)
-        if proc.final >= k:
-            deep += 1
-        jumps = proc.jumps
-        jump_trials += len(jumps)
-        for m in range(1, m_max + 1):
-            jump_counts[m] += int(np.count_nonzero(jumps >= m))
+    seeds = [[int(s) for s in child.generate_state(2)] for child in _split_seeds(seed, n_runs)]
+    bits = [random_bits(N, np.random.default_rng(bits_seed)) for bits_seed, _ in seeds]
+    insts = [build_1d_instance(b, sched) for b in bits]
+    rngs = [np.random.default_rng(algo_seed) for _, algo_seed in seeds]
+    x_last = np.empty((n_runs, T))
+    for t, X, _, _ in lockstep(algorithm, insts, np.full((n_runs, 1), x0), T, rngs):
+        x_last[:, t] = X[:, -1]
+    x_star = np.array([inst.x_star for inst in insts])
+    hits = int(np.count_nonzero(np.any(np.abs(x_last - x_star[:, None]) <= rho_eval, axis=1)))
+    # the progress process of each run, Z[:, 0] = 0
+    Z = np.zeros((n_runs, T + 1), dtype=int)
+    Z[:, 1:] = np.maximum.accumulate([locate(x_last[r], bits[r], sched) for r in range(n_runs)], axis=1)
+    deep = int(np.count_nonzero(Z[:, -1] >= k))
+    jumps = np.diff(Z, axis=1)
+    jump_trials = jumps.size
+    jump_counts = {m: int(np.count_nonzero(jumps >= m)) for m in range(1, m_max + 1)}
 
     hit_bound = 16.0 * T / math.sqrt(log2_inv_rho)
     deep_bound = 4.0 * T / k
@@ -245,11 +242,11 @@ def concentration_check(
 ) -> ConcentrationReport:
     """Frequency of a fresh random direction aligning with any iterate.
 
-    Runs the algorithm on the cap-free objective, then draws an independent
-    unit vector supported on the leading d-1 coordinates and measures
-    max_t <u, (x_t - x_star)/||x_t - x_star||>.  The exceedance probability
-    of 1/3 is compared against T exp(-d/36); for small d the bound exceeds 1
-    and is flagged vacuous.
+    Runs the algorithm on the cap-free objective, all runs in lockstep, and
+    measures max_t <u, (x_t - x_star)/||x_t - x_star||> step by step for an
+    independent unit vector u supported on the leading d-1 coordinates.  The
+    exceedance probability of 1/3 is compared against T exp(-d/36); for
+    small d the bound exceeds 1 and is flagged vacuous.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -257,27 +254,23 @@ def concentration_check(
 
     if algorithm is None:
         algorithm = PerturbedGD()
-    exceed = 0
-    max_align = -np.inf
-    for child in _split_seeds(seed, n_runs):
-        bits_seed, algo_seed, w_seed = (int(s) for s in child.generate_state(3))
-        bits = random_bits(N, np.random.default_rng(bits_seed))
-        inst = build_h(d, bits, sched)
-        traj = run(algorithm, inst, np.zeros(d), T, seed=algo_seed)
-        wrng = np.random.default_rng(w_seed)
-        u = wrng.standard_normal(d - 1)
-        u /= np.linalg.norm(u)
-        w_unit = np.zeros(d)
-        w_unit[:-1] = u
-        diffs = traj.points - inst.x_star
-        norms = np.linalg.norm(diffs, axis=1)
-        ok = norms > 0
-        if not np.any(ok):
-            continue
-        align = float(np.max((diffs[ok] @ w_unit) / norms[ok]))
-        max_align = max(max_align, align)
-        if align >= 1.0 / 3.0:
-            exceed += 1
+    seeds = [[int(s) for s in child.generate_state(3)] for child in _split_seeds(seed, n_runs)]
+    insts = [build_h(d, random_bits(N, np.random.default_rng(bits_seed)), sched) for bits_seed, _, _ in seeds]
+    rngs = [np.random.default_rng(algo_seed) for _, algo_seed, _ in seeds]
+    W = np.zeros((n_runs, d))
+    for r, (_, _, w_seed) in enumerate(seeds):
+        u = np.random.default_rng(w_seed).standard_normal(d - 1)
+        W[r, :-1] = u / np.linalg.norm(u)
+    x_star = np.stack([inst.x_star for inst in insts])
+    # running max of each run's alignment; a run whose iterate sits on x_star
+    # gives 0/0 = NaN there, which fmax skips
+    align = np.full(n_runs, -np.inf)
+    with np.errstate(invalid="ignore"):
+        for _, X, _, _ in lockstep(algorithm, insts, np.zeros((n_runs, d)), T, rngs):
+            diffs = X - x_star
+            align = np.fmax(align, np.einsum("ij,ij->i", diffs, W) / np.linalg.norm(diffs, axis=1))
+    exceed = int(np.count_nonzero(align >= 1.0 / 3.0))
+    max_align = np.max(align)
     bound = T * math.exp(-d / 36.0)
     return ConcentrationReport(
         d=d,
@@ -520,9 +513,11 @@ def invariant_suite(
     rng = np.random.default_rng(seed)
     rep = CertificateReport()
 
-    # schedule ranges
-    atan8 = math.atan(8.0)
-    atan1 = math.atan(1.0)
+    # schedule ranges, against atan 1 and atan 8 at the schedule's own
+    # precision (a binary64 atan 8 lies below extended thetas from i = 54 on)
+    with sched.context():
+        atan = math.atan if sched.backend == "binary64" else sched._mp.atan
+        atan1, atan8 = atan(1.0), atan(8.0)
     thetas = [sched.theta_base(i) for i in range(1, 61)]
     rep.add(
         "schedule-theta-range",

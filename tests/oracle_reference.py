@@ -14,13 +14,22 @@
 * ``reference_descend`` / ``reference_eval_r``: the interval descent and the
   recursive evaluator of r_b one point at a time, which the array descent
   and ``eval_r`` must reproduce bit for bit on every point.
+* ``reference_mc_hitting`` / ``reference_concentration_check``: the
+  Monte-Carlo experiments one run after another, each run a one-row
+  ``run``, which the lockstep experiments must reproduce (the alignment to
+  rounding: a row dot differs from a matrix-vector product in the last bit).
 """
+
+import math
 
 import numpy as np
 
-from nshard.embed import NORM_WEIGHT, SubgradientSet, cap_slope, cap_value
-from nshard.intervals import as_bits
+from nshard.embed import NORM_WEIGHT, SubgradientSet, build_h, cap_slope, cap_value
+from nshard.hard1d import build_1d_instance
+from nshard.intervals import as_bits, random_bits
+from nshard.oracles import PerturbedGD, run
 from nshard.schedule import DEFAULT_SCHEDULE
+from nshard.verify import ConcentrationReport, HittingReport, _split_seeds, progress_process, wilson_interval
 
 
 def min_norm_point(points, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
@@ -260,3 +269,79 @@ def reference_eval_r(bits, x, sched=DEFAULT_SCHEDULE):
         for j in range(depth, 0, -1):
             v = sched.delta(j) * (v - 1) + sched.epsilon(j)
     return v
+
+
+def reference_mc_hitting(algorithm, T, k, N, n_runs, seed=0, rho=None, log2_inv_rho=None, m_max=6,
+                         x0=0.0, sched=DEFAULT_SCHEDULE) -> HittingReport:
+    """``mc_hitting`` with each run's trajectory driven on its own."""
+    if log2_inv_rho is None:
+        log2_inv_rho = -math.log2(rho)
+    rho_eval = rho if rho is not None else (2.0 ** (-log2_inv_rho) if log2_inv_rho < 1060 else 0.0)
+    hits = 0
+    deep = 0
+    jump_counts = {m: 0 for m in range(1, m_max + 1)}
+    jump_trials = 0
+    for child in _split_seeds(seed, n_runs):
+        bits_seed, algo_seed = (int(s) for s in child.generate_state(2))
+        bits = random_bits(N, np.random.default_rng(bits_seed))
+        inst = build_1d_instance(bits, sched)
+        traj = run(algorithm, inst, np.array([x0]), T, seed=algo_seed)
+        dists = np.abs(traj.points[:, -1] - inst.x_star)
+        if np.any(dists <= rho_eval):
+            hits += 1
+        proc = progress_process(traj, bits, sched)
+        if proc.final >= k:
+            deep += 1
+        jumps = proc.jumps
+        jump_trials += len(jumps)
+        for m in range(1, m_max + 1):
+            jump_counts[m] += int(np.count_nonzero(jumps >= m))
+
+    hit_bound = 16.0 * T / math.sqrt(log2_inv_rho)
+    deep_bound = 4.0 * T / k
+    jump_stats = {}
+    for m in range(1, m_max + 1):
+        freq = jump_counts[m] / jump_trials
+        se = math.sqrt(max(freq * (1 - freq), 1.0 / jump_trials) / jump_trials)
+        jump_stats[m] = {"freq": freq, "se": se, "bound": 2.0 ** (-(m - 1)), "n": jump_trials}
+    return HittingReport(
+        T=T, k=k, N=N, n_runs=n_runs, log2_inv_rho=log2_inv_rho,
+        hit_freq=hits / n_runs, hit_wilson=wilson_interval(hits, n_runs),
+        hit_bound=hit_bound, hit_vacuous=hit_bound >= 1.0,
+        deep_freq=deep / n_runs, deep_wilson=wilson_interval(deep, n_runs),
+        deep_bound=min(1.0, deep_bound), deep_vacuous=deep_bound >= 1.0,
+        jump_stats=jump_stats,
+    )
+
+
+def reference_concentration_check(d, T, n_runs, seed=0, algorithm=None, N=5,
+                                  sched=DEFAULT_SCHEDULE) -> ConcentrationReport:
+    """``concentration_check`` with each run's trajectory driven on its own."""
+    if algorithm is None:
+        algorithm = PerturbedGD()
+    exceed = 0
+    max_align = -np.inf
+    for child in _split_seeds(seed, n_runs):
+        bits_seed, algo_seed, w_seed = (int(s) for s in child.generate_state(3))
+        bits = random_bits(N, np.random.default_rng(bits_seed))
+        inst = build_h(d, bits, sched)
+        traj = run(algorithm, inst, np.zeros(d), T, seed=algo_seed)
+        wrng = np.random.default_rng(w_seed)
+        u = wrng.standard_normal(d - 1)
+        u /= np.linalg.norm(u)
+        w_unit = np.zeros(d)
+        w_unit[:-1] = u
+        diffs = traj.points - inst.x_star
+        norms = np.linalg.norm(diffs, axis=1)
+        ok = norms > 0
+        if not np.any(ok):
+            continue
+        align = float(np.max((diffs[ok] @ w_unit) / norms[ok]))
+        max_align = max(max_align, align)
+        if align >= 1.0 / 3.0:
+            exceed += 1
+    bound = T * math.exp(-d / 36.0)
+    return ConcentrationReport(
+        d=d, T=T, n_runs=n_runs, exceed_freq=exceed / n_runs, wilson=wilson_interval(exceed, n_runs),
+        bound=bound, vacuous=bound >= 1.0, max_alignment=float(max_align),
+    )

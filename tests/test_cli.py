@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from nshard import cli
 from nshard.cli import main
 from nshard.embed import load_instance
 
@@ -164,6 +165,45 @@ def test_mc_replay_bit_identical(tmp_path):
     assert file_hashes(out) == first
 
 
+# sha256 of mc_report.csv, recorded from the serial per-run loops that the
+# lockstep Monte-Carlo replaced; any change to these bytes must say why
+MC_GOLDEN = {
+    "sgd": "2a3a7ad5390d8a9c2d23d6bf884bbd94d20301761c46285a9a1ca18599925730",
+    "pgd": "64c910519272c038fa81045dd24dfe1bd8919f823c2b139fe5ffa1b7c2e766a8",
+    "random": "b56e1dc919cf63c1d97225247f3e3cbf15b1362356f8960fa36992e8a775f326",
+    "grid": "7ef995313f32bb822224029260d21ab89b97f04f9c249e35fe27621cbed48e07",
+}
+
+
+@pytest.mark.parametrize("algo", sorted(MC_GOLDEN))
+def test_mc_report_matches_golden_digest(tmp_path, algo):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["mc", "--mode", "desk", "--runs", "100", "--T", "8", "--d", "12",
+                 "--algo", algo, "--seed", "0", "--out", str(out)]) == 0
+    assert file_hashes(out)["mc_report.csv"] == MC_GOLDEN[algo]
+
+
+# sha256 of trajectory.jsonl, recorded from the serial step loop as above;
+# mc reports hold only frequencies, which a last-bit change of an iterate
+# rarely moves, while these bytes hold every iterate
+RUN_GOLDEN = {
+    "sgd": "c0b3a3f2e33a24e90679749b2207dd5c513fcf215cd3df8a45040eee0b9ad815",
+    "pgd": "5daef2ff8acd0238e26e0b2e684ee441dbce8f32cb53b00b2653d6771ab9af25",
+    "random": "ee7000466adb5023aeb3147e7a6817c6141bb05233c30565067519afd70e45a5",
+    "grid": "0d705b69305125a1fdf36dbe919c855c6f5791f497a0c1a5781289df194dfaf9",
+}
+
+
+@pytest.mark.parametrize("algo", sorted(RUN_GOLDEN))
+def test_run_trajectory_matches_golden_digest(tmp_path, algo):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["run", "--mode", "desk", "--d", "50", "--T", "8", "--delta", "0",
+                 "--algo", algo, "--seed", "0", "--out", str(out)]) == 0
+    assert file_hashes(out)["trajectory.jsonl"] == RUN_GOLDEN[algo]
+
+
 def test_build_replay_bit_identical(tmp_path):
     out = tmp_path / "o"
     out.mkdir()
@@ -187,6 +227,30 @@ def test_run_non_finite_iterate_exits_2_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: run stopped at step t=")
     assert "non-finite" in err
     assert not (out / "summary.csv").exists()
+
+
+class ProposesNaNInRow:
+    """Steps along the first axis and proposes a NaN in row 37 at step 3."""
+
+    name = "nan"
+
+    def propose(self, t, x, response, rngs):
+        x = x + 1.0
+        if t == 3:
+            x[37, 0] = np.nan
+        return x
+
+
+def test_mc_non_finite_proposal_in_one_row_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_algorithm", lambda cfg: ProposesNaNInRow())
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["mc", "--mode", "desk", "--runs", "100", "--T", "6", "--d", "5",
+                 "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: run stopped at step t=3: row 37: ")
+    assert "non-finite" in err
+    assert not (out / "mc_report.csv").exists()
 
 
 @pytest.mark.parametrize("algo,flag,a,b", [

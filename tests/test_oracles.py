@@ -12,6 +12,7 @@ from nshard.oracles import (
     PerturbedGD,
     RandomSearch,
     SubgradientDescent,
+    lockstep,
     make_algorithm,
     pgd_step,
     query,
@@ -95,7 +96,8 @@ def test_pgd_step_noise_is_mean_zero():
     g = np.array([1.0, 1.0])
     s = 0.3
     rng = np.random.default_rng(7)
-    draws = np.stack([pgd_step(x, g, 0.2, s, rng) for _ in range(10000)])
+    # 10 000 rows that all draw from the one stream, row after row
+    draws = pgd_step(np.tile(x, (10000, 1)), np.tile(g, (10000, 1)), 0.2, s, [rng] * 10000)
     target = x - 0.2 * g
     assert np.all(np.abs(draws.mean(axis=0) - target) <= 4 * s / 100.0)
 
@@ -147,11 +149,12 @@ def test_make_algorithm_unknown():
 
 
 def test_algorithms_structurally_local(inst):
-    # the propose interface admits only past iterates, past responses, and a
-    # random stream; algorithm objects hold no instance reference
+    # the propose interface admits only the current iterates, the responses
+    # there, and one random stream per row; algorithm objects hold no
+    # instance reference
     for cls in ALGORITHMS.values():
         params = list(inspect.signature(cls.propose).parameters)
-        assert params == ["self", "t", "points", "responses", "rng"]
+        assert params == ["self", "t", "x", "response", "rngs"]
     for name in ALGORITHMS:
         algo = make_algorithm(name)
         run(algo, inst, np.zeros(4), 5, seed=1)
@@ -205,14 +208,17 @@ def test_run_on_1d_instance():
 
 
 class ProposesNaN:
-    """Walks along the first axis and proposes a NaN at step 3."""
+    """Walks along the first axis and proposes a NaN in one row at step 3."""
 
     name = "nan"
 
-    def propose(self, t, points, responses, rng):
-        x = points[-1] + np.eye(points[-1].shape[0])[0]
+    def __init__(self, row: int = 0):
+        self.row = row
+
+    def propose(self, t, x, response, rngs):
+        x = x + np.eye(x.shape[1])[0]
         if t == 3:
-            x[0] = np.nan
+            x[self.row, 0] = np.nan
         return x
 
 
@@ -221,3 +227,14 @@ def test_run_names_the_step_of_a_non_finite_proposal(inst):
         run(ProposesNaN(), inst, T=6, seed=0)
     with pytest.raises(ValueError, match=r"step t=0: .*non-finite"):
         run(ProposesNaN(), inst, np.full(4, np.inf), T=2, seed=0)
+
+
+def test_lockstep_names_the_step_and_row_of_a_non_finite_proposal(inst):
+    steps = lockstep(ProposesNaN(row=2), [inst] * 5, np.zeros((5, 4)), 6,
+                     [np.random.default_rng(r) for r in range(5)])
+    seen = []
+    with pytest.raises(ValueError, match=r"step t=3: row 2: .*non-finite"):
+        for t, X, values, G in steps:
+            seen.append(t)
+            assert X.shape == G.shape == (5, 4) and values.shape == (5,)
+    assert seen == [0, 1, 2]

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from nshard.embed import build_instance
 from nshard.hard1d import build_1d_instance
 from nshard.oracles import PerturbedGD, RandomSearch, SubgradientDescent, Trajectory, query, run
+from nshard.schedule import AngleSchedule
 from nshard.verify import (
     SuiteParams,
     concentration_check,
@@ -256,6 +259,19 @@ def test_invariant_suite_mutation_breaks_convexity():
     assert not rep.all_passed
     failed = {c.name for c in rep.failed()}
     assert "r-convexity" in failed
+
+
+def test_invariant_suite_extended_theta_range_passes():
+    # the extended thetas at i = 54..60 lie above the binary64 atan 8, which
+    # is rounded down; the bound must be atan 8 at the schedule's precision
+    sched = AngleSchedule("extended")
+    assert sched.theta_base(60) > math.atan(8.0)
+    rep = invariant_suite(seed=0, params=SuiteParams(n_instances=1, max_depth=3, interval_depth=2,
+                                                     separation_draws=2, dual_points=10, dims=(2,),
+                                                     lipschitz_pairs=10, stationarity_points=10,
+                                                     fd_points=1, fd_dirs=1), sched=sched)
+    row = next(c for c in rep.checks if c.name == "schedule-theta-range")
+    assert row.passed, row
 
 
 def test_invariant_suite_rejects_unknown_mutation():
