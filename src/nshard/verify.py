@@ -263,9 +263,10 @@ def concentration_check(
         W[r, :-1] = u / np.linalg.norm(u)
     x_star = np.stack([inst.x_star for inst in insts])
     # running max of each run's alignment; a run whose iterate sits on x_star
-    # gives 0/0 = NaN there, which fmax skips
+    # gives 0/0 = NaN there, which fmax skips; one far out may overflow its
+    # norm before the oracle rejects its next point
     align = np.full(n_runs, -np.inf)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         for _, X, _, _ in lockstep(algorithm, insts, np.zeros((n_runs, d)), T, rngs):
             diffs = X - x_star
             align = np.fmax(align, np.einsum("ij,ij->i", diffs, W) / np.linalg.norm(diffs, axis=1))
@@ -301,15 +302,20 @@ class FlowResult:
     steps: int
 
 
-def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, halt_threshold: float = 1e-3) -> FlowResult:
+def subgradient_flow(
+    fn, x0, delta: float, eta: Optional[float] = None, halt_threshold: float = 1e-3, drop: Optional[float] = None
+) -> FlowResult:
     """Forward-Euler integration of dx/dt = -g(x)/||g(x)|| for arc length delta.
 
     g is the minimal-norm subgradient returned by fn.value_and_subgrad.  The
     step is re-queried every iteration, which handles sliding along valleys
     without event detection.  Halts with status "stalled" if a subgradient
     norm below halt_threshold is encountered (on a hard instance with value
-    at least 1 inside the ball this cannot happen).  Every point is queried
-    once: the start and end values are the first and last values returned.
+    at least 1 inside the ball this cannot happen).  With ``drop`` set, the
+    flow stops early, with status "ok", at the first queried point whose
+    value is below f(x0) - drop; the endpoint is then that point.  Every
+    point is queried once: the start and end values are the first and last
+    values returned.
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
@@ -320,6 +326,8 @@ def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, halt_thr
     # x is rebound by every step and never written to, so points need no copies
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     f0, g = fn.value_and_subgrad(x)
+    # the same expression as the certificate's target, so both are one float
+    stop = -math.inf if drop is None else f0 - drop
     best_point, best_value = x, f0
     v = f0
     steps = int(round(delta / eta))
@@ -335,6 +343,8 @@ def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, halt_thr
         v, g = fn.value_and_subgrad(x)
         if v < best_value:
             best_point, best_value = x, v
+        if v < stop:
+            break
     return FlowResult(
         endpoint=x,
         start_value=float(f0),
@@ -368,26 +378,31 @@ def local_decrease_certificate(
 ) -> CertResult:
     """Witness that min over B(x, delta) of f drops below f(x) - delta * c.
 
-    One-sided: the flow endpoint (and the best point along the flow path,
-    which stays inside the ball) plus uniform ball samples give an upper
-    bound on the minimum, which is all the certificate needs.
+    One-sided: any point of the ball below the target certifies, and an
+    upper bound on the minimum is all the certificate needs.  The flow stops
+    at its first point below the target, which is then the witness.  Only
+    if the flow finds none (its best point over the whole arc, which stays
+    inside the ball, is not below the target) are uniform ball samples drawn.
+    As in ``lockstep``, overflow is not warned about: norms of points far
+    from the origin may overflow.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    flow = subgradient_flow(instance, x, delta, eta)
-    f_x = flow.start_value
-    target = f_x - delta * c
-    best_point, best_value = flow.best_point, flow.best_value
-    if best_value >= target and n_samples > 0:
-        rng = np.random.default_rng(seed)
-        d = x.shape[0]
-        U = rng.standard_normal((n_samples, d))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        R = delta * rng.uniform(size=n_samples) ** (1.0 / d)
-        pts = x[None, :] + R[:, None] * U
-        vals = instance.eval_f_batch(pts)
-        j = int(np.argmin(vals))
-        if vals[j] < best_value:
-            best_point, best_value = pts[j], float(vals[j])
+    with np.errstate(over="ignore"):
+        flow = subgradient_flow(instance, x, delta, eta, drop=delta * c)
+        f_x = flow.start_value
+        target = f_x - delta * c
+        best_point, best_value = flow.best_point, flow.best_value
+        if best_value >= target and n_samples > 0:
+            rng = np.random.default_rng(seed)
+            d = x.shape[0]
+            U = rng.standard_normal((n_samples, d))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            R = delta * rng.uniform(size=n_samples) ** (1.0 / d)
+            pts = x[None, :] + R[:, None] * U
+            vals = instance.eval_f_batch(pts)
+            j = int(np.argmin(vals))
+            if vals[j] < best_value:
+                best_point, best_value = pts[j], float(vals[j])
     return CertResult(
         ok=bool(best_value < target),
         witness=best_point,

@@ -18,6 +18,10 @@
   Monte-Carlo experiments one run after another, each run a one-row
   ``run``, which the lockstep experiments must reproduce (the alignment to
   rounding: a row dot differs from a matrix-vector product in the last bit).
+* ``reference_local_decrease_certificate``: the certificate that runs the
+  flow over its whole arc and keeps the arc's best point, then the ball
+  samples; the certificate whose flow stops at its first witness must agree
+  with it on ``ok`` everywhere.
 """
 
 import math
@@ -29,7 +33,15 @@ from nshard.hard1d import build_1d_instance
 from nshard.intervals import as_bits, random_bits
 from nshard.oracles import PerturbedGD, run
 from nshard.schedule import DEFAULT_SCHEDULE
-from nshard.verify import ConcentrationReport, HittingReport, _split_seeds, progress_process, wilson_interval
+from nshard.verify import (
+    CertResult,
+    ConcentrationReport,
+    HittingReport,
+    _split_seeds,
+    progress_process,
+    subgradient_flow,
+    wilson_interval,
+)
 
 
 def min_norm_point(points, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
@@ -344,4 +356,33 @@ def reference_concentration_check(d, T, n_runs, seed=0, algorithm=None, N=5,
     return ConcentrationReport(
         d=d, T=T, n_runs=n_runs, exceed_freq=exceed / n_runs, wilson=wilson_interval(exceed, n_runs),
         bound=bound, vacuous=bound >= 1.0, max_alignment=float(max_align),
+    )
+
+
+def reference_local_decrease_certificate(instance, x, delta, c=0.01, eta=None, n_samples=1000,
+                                         seed=0) -> CertResult:
+    """``local_decrease_certificate`` with the flow run over its whole arc."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    flow = subgradient_flow(instance, x, delta, eta)
+    f_x = flow.start_value
+    target = f_x - delta * c
+    best_point, best_value = flow.best_point, flow.best_value
+    if best_value >= target and n_samples > 0:
+        rng = np.random.default_rng(seed)
+        d = x.shape[0]
+        U = rng.standard_normal((n_samples, d))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        R = delta * rng.uniform(size=n_samples) ** (1.0 / d)
+        pts = x[None, :] + R[:, None] * U
+        vals = instance.eval_f_batch(pts)
+        j = int(np.argmin(vals))
+        if vals[j] < best_value:
+            best_point, best_value = pts[j], float(vals[j])
+    return CertResult(
+        ok=bool(best_value < target),
+        witness=best_point,
+        witness_value=float(best_value),
+        start_value=f_x,
+        target=target,
+        flow_status=flow.status,
     )

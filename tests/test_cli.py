@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,48 @@ def test_run_trajectory_matches_golden_digest(tmp_path, algo):
     assert file_hashes(out)["trajectory.jsonl"] == RUN_GOLDEN[algo]
 
 
+# sha256 of summary.csv, recorded once the flow stopped at its first witness;
+# the columns before witness_value are the literals below, recorded from the
+# full-arc certificate before that, so only witness_value moved
+SUMMARY_GOLDEN = {
+    "pgd": "f9fe2472ddc3df7ba6fb9e820aff8511e2c3f0ca0097d88d75f593fc27a24525",
+    "sgd": "e151f9c3cc1d26c27ab9555412f5c06b3391ca2a1a2f899a14f54a1d3f780d31",
+}
+SUMMARY_HEAD = {
+    "pgd": """t,f,subgrad_norm,f_ge_1,depth,certified
+1,1.156626237365089,0.2445419028328545,1,0,1
+2,1.1491632657958406,0.24653053510896628,1,0,1
+3,1.1411133269064795,0.24653053510896628,1,0,1
+4,1.1371553128120024,0.24653053510896628,1,0,1
+5,1.1357785332079045,0.24653053510896628,1,0,1
+6,1.1333319072168446,0.24653053510896628,1,0,1
+7,1.1320457836163538,0.24653053510896628,1,0,1
+8,1.1322213831272465,0.24653053510896628,1,0,1
+""",
+    "sgd": """t,f,subgrad_norm,f_ge_1,depth,certified
+1,1.156626237365089,0.2445419028328545,1,0,1
+2,1.1506461631409777,0.2445419028328545,1,0,1
+3,1.1464176121051097,0.2445419028328545,1,0,1
+4,1.1429650146420451,0.2445419028328545,1,0,1
+5,1.1399749775299894,0.2445419028328545,1,0,1
+6,1.1373006070348681,0.2445419028328545,1,0,1
+7,1.1348592519560277,0.2445419028328545,1,0,1
+8,1.1325989963533551,0.2445419028328545,1,0,1
+""",
+}
+
+
+@pytest.mark.parametrize("algo", sorted(SUMMARY_GOLDEN))
+def test_run_summary_matches_golden_digest(tmp_path, algo):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["run", "--d", "10", "--T", "8", "--delta", "1.0", "--algo", algo,
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert file_hashes(out)["summary.csv"] == SUMMARY_GOLDEN[algo]
+    lines = (out / "summary.csv").read_text().splitlines()
+    assert "".join(line.rsplit(",", 1)[0] + "\n" for line in lines) == SUMMARY_HEAD[algo]
+
+
 def test_build_replay_bit_identical(tmp_path):
     out = tmp_path / "o"
     out.mkdir()
@@ -227,6 +270,30 @@ def test_run_non_finite_iterate_exits_2_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: run stopped at step t=")
     assert "non-finite" in err
     assert not (out / "summary.csv").exists()
+
+
+def test_run_overflowing_iterates_certify_without_warnings(tmp_path, capsys):
+    # eta = 1e308 sends the sgd iterates so far out that norms in the
+    # certificate overflow; they answer inf and certify nothing, silently
+    out = tmp_path / "o"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--algo", "sgd", "--eta", "1e308", "--T", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = list(csv.DictReader((out / "summary.csv").open()))
+    assert [r["certified"] for r in rows] == ["1", "0", "0"]
+
+
+def test_mc_overflowing_alignment_exits_2_without_warnings(tmp_path, capsys):
+    out = tmp_path / "o"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["mc", "--mode", "desk", "--runs", "100", "--T", "5", "--d", "5", "--algo", "pgd",
+                     "--eta", "1e308", "--seed", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: run stopped at step t=2: row 0: ")
 
 
 class ProposesNaNInRow:

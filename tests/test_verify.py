@@ -1,8 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from oracle_reference import reference_local_decrease_certificate
 
+from nshard import cli
 from nshard.embed import build_instance
 from nshard.hard1d import build_1d_instance
 from nshard.oracles import PerturbedGD, RandomSearch, SubgradientDescent, Trajectory, query, run
@@ -201,6 +204,38 @@ def test_flow_rejects_coarse_step():
         subgradient_flow(NormOracle(), np.array([1.0]), delta=1.5)
 
 
+def test_flow_drop_stops_at_first_point_below():
+    queried = []
+
+    class CountingOracle(NormOracle):
+        def value_and_subgrad(self, x):
+            queried.append(np.array(x))
+            return super().value_and_subgrad(x)
+
+    x0, drop = np.array([0.8, 0.0]), 0.1
+    full = subgradient_flow(CountingOracle(), x0, delta=0.5)
+    arc, queried[:] = list(queried), []
+    res = subgradient_flow(CountingOracle(), x0, delta=0.5, drop=drop)
+    assert res.status == "ok" and 0 < res.steps < full.steps
+    assert len(queried) == res.steps + 1
+    assert all(np.array_equal(a, b) for a, b in zip(queried, arc))  # the full arc's prefix
+    stop = res.start_value - drop
+    values = [NormOracle().value_and_subgrad(q)[0] for q in queried]
+    assert values[-1] < stop and values[-2] >= stop
+    assert np.array_equal(res.endpoint, queried[-1]) and res.end_value == values[-1]
+    assert np.array_equal(res.best_point, res.endpoint) and res.best_value == res.end_value
+    assert res.decrease == res.start_value - res.end_value
+
+
+def test_flow_drop_out_of_reach_runs_the_whole_arc():
+    x0 = np.array([0.8, 0.0])
+    full = subgradient_flow(NormOracle(), x0, delta=0.5)
+    res = subgradient_flow(NormOracle(), x0, delta=0.5, drop=0.6)  # the arc falls by 0.5 at most
+    for name in ("start_value", "end_value", "decrease", "status", "best_value", "steps"):
+        assert getattr(res, name) == getattr(full, name), name
+    assert np.array_equal(res.endpoint, full.endpoint) and np.array_equal(res.best_point, full.best_point)
+
+
 def test_certificate_on_hard_instance():
     inst = build_instance(5, "0101", rho=1e-3, seed=5)
     traj = run(PerturbedGD(), inst, np.zeros(5), 5, seed=6)
@@ -211,6 +246,38 @@ def test_certificate_on_hard_instance():
                 assert cert.ok
                 assert cert.witness_value < cert.start_value - delta * inst.c
                 assert np.linalg.norm(cert.witness - traj.points[t]) <= delta * (1 + 1e-9)
+
+
+def _cli_trajectory(tmp_path, rho, algo, seed, T):
+    out = tmp_path / algo
+    out.mkdir()
+    assert cli.main(["run", "--mode", "desk", "--d", "10", "--k", "4", "--rho", repr(rho), "--algo", algo,
+                     "--T", str(T), "--delta", "0", "--seed", str(seed), "--out", str(out)]) == 0
+    return [np.array(json.loads(line)["x"]) for line in (out / "trajectory.jsonl").read_text().splitlines()]
+
+
+# the grid's iterates that no certificate covers (the flow steps over the cap
+# cone and no ball sample lands in it): rho 1e-3, seed 4, sgd, delta 1, t = 17
+UNCERTIFIED = {(1e-3, 4): 1}
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.25])
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_certificate_agrees_with_full_arc_reference(tmp_path, rho, seed):
+    inst, _ = cli._instance(cli.RunConfig(mode="desk", d=10, k=4, rho=rho, seed=seed))
+    uncertified = 0
+    for algo in ("pgd", "sgd", "random"):
+        for t, x in enumerate(_cli_trajectory(tmp_path, rho, algo, seed, T=20)):
+            for delta in (0.1, 0.5, 1.0):
+                cert = local_decrease_certificate(inst, x, delta, inst.c, seed=t)
+                ref = reference_local_decrease_certificate(inst, x, delta, inst.c, seed=t)
+                assert cert.ok == ref.ok
+                assert cert.target == ref.target == cert.start_value - delta * inst.c
+                assert np.linalg.norm(cert.witness - x) <= delta * (1 + 1e-9)
+                if cert.ok:
+                    assert cert.witness_value < cert.target
+                uncertified += not cert.ok
+    assert uncertified == UNCERTIFIED.get((rho, seed), 0)
 
 
 def test_certificate_false_on_zero_plateau():
