@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .hard1d import PiecewiseAffine1D, build_hbar
+from .hard1d import PiecewiseAffine1D, build_hbar, eq_fields, reject_rows
 from .intervals import Bits, BitsLike, as_bits, bits_to_str
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 
@@ -128,6 +128,7 @@ class HardInstance:
     """Immutable d-dimensional instance; evaluation and subgradients are pure.
 
     Every query is a view of the scalar pass ``_pass`` or the batch pass ``_batch``.
+    A stacked instance, R cap-free ones with (R, N) ``bits`` and (R, d) ``x_star``, answers through ``_rows``.
     """
 
     d: int
@@ -140,6 +141,7 @@ class HardInstance:
     seed: Optional[int] = None
     precision: str = "binary64"
     _w_unit: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    __eq__ = eq_fields
 
     @property
     def has_cap(self) -> bool:
@@ -214,6 +216,8 @@ class HardInstance:
     def _oracle(self, x):
         """Body of value_and_subgrad; eval_f and min_subgrad call it directly so
         that they are not counted as oracle queries where value_and_subgrad is."""
+        if self.hbar.stacked:
+            return self._rows(x)
         _, pn, _, psi, g, lo, hi, _, _ = self._pass(x)
         if psi <= 0.0:  # zero region or max boundary: 0 is a subgradient
             return 0.0, np.zeros(self.d)
@@ -224,6 +228,19 @@ class HardInstance:
         gd = float(g[-1])
         g[-1] = gd + min(max(-gd, lo), hi)
         return psi, g
+
+    def _rows(self, X):
+        """``_oracle`` at row r of X on instance r of a stacked instance, bit for bit.
+        The stacked matmul takes the scalar pass's BLAS ddot per row; np.linalg.norm does not."""
+        X = np.asarray(X, dtype=float)
+        P, xd = X[:, :-1], X[:, -1]
+        pn = np.sqrt(np.matmul(P[:, None, :], P[:, :, None])[:, 0, 0])
+        reject_rows(np.isfinite(pn) & np.isfinite(xd), lambda r: "oracle query at a non-finite point: "
+                    f"x_d={float(xd[r])!r}, ||x_(1:d-1)||={float(pn[r])!r}")
+        hv, lo, hi = self.hbar.value_and_subdiff(xd)
+        G = np.where((pn > 0.0)[:, None], X / (32.0 * np.where(pn > 0.0, pn, 1.0))[:, None], 0.0)
+        G[:, -1] = np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
+        return NORM_WEIGHT * pn + hv.astype(float), G
 
     def subgrad(self, x) -> SubgradientSet:
         """Clarke subdifferential with its pointwise case label.
@@ -309,13 +326,13 @@ class HardInstance:
 
 
 def build_h(d: int, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> HardInstance:
-    """Cap-free instance: f = h = (1/32)||x_{1:d-1}|| + hbar(x_d)."""
+    """Cap-free instance: f = h = (1/32)||x_{1:d-1}|| + hbar(x_d); (R, N) bits stack R of them."""
     if not isinstance(d, int) or d < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {d!r}")
     bits = as_bits(bits)
     pwa, x_mid = build_hbar(bits, sched)
-    x_star = np.zeros(d)
-    x_star[-1] = float(x_mid)
+    x_star = np.zeros(np.shape(x_mid) + (d,))
+    x_star[..., -1] = x_mid
     return HardInstance(
         d=d,
         bits=bits,
@@ -333,6 +350,8 @@ def build_instance(
     sched: AngleSchedule = DEFAULT_SCHEDULE,
 ) -> HardInstance:
     """Full capped instance; the cap vector is drawn from ``seed``."""
+    if np.ndim(bits) == 2:
+        raise ValueError("a stacked instance is cap-free: build it with build_h")
     inst = build_h(d, bits, sched)
     w, mu = choose_w_mu(d, rho, seed)
     return replace(inst, w=w, mu=mu, seed=seed)

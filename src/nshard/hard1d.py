@@ -20,18 +20,31 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .intervals import DEPTH_CAP, Bits, BitsLike, as_bits, descend, interval, separation_depth
+from .intervals import DEPTH_CAP, Bits, BitsLike, as_bits, descend, separation_depth
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 
 
 # ---------------------------------------------------------------------------
 # piece table
 # ---------------------------------------------------------------------------
+
+
+def eq_fields(self, other):
+    """Dataclass equality that compares array fields with np.array_equal."""
+    return type(other) is type(self) and all(
+        np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b
+        for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare))
+
+
+def reject_rows(ok, message):
+    """Raise a ValueError naming the first row r where ``ok`` is False, with message(r)."""
+    if not ok.all():
+        raise ValueError(f"row {np.argmin(ok)}: {message(np.argmin(ok))}")
 
 
 @dataclass
@@ -44,20 +57,25 @@ class PiecewiseAffine1D:
     Breakpoints must be nondecreasing; at depths where nested widths fall
     under binary64 resolution, neighbors may collapse to equal floats and the
     table remains consistent (tied breakpoints carry near-identical values).
+    A stacked table holds R tables, one per row of the (R, n) arrays
+    ``breakpoints`` and ``slopes``, and one list of values shared by all.
     """
 
     breakpoints: list
     values: list
     slopes: list
     _np: Optional[tuple] = field(default=None, repr=False, compare=False)
+    stacked: bool = field(init=False, repr=False, compare=False)
+    __eq__ = eq_fields
 
     def __post_init__(self):
-        nb, nv, ns = len(self.breakpoints), len(self.values), len(self.slopes)
+        self.stacked = isinstance(self.breakpoints, np.ndarray)
+        bp = self.breakpoints
+        nb, nv, ns = np.shape(bp)[-1], len(self.values), np.shape(self.slopes)[-1]
         if nb < 1 or nv != nb or ns != nb + 1:
             raise ValueError(f"inconsistent table sizes: {nb} breakpoints, {nv} values, {ns} slopes")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            if b < a:
-                raise ValueError("breakpoints must be nondecreasing")
+        if np.any(bp[:, 1:] < bp[:, :-1]) if self.stacked else any(b < a for a, b in zip(bp, bp[1:])):
+            raise ValueError("breakpoints must be nondecreasing")
 
     # -- scalar evaluation ----------------------------------------------------
 
@@ -73,8 +91,14 @@ class PiecewiseAffine1D:
         return self.slopes[l], self.slopes[r]
 
     def value_and_subdiff(self, x):
-        """(value, lo, hi) at x from one table lookup; equals (self(x), *self.subdiff(x))."""
+        """(value, lo, hi) at x from one table lookup; equals (self(x), *self.subdiff(x)).
+        A stacked table looks up x[r] in table r: the bisections count b <= x and b < x."""
         bp = self.breakpoints
+        if self.stacked:
+            rows, s, r = np.arange(len(bp)), self.slopes, np.count_nonzero(bp <= x[:, None], axis=1)
+            a = np.maximum(r - 1, 0)
+            return (np.asarray(self.values)[a] + s[rows, r] * (x - bp[rows, a]),
+                    s[rows, np.count_nonzero(bp < x[:, None], axis=1)], s[rows, r])
         r = bisect.bisect_right(bp, x)
         a = r - 1 if r > 0 else 0
         return (self.values[a] + self.slopes[r] * (x - bp[a]),
@@ -139,11 +163,8 @@ class PiecewiseAffine1D:
         return PiecewiseAffine1D(bp, vals, slopes)
 
     def scale(self, c) -> "PiecewiseAffine1D":
-        return PiecewiseAffine1D(
-            list(self.breakpoints),
-            [v * c for v in self.values],
-            [s * c for s in self.slopes],
-        )
+        slopes = self.slopes * c if self.stacked else [s * c for s in self.slopes]
+        return PiecewiseAffine1D(self.breakpoints.copy(), [v * c for v in self.values], slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +187,6 @@ def wedge_value(i: int, bit: int, u, sched: AngleSchedule = DEFAULT_SCHEDULE):
                     (1 - e) / (0.5 - 2 * d) * u + (-0.5 - 2 * d + e) / (0.5 - 2 * d))[()]
 
 
-def wedge_slopes(i: int, bit: int, sched: AngleSchedule = DEFAULT_SCHEDULE):
-    """(left branch, right branch) slopes of the level-i wedge."""
-    if bit:
-        return -sched.cot_base(i + 1), sched.cot_base(i)
-    return -sched.cot_base(i), sched.cot_base(i + 1)
-
-
 def lift_value(i: int, v, sched: AngleSchedule = DEFAULT_SCHEDULE):
     """Map a level-(i+1) value into the level-i scale: v -> delta(i)(v-1)+epsilon(i)."""
     return sched.delta(i) * (v - 1) + sched.epsilon(i)
@@ -190,9 +204,14 @@ def build_r(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> Piecewis
     Piece slopes are the wedge branch slopes (so +-cot of schedule angles);
     breakpoint values are the lift-chain images of 1, shared by the two
     endpoints of each nested interval.
+
+    An (R, N) bit array gives the stacked table of its R rows.  All prefix
+    intervals are swept at once: for j = N-1 down to 0 the level-(j+1) map of
+    bit j moves the prefixes longer than j, as ``interval`` composes them.
     """
     bits = as_bits(bits)
-    N = len(bits)
+    B = np.atleast_2d(bits)
+    R, N = B.shape
     if N < 1:
         raise ValueError("need at least one bit")
     if sched.backend == "binary64" and N > DEPTH_CAP:
@@ -201,6 +220,7 @@ def build_r(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> Piecewis
             "build with an extended-precision schedule"
         )
     one = 1.0 if sched.backend == "binary64" else sched._one
+    edge = np.full((R, 1), one, dtype=float if sched.backend == "binary64" else object)
 
     with sched.context():
         # lift chain A_i(x) = a_i x + c_i, accumulated level by level
@@ -212,22 +232,24 @@ def build_r(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> Piecewis
             a = a * d
             level_values.append(a + c)
 
-        spans = [interval(bits[:i], sched) for i in range(1, N + 1)]
-        infs = [s.lo for s in spans]
-        sups = [s.hi for s in spans]
-        x_mid = (infs[-1] + sups[-1]) / 2
+        deltas = [sched.delta(j) for j in range(1, N + 1)]
+        shift = np.where(B.T, [[0.5 + d] for d in deltas], [[0.5 - 2 * d] for d in deltas])
+        ends = np.empty((N, 2, R), dtype=edge.dtype)  # ends[i-1] = (lo, hi) of the prefixes of length i
+        ends[:, 0], ends[:, 1] = one * 0, one
+        for j in range(N - 1, -1, -1):
+            ends[j:] = deltas[j] * ends[j:] + shift[j]
+        lo, hi = ends.transpose(1, 2, 0)
         cot = sched.cot_base(N + 1)
         r_min = level_values[N] - cot * a / 2  # a = prod of deltas
+        cots = np.array([sched.cot_base(i) for i in range(1, N + 2)], dtype=edge.dtype)
 
-        breakpoints = [one * 0] + infs + [x_mid] + sups[::-1] + [one]
+        breakpoints = np.concatenate([edge * 0, lo, (lo[:, -1:] + hi[:, -1:]) / 2, hi[:, ::-1], edge], axis=1)
         values = [one] + level_values[1:] + [r_min] + level_values[1:][::-1] + [one]
-        slopes = [-one]
-        for i in range(N):
-            slopes.append(wedge_slopes(i + 1, bits[i], sched)[0])
-        slopes += [-cot, cot]
-        for i in range(N - 1, -1, -1):
-            slopes.append(wedge_slopes(i + 1, bits[i], sched)[1])
-        slopes.append(one)
+        # the level-(i+1) wedge branches: (-cot(i+2), cot(i+1)) for bit 1, (-cot(i+1), cot(i+2)) for bit 0
+        slopes = np.concatenate([-edge, -np.where(B, cots[1:], cots[:-1]), -cot * edge, cot * edge,
+                                 np.where(B, cots[:-1], cots[1:])[:, ::-1], edge], axis=1)
+    if isinstance(bits, tuple):
+        return PiecewiseAffine1D(breakpoints[0].tolist(), values, slopes[0].tolist())
     return PiecewiseAffine1D(breakpoints, values, slopes)
 
 
@@ -268,13 +290,13 @@ def build_hbar(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE):
     """Shifted table hbar = r_b + 2 - r_b(x_mid) and its minimizer.
 
     Returns (table, x_star).  The minimum value is exactly 2 at the x_mid
-    breakpoint by construction of the shift.
+    breakpoint by construction of the shift; stacked bits give one per row.
     """
     r = build_r(bits, sched)
-    N = len(as_bits(bits))
-    r_min = r.values[N + 1]
+    mid = len(r.values) // 2  # x_mid, breakpoint N+1 of 2N+3
+    r_min = r.values[mid]
     values = [(v - r_min) + 2 for v in r.values]
-    return PiecewiseAffine1D(list(r.breakpoints), values, list(r.slopes)), r.breakpoints[N + 1]
+    return replace(r, values=values), r.breakpoints[:, mid] if r.stacked else r.breakpoints[mid]
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +350,25 @@ def schedule_params(
 
 @dataclass
 class OneDimInstance:
-    """A built 1D table exposed through the local first-order oracle protocol."""
+    """A built 1D table exposed through the local first-order oracle protocol (R tables if stacked)."""
 
     pwa: PiecewiseAffine1D
     bits: Bits
     x_star: float
+    __eq__ = eq_fields
 
     @property
     def d(self) -> int:
         return 1
 
     def value_and_subgrad(self, x):
-        """Value and minimal-norm slope from one table lookup; rejects a non-finite x."""
+        """Value and minimal-norm slope from one table lookup; rejects a non-finite x.
+        A stacked instance answers row r of an (R, 1) x from table r."""
+        if self.pwa.stacked:
+            x = np.asarray(x, dtype=float)[:, 0]
+            reject_rows(np.isfinite(x), lambda r: f"oracle query at a non-finite point x={float(x[r])!r}")
+            v, lo, hi = self.pwa.value_and_subdiff(x)
+            return v.astype(float), np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0)).astype(float)[:, None]
         x0 = float(np.asarray(x, dtype=float).reshape(-1)[0])
         if not math.isfinite(x0):
             raise ValueError(f"oracle query at a non-finite point x={x0!r}")
@@ -349,7 +378,7 @@ class OneDimInstance:
 
 def build_1d_instance(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> OneDimInstance:
     pwa, x_star = build_hbar(bits, sched)
-    return OneDimInstance(pwa=pwa, bits=as_bits(bits), x_star=float(x_star))
+    return OneDimInstance(pwa, as_bits(bits), x_star.astype(float) if pwa.stacked else float(x_star))
 
 
 # ---------------------------------------------------------------------------

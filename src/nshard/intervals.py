@@ -31,11 +31,12 @@ DEPTH_CAP = 24
 
 
 def as_bits(bits: BitsLike) -> Bits:
-    """Normalize "0110", [0,1,1,0], etc. to a tuple of 0/1 ints."""
-    if isinstance(bits, str):
-        seq = [int(ch) for ch in bits]
-    else:
-        seq = [int(b) for b in bits]
+    """Normalize "0110", [0,1,1,0], etc. to a tuple of 0/1 ints; an (R, N)
+    array of R bit strings becomes an int array."""
+    if isinstance(bits, np.ndarray) and bits.ndim == 2:
+        as_bits(np.unique(bits))
+        return bits.astype(int)
+    seq = [int(b) for b in bits]
     for b in seq:
         if b not in (0, 1):
             raise ValueError(f"bits must be 0 or 1, got {b}")

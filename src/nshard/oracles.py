@@ -26,9 +26,9 @@ class OracleResponse(NamedTuple):
 
 
 def query(instance, x) -> OracleResponse:
-    """Deterministic local oracle: value and minimal-norm subgradient at x."""
+    """Deterministic local oracle: value and minimal-norm subgradient at x (at each row, if stacked)."""
     v, g = instance.value_and_subgrad(np.asarray(x, dtype=float))
-    return OracleResponse(float(v), np.asarray(g, dtype=float))
+    return OracleResponse(float(v) if np.ndim(v) == 0 else v, np.asarray(g, dtype=float))
 
 
 def pgd_step(x, g, eta: float, noise_scale: float, rngs) -> np.ndarray:
@@ -179,30 +179,36 @@ class Trajectory:
 
 
 def lockstep(algorithm, instances, X0, T: int, rngs):
-    """Drive R = len(instances) independent runs together, one row per run.
+    """Drive R = len(X0) independent runs together, one row per run.
 
     Yields (t, X, values, G) for t = 0..T-1: the (R, d) iterates, their
     oracle values (R,) and minimal-norm subgradients (R, d), the last two
     fresh at each step; no history is kept.  Row r starts at X0[r], queries
-    instances[r] and draws from rngs[r] only.  A point the oracle rejects (a
-    non-finite one) stops all runs with a ValueError naming the step t at
-    which it was proposed (t = 0 for X0) and its row.
+    instance r and draws from rngs[r] only: one stacked instance answers all
+    rows with one ``query`` per step, a list of R instances row by row.  A
+    point the oracle rejects (a non-finite one) stops all runs with a
+    ValueError naming the step t at which it was proposed (t = 0 for X0) and
+    its row.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     X = np.asarray(X0, dtype=float)
     R, d = X.shape
+    stacked = not isinstance(instances, (list, tuple))
     for t in range(T):
         # an overflow ends in a non-finite point, which the oracle rejects below
         with np.errstate(over="ignore"):
             if t > 0:
                 X = np.asarray(algorithm.propose(t, X, response, rngs), dtype=float)
-            response = OracleResponse(np.empty(R), np.empty((R, d)))
             try:
-                for r in range(R):
-                    response.value[r], response.subgrad[r] = query(instances[r], X[r])
+                if stacked:  # the oracle's message names the row
+                    response = query(instances, X)
+                else:
+                    response = OracleResponse(np.empty(R), np.empty((R, d)))
+                    for r in range(R):
+                        response.value[r], response.subgrad[r] = query(instances[r], X[r])
             except ValueError as exc:
-                raise ValueError(f"run stopped at step t={t}: row {r}: {exc}") from exc
+                raise ValueError(f"run stopped at step t={t}: {'' if stacked else f'row {r}: '}{exc}") from exc
         yield t, X, response.value, response.subgrad
 
 

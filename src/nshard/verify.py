@@ -150,9 +150,9 @@ def mc_hitting(
 ) -> HittingReport:
     """Estimate hitting and progress probabilities over fresh random bit draws.
 
-    Each run draws a fresh bit string, builds the shifted 1D hard function,
-    runs the algorithm for T oracle steps from x0 (all runs in lockstep),
-    and records whether any iterate came within rho of the minimizer and how
+    Each run draws a fresh bit string, builds the shifted 1D hard function (one stacked
+    instance for all runs), takes T oracle steps from x0 (in lockstep, one stacked query
+    per step), and records whether any iterate came within rho of the minimizer and how
     deep the progress process got.  Estimates come with Wilson intervals and are compared to
     the analytic bounds 16 T / sqrt(log2(1/rho)) and min(1, 4T/k); bounds
     that exceed 1 are flagged vacuous rather than failed.
@@ -166,14 +166,13 @@ def mc_hitting(
     rho_eval = rho if rho is not None else (2.0 ** (-log2_inv_rho) if log2_inv_rho < 1060 else 0.0)
 
     seeds = [[int(s) for s in child.generate_state(2)] for child in _split_seeds(seed, n_runs)]
-    bits = [random_bits(N, np.random.default_rng(bits_seed)) for bits_seed, _ in seeds]
-    insts = [build_1d_instance(b, sched) for b in bits]
+    bits = np.array([random_bits(N, np.random.default_rng(bits_seed)) for bits_seed, _ in seeds])
+    inst = build_1d_instance(bits, sched)
     rngs = [np.random.default_rng(algo_seed) for _, algo_seed in seeds]
     x_last = np.empty((n_runs, T))
-    for t, X, _, _ in lockstep(algorithm, insts, np.full((n_runs, 1), x0), T, rngs):
+    for t, X, _, _ in lockstep(algorithm, inst, np.full((n_runs, 1), x0), T, rngs):
         x_last[:, t] = X[:, -1]
-    x_star = np.array([inst.x_star for inst in insts])
-    hits = int(np.count_nonzero(np.any(np.abs(x_last - x_star[:, None]) <= rho_eval, axis=1)))
+    hits = int(np.count_nonzero(np.any(np.abs(x_last - inst.x_star[:, None]) <= rho_eval, axis=1)))
     # the progress process of each run, Z[:, 0] = 0
     Z = np.zeros((n_runs, T + 1), dtype=int)
     Z[:, 1:] = np.maximum.accumulate([locate(x_last[r], bits[r], sched) for r in range(n_runs)], axis=1)
@@ -242,8 +241,8 @@ def concentration_check(
 ) -> ConcentrationReport:
     """Frequency of a fresh random direction aligning with any iterate.
 
-    Runs the algorithm on the cap-free objective, all runs in lockstep, and
-    measures max_t <u, (x_t - x_star)/||x_t - x_star||> step by step for an
+    Runs the algorithm on the cap-free objectives (one stacked instance, one query per
+    lockstep step), and measures max_t <u, (x_t - x_star)/||x_t - x_star||> step by step for an
     independent unit vector u supported on the leading d-1 coordinates.  The
     exceedance probability of 1/3 is compared against T exp(-d/36); for
     small d the bound exceeds 1 and is flagged vacuous.
@@ -255,20 +254,19 @@ def concentration_check(
     if algorithm is None:
         algorithm = PerturbedGD()
     seeds = [[int(s) for s in child.generate_state(3)] for child in _split_seeds(seed, n_runs)]
-    insts = [build_h(d, random_bits(N, np.random.default_rng(bits_seed)), sched) for bits_seed, _, _ in seeds]
+    inst = build_h(d, np.array([random_bits(N, np.random.default_rng(s)) for s, _, _ in seeds]), sched)
     rngs = [np.random.default_rng(algo_seed) for _, algo_seed, _ in seeds]
     W = np.zeros((n_runs, d))
     for r, (_, _, w_seed) in enumerate(seeds):
         u = np.random.default_rng(w_seed).standard_normal(d - 1)
         W[r, :-1] = u / np.linalg.norm(u)
-    x_star = np.stack([inst.x_star for inst in insts])
     # running max of each run's alignment; a run whose iterate sits on x_star
     # gives 0/0 = NaN there, which fmax skips; one far out may overflow its
     # norm before the oracle rejects its next point
     align = np.full(n_runs, -np.inf)
     with np.errstate(invalid="ignore", over="ignore"):
-        for _, X, _, _ in lockstep(algorithm, insts, np.zeros((n_runs, d)), T, rngs):
-            diffs = X - x_star
+        for _, X, _, _ in lockstep(algorithm, inst, np.zeros((n_runs, d)), T, rngs):
+            diffs = X - inst.x_star
             align = np.fmax(align, np.einsum("ij,ij->i", diffs, W) / np.linalg.norm(diffs, axis=1))
     exceed = int(np.count_nonzero(align >= 1.0 / 3.0))
     max_align = np.max(align)

@@ -11,6 +11,10 @@
 * ``composed_value`` / ``composed_subgrad`` / ``composed_1d``: the oracle
   assembled from those parts, which the one-pass ``value_and_subgrad`` (and
   ``subgrad``, which shares its pass) must reproduce bit for bit.
+* ``wedge_slopes`` / ``reference_build_r``: the slopes of a level's wedge,
+  and the piece table of r_b from one ``interval`` call per prefix, which
+  the prefix sweep of ``build_r`` (one bit string or a stack of them) must
+  reproduce bit for bit.
 * ``reference_descend`` / ``reference_eval_r``: the interval descent and the
   recursive evaluator of r_b one point at a time, which the array descent
   and ``eval_r`` must reproduce bit for bit on every point.
@@ -29,8 +33,8 @@ import math
 import numpy as np
 
 from nshard.embed import NORM_WEIGHT, SubgradientSet, build_h, cap_slope, cap_value
-from nshard.hard1d import build_1d_instance
-from nshard.intervals import as_bits, random_bits
+from nshard.hard1d import PiecewiseAffine1D, build_1d_instance
+from nshard.intervals import as_bits, interval, random_bits
 from nshard.oracles import PerturbedGD, run
 from nshard.schedule import DEFAULT_SCHEDULE
 from nshard.verify import (
@@ -234,6 +238,39 @@ def composed_1d(inst, x):
     lo, hi = inst.pwa.subdiff(x0)
     slope = lo if lo > 0 else hi if hi < 0 else 0.0
     return float(inst.pwa(x0)), np.array([float(slope)])
+
+
+def wedge_slopes(i, bit, sched=DEFAULT_SCHEDULE):
+    """(left branch, right branch) slopes of the level-i wedge."""
+    if bit:
+        return -sched.cot_base(i + 1), sched.cot_base(i)
+    return -sched.cot_base(i), sched.cot_base(i + 1)
+
+
+def reference_build_r(bits, sched=DEFAULT_SCHEDULE) -> PiecewiseAffine1D:
+    """Piece table of r_b with each prefix's interval composed on its own."""
+    bits = as_bits(bits)
+    N = len(bits)
+    one = 1.0 if sched.backend == "binary64" else sched._one
+    with sched.context():
+        a, c = one, one * 0
+        level_values = [one]
+        for i in range(1, N + 1):
+            d, e = sched.delta(i), sched.epsilon(i)
+            c = a * (e - d) + c
+            a = a * d
+            level_values.append(a + c)
+        spans = [interval(bits[:i], sched) for i in range(1, N + 1)]
+        infs = [s.lo for s in spans]
+        sups = [s.hi for s in spans]
+        x_mid = (infs[-1] + sups[-1]) / 2
+        cot = sched.cot_base(N + 1)
+        r_min = level_values[N] - cot * a / 2
+        breakpoints = [one * 0] + infs + [x_mid] + sups[::-1] + [one]
+        values = [one] + level_values[1:] + [r_min] + level_values[1:][::-1] + [one]
+        slopes = ([-one] + [wedge_slopes(i + 1, bits[i], sched)[0] for i in range(N)] + [-cot, cot]
+                  + [wedge_slopes(i + 1, bits[i], sched)[1] for i in range(N - 1, -1, -1)] + [one])
+    return PiecewiseAffine1D(breakpoints, values, slopes)
 
 
 def reference_descend(x, bits, sched=DEFAULT_SCHEDULE):

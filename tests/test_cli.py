@@ -185,6 +185,19 @@ def test_mc_report_matches_golden_digest(tmp_path, algo):
     assert file_hashes(out)["mc_report.csv"] == MC_GOLDEN[algo]
 
 
+# sha256 of mc_report.csv in extended precision, recorded from the per-row
+# oracle loop before one stacked instance answered each lockstep step
+MC_EXTENDED_GOLDEN = "e155e4845559d94485235f6eb4ffb2d368b5f3f5f778ee250625371fca3c36cd"
+
+
+def test_mc_extended_report_matches_golden_digest(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["mc", "--mode", "desk", "--k", "3", "--rho", "1e-3", "--T", "8", "--d", "12", "--algo", "pgd",
+                 "--runs", "100", "--precision", "extended", "--seed", "1", "--out", str(out)]) == 0
+    assert file_hashes(out)["mc_report.csv"] == MC_EXTENDED_GOLDEN
+
+
 # sha256 of trajectory.jsonl, recorded from the serial step loop as above;
 # mc reports hold only frequencies, which a last-bit change of an iterate
 # rarely moves, while these bytes hold every iterate

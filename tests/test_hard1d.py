@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from oracle_reference import reference_build_r, wedge_slopes
 
+from nshard.embed import build_h
 from nshard.hard1d import (
     OneDimInstance,
     PiecewiseAffine1D,
@@ -13,7 +15,6 @@ from nshard.hard1d import (
     eval_r,
     profile_rows,
     schedule_params,
-    wedge_slopes,
     write_profile_csv,
 )
 from nshard.intervals import interval, random_bits
@@ -288,3 +289,28 @@ def test_profile_rows_match_eval():
     for x, v, lo, hi in profile_rows(hbar, -0.2, 1.2, 31):
         assert v == pytest.approx(float(hbar(x)))
         assert lo <= hi
+
+
+def test_extended_stacked_build_and_oracles_equal_row_by_row():
+    # the extended schedule runs the stacked build and lookups on object arrays of mpf
+    sched = AngleSchedule("extended")
+    rng = np.random.default_rng(3)
+    for N in (1, 4, 9):
+        bits = rng.integers(0, 2, size=(6, N))
+        table = build_r(bits, sched)
+        line, emb = build_1d_instance(bits, sched), build_h(5, bits, sched)
+        X = rng.uniform(-1.0, 2.0, size=(6, 5))
+        X[1, -1] = float(table.breakpoints[1, N])
+        X[2] = emb.x_star[2]
+        X[3, :-1] = 0.0
+        values, slopes = line.value_and_subgrad(X[:, -1:])
+        emb_values, G = emb.value_and_subgrad(X)
+        for r, row in enumerate(bits):
+            ref = reference_build_r(row, sched)
+            assert list(table.breakpoints[r]) == ref.breakpoints
+            assert list(table.slopes[r]) == ref.slopes
+            assert table.values == ref.values
+            v, g = build_1d_instance(row, sched).value_and_subgrad(X[r, -1:])
+            assert (values[r], slopes[r].tobytes()) == (v, g.tobytes())
+            v, g = build_h(5, row, sched).value_and_subgrad(X[r])
+            assert (emb_values[r], G[r].tobytes()) == (v, g.tobytes())

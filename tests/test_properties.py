@@ -2,16 +2,21 @@
 
 f is 1-Lipschitz and nonnegative on any pair of points, near or far, and an
 instance written by ``save_instance`` reads back equal through
-``load_instance``.
+``load_instance``.  A stacked build and a stacked oracle equal, row for row
+and bit for bit, the build and the oracle of each bit string on its own.
 """
 
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from oracle_reference import reference_build_r
 
 from nshard.embed import build_h, build_instance, load_instance, save_instance
+from nshard.hard1d import build_1d_instance, build_hbar, build_r
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -55,5 +60,89 @@ def test_save_load_roundtrip_is_equal(inst, tmp_path_factory):
     assert (got.w is None) == (inst.w is None)
     assert got.w is None or np.array_equal(got.w, inst.w)
     assert np.array_equal(got.x_star, inst.x_star)
-    # the array fields, just compared, are shared so that == compares the rest
-    assert dataclasses.replace(got, w=inst.w, x_star=inst.x_star) == inst
+    assert got == inst
+    other_w = np.ones(inst.d) if inst.w is None else inst.w + 1.0
+    assert dataclasses.replace(got, w=other_w) != inst
+
+
+def _bytes(seq):
+    return np.asarray(seq, dtype=float).tobytes()
+
+
+@st.composite
+def bit_stacks(draw, max_rows=50, max_depth=24):
+    shape = (draw(st.integers(1, max_rows)), draw(st.integers(1, max_depth)))
+    return draw(arrays(np.int64, shape, elements=st.integers(0, 1)))
+
+
+@SETTINGS
+@given(bits=bit_stacks())
+def test_stacked_build_equals_row_builds(bits):
+    r_stack = build_r(bits)
+    stack, x_star = build_hbar(bits)
+    assert stack.breakpoints.shape == (len(bits), 2 * bits.shape[1] + 3)
+    for r, row in enumerate(bits):
+        ref, (table, x) = reference_build_r(row), build_hbar(row)
+        assert r_stack.breakpoints[r].tobytes() == _bytes(ref.breakpoints)
+        assert r_stack.slopes[r].tobytes() == _bytes(ref.slopes)
+        assert _bytes(r_stack.values) == _bytes(ref.values)
+        assert stack.breakpoints[r].tobytes() == _bytes(table.breakpoints)
+        assert stack.slopes[r].tobytes() == _bytes(table.slopes)
+        assert _bytes(stack.values) == _bytes(table.values)
+        assert x_star[r:r + 1].tobytes() == _bytes([x])
+    assert build_hbar(bits)[0] == stack
+
+
+def _stacked_and_rows(bits, d):
+    """A stacked instance of the rows of bits at dimension d (1D for d = 1), and each row's own instance."""
+    build = build_1d_instance if d == 1 else lambda b: build_h(d, b)
+    return build(bits), [build(row) for row in bits]
+
+
+def _queries(inst, rng):
+    """One point per row: uniform, on a breakpoint of the row's table, at x_star,
+    with a zero leading part, or with a leading part whose squared norm underflows."""
+    table = inst.pwa if hasattr(inst, "pwa") else inst.hbar
+    R, d = len(table.breakpoints), inst.x_star.reshape(len(table.breakpoints), -1).shape[1]
+    X = rng.uniform(-1.0, 2.0, size=(R, d)) * rng.choice([1e-6, 1.0, 1e3], size=(R, 1))
+    kind = rng.integers(0, 5, size=R)
+    on_bp = table.breakpoints[np.arange(R), rng.integers(table.breakpoints.shape[1], size=R)]
+    X[kind == 1, -1] = on_bp[kind == 1]
+    X[kind == 2] = inst.x_star.reshape(R, d)[kind == 2]
+    X[kind == 3, :-1] = 0.0
+    X[kind == 4, :-1] = 1e-170 * rng.standard_normal((np.count_nonzero(kind == 4), d - 1))
+    return X
+
+
+@SETTINGS
+@given(bits=bit_stacks(max_depth=12), d=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_stacked_oracle_rows_equal_row_oracles(bits, d, seed):
+    stack, rows = _stacked_and_rows(bits, d)
+    X = _queries(stack, np.random.default_rng(seed))
+    values, G = stack.value_and_subgrad(X)
+    assert values.shape == (len(bits),) and G.shape == (len(bits), d)
+    for r, inst in enumerate(rows):
+        v, g = inst.value_and_subgrad(X[r])
+        assert values[r:r + 1].tobytes() == _bytes([v]), r
+        assert G[r].tobytes() == g.tobytes(), r
+
+
+@SETTINGS
+@given(bits=bit_stacks(max_depth=12), d=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_stacked_oracle_names_the_first_non_finite_row(bits, d, seed):
+    stack, rows = _stacked_and_rows(bits, d)
+    rng = np.random.default_rng(seed)
+    X = _queries(stack, rng)
+    bad = rng.choice(len(bits), size=min(3, len(bits)), replace=False)
+    for r in bad:
+        if d > 1 and rng.uniform() < 0.25:
+            X[r, :-1] = 1e200  # a finite point whose leading norm overflows
+        else:
+            X[r, rng.integers(d)] = rng.choice([np.nan, np.inf, -np.inf])
+    first = int(bad.min())
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError) as one:
+            rows[first].value_and_subgrad(X[first])
+        with pytest.raises(ValueError) as stacked:
+            stack.value_and_subgrad(X)
+    assert str(stacked.value) == f"row {first}: {one.value}"
