@@ -1,6 +1,5 @@
-"""The lockstep loop against one-row runs, on a stacked instance against the
-row loop, and the lockstep Monte-Carlo experiments against the serial per-run
-loops they replaced.
+"""The lockstep loop against one-row runs, and the lockstep Monte-Carlo
+experiments against the serial per-run loops they replaced.
 
 Every configuration is fixed, so the tests are deterministic.
 """
@@ -78,32 +77,6 @@ def test_lockstep_rows_equal_one_row_runs(monkeypatch, name, d):
         assert rngs[3].normal_calls == T
     if name == "grid":
         assert all(np.all(X == X[0]) for t, X, _, _ in steps if t > 0)
-
-
-@pytest.mark.parametrize("d", [1, 4, 9])
-@pytest.mark.parametrize("name", sorted(ALGOS))
-def test_lockstep_on_a_stacked_instance_equals_the_row_loop(monkeypatch, name, d):
-    T = 12
-    bits = np.array([[0, 1, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 0], [0, 1, 1, 0]])
-    stack = build_1d_instance(bits) if d == 1 else build_h(d, bits)
-    insts = [build_1d_instance(b) if d == 1 else build_h(d, b) for b in bits]
-    X0 = _rows(d)[1]
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: ZeroFirstDraw(seed) if seed == ZERO_SEED else default_rng(seed))
-    seeds = [11, 12, 13, ZERO_SEED, 15]
-    rows = list(lockstep(ALGOS[name](), insts, X0, T, [np.random.default_rng(s) for s in seeds]))
-    steps = list(lockstep(ALGOS[name](), stack, X0, T, [np.random.default_rng(s) for s in seeds]))
-    assert len(steps) == T
-    for (t, X, values, G), (u, Y, want_values, want_G) in zip(steps, rows):
-        assert t == u
-        assert X.tobytes() == Y.tobytes(), t
-        assert values.tobytes() == want_values.tobytes(), t
-        assert G.tobytes() == want_G.tobytes(), t
-
-
-def test_stacked_capped_instance_is_refused():
-    with pytest.raises(ValueError, match="cap-free"):
-        build_instance(4, np.array([[0, 1], [1, 0]]), rho=1e-3)
 
 
 HITTING = [  # (T, k, N, rho, seed)

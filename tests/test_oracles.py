@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from test_lockstep import ALGOS, ZERO_SEED, ZeroFirstDraw, _rows, default_rng
 
 from nshard.embed import build_h, build_instance
 from nshard.hard1d import build_1d_instance
@@ -238,3 +239,37 @@ def test_lockstep_names_the_step_and_row_of_a_non_finite_proposal(inst):
             seen.append(t)
             assert X.shape == G.shape == (5, 4) and values.shape == (5,)
     assert seen == [0, 1, 2]
+
+
+@pytest.mark.parametrize("d", [1, 4, 9])
+@pytest.mark.parametrize("name", sorted(ALGOS))
+def test_lockstep_on_a_stacked_instance_equals_the_row_loop(monkeypatch, name, d):
+    T = 12
+    bits = np.array([[0, 1, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 0], [0, 1, 1, 0]])
+    stack = build_1d_instance(bits) if d == 1 else build_h(d, bits)
+    insts = [build_1d_instance(b) if d == 1 else build_h(d, b) for b in bits]
+    X0 = _rows(d)[1]
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: ZeroFirstDraw(seed) if seed == ZERO_SEED else default_rng(seed))
+    seeds = [11, 12, 13, ZERO_SEED, 15]
+    rows = list(lockstep(ALGOS[name](), insts, X0, T, [np.random.default_rng(s) for s in seeds]))
+    steps = list(lockstep(ALGOS[name](), stack, X0, T, [np.random.default_rng(s) for s in seeds]))
+    assert len(steps) == T
+    for (t, X, values, G), (u, Y, want_values, want_G) in zip(steps, rows):
+        assert t == u
+        assert X.tobytes() == Y.tobytes(), t
+        assert values.tobytes() == want_values.tobytes(), t
+        assert G.tobytes() == want_G.tobytes(), t
+
+
+def test_stacked_capped_instance_is_refused():
+    with pytest.raises(ValueError, match="cap-free"):
+        build_instance(4, np.array([[0, 1], [1, 0]]), rho=1e-3)
+
+
+def test_lockstep_on_a_stacked_instance_names_the_step_and_row_of_a_non_finite_proposal():
+    stack = build_h(4, np.array([[0, 1], [1, 0], [1, 1], [0, 0], [0, 1]]))
+    steps = lockstep(ProposesNaN(row=2), stack, np.zeros((5, 4)), 6, [np.random.default_rng(r) for r in range(5)])
+    with pytest.raises(ValueError, match=r"^run stopped at step t=3: row 2: oracle query at a non-finite point"):
+        for _ in steps:
+            pass

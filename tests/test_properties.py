@@ -103,12 +103,14 @@ def _queries(inst, rng):
     """One point per row: uniform, on a breakpoint of the row's table, at x_star,
     with a zero leading part, or with a leading part whose squared norm underflows."""
     table = inst.pwa if hasattr(inst, "pwa") else inst.hbar
-    R, d = len(table.breakpoints), inst.x_star.reshape(len(table.breakpoints), -1).shape[1]
+    R = len(table.breakpoints)
+    x_star = inst.x_star.reshape(R, -1)
+    d = x_star.shape[1]
     X = rng.uniform(-1.0, 2.0, size=(R, d)) * rng.choice([1e-6, 1.0, 1e3], size=(R, 1))
     kind = rng.integers(0, 5, size=R)
     on_bp = table.breakpoints[np.arange(R), rng.integers(table.breakpoints.shape[1], size=R)]
     X[kind == 1, -1] = on_bp[kind == 1]
-    X[kind == 2] = inst.x_star.reshape(R, d)[kind == 2]
+    X[kind == 2] = x_star[kind == 2]
     X[kind == 3, :-1] = 0.0
     X[kind == 4, :-1] = 1e-170 * rng.standard_normal((np.count_nonzero(kind == 4), d - 1))
     return X
