@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -171,6 +172,8 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def cmd_run(cfg: RunConfig) -> int:
     out = _require_out(cfg)
+    if not cfg.delta >= 0:
+        raise ValueError(f"delta must be non-negative (0 turns certificates off), got {cfg.delta!r}")
     inst, params = _instance(cfg)
     algo = _algorithm(cfg)
     algo_ss, cert_ss = np.random.SeedSequence(cfg.seed).spawn(4)[2:]
@@ -250,7 +253,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument(f"--{key}", type=TYPES[key], choices=CHOICES.get(key))
 
 
-def main(argv=None) -> int:
+@functools.cache  # built once per process
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nshard", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("build", "check", "run", "mc"):
@@ -258,7 +262,11 @@ def main(argv=None) -> int:
         _add_common(sp)
         if name == "check":
             sp.add_argument("--mutate", action="store_true", help="inject a slope fault (suite must fail)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
         handler = {"build": cmd_build, "check": cmd_check, "run": cmd_run, "mc": cmd_mc}[args.command]

@@ -129,7 +129,8 @@ def locate(x, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE):
     as outside (the intervals are open), and by nesting the set of containing
     prefixes is always an initial run, so a single descent suffices.  The
     descent rescales to local coordinates level by level, which stays exact
-    far beyond the absolute-endpoint depth cap.  x may be an array.
+    far beyond the absolute-endpoint depth cap.  x may be an array; given an
+    (R, N) array of R bit strings, x is (R, M) and row r is located on string r.
     """
     return descend(x, bits, sched)[0]
 
@@ -138,22 +139,29 @@ def descend(x, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE):
     """Like locate, but also return the local coordinate at the stop depth.
 
     Each level is one comparison over the points still inside; the extended
-    backend runs the same code on object arrays.
+    backend runs the same code on object arrays.  For stacked bits, one
+    ``np.where`` per level picks each point's offset from its own string.
     """
     bits = as_bits(bits)
+    stacked = isinstance(bits, np.ndarray)
     u = np.array(x, dtype=float if sched.backend == "binary64" else object)
+    if stacked and u.shape[:1] != bits.shape[:1]:
+        raise ValueError(f"{len(bits)} bit strings need points of shape ({len(bits)}, M), got {u.shape}")
     depth = np.zeros(u.shape, dtype=int)
     flat_u, flat_depth = u.reshape(-1), depth.reshape(-1)
     live = np.arange(u.size)
+    rows = np.repeat(np.arange(len(bits)), u.size // len(bits)) if stacked else None  # each point's string
     with sched.context(), np.errstate(invalid="ignore"):  # NaN is never inside
-        for j, b in enumerate(bits):
+        for j in range(np.shape(bits)[-1]):
             if not live.size:
                 break
             d = sched.delta(j + 1)
-            lo = 0.5 + d if b else 0.5 - 2 * d
+            lo = np.where(bits[rows, j], 0.5 + d, 0.5 - 2 * d) if stacked else (0.5 - 2 * d, 0.5 + d)[bits[j]]
             w = flat_u[live]
             inside = (lo < w) & (w < lo + d)
             live = live[inside]
+            if stacked:
+                lo, rows = lo[inside], rows[inside]
             flat_u[live] = (w[inside] - lo) / d
             flat_depth[live] = j + 1
     return (depth, u) if u.ndim else (int(depth), u.item())

@@ -31,15 +31,39 @@ def query(instance, x) -> OracleResponse:
     return OracleResponse(float(v) if np.ndim(v) == 0 else v, np.asarray(g, dtype=float))
 
 
+class Streams(list):
+    """The R Generators of a lockstep loop, streams[r] run r's, that also serve
+    pgd's noise: ``normals(d)`` is the next (R, d) step of N(0, 1) draws, row r
+    from streams[r].  A refill draws up to BLOCK_BYTES per run (5 steps at
+    d = 200, independent of R) into one reused buffer, but at most ``steps``
+    steps in all (then one at a time), so no stream draws ahead of its run."""
+
+    BLOCK_BYTES = 8192
+
+    def __init__(self, rngs, steps: int = 0):
+        super().__init__(rngs)
+        self.left, self.buf, self.next, self.filled = steps, None, 0, 0
+
+    def normals(self, d: int) -> np.ndarray:
+        """The next (R, d) step, a view of the buffer valid until the next call."""
+        if self.buf is None:
+            self.buf = np.empty((len(self), min(max(1, self.BLOCK_BYTES // (8 * d)), max(1, self.left)), d))
+        if self.next == self.filled:
+            self.next, self.filled = 0, min(self.buf.shape[1], max(1, self.left))
+            self.left -= self.filled
+            for rng, out in zip(self, self.buf):
+                rng.standard_normal(out=out[: self.filled])
+        self.next += 1
+        return self.buf[:, self.next - 1]
+
+
 def pgd_step(x, g, eta: float, noise_scale: float, rngs) -> np.ndarray:
-    """One perturbed step per row of x: x - eta * g + xi, with row r's
-    isotropic Gaussian xi drawn from rngs[r]."""
+    """One perturbed step per row of x: x - eta * g + xi, with xi the next
+    step of ``Streams.normals`` (rngs may be a plain list of Generators)."""
     step = x - eta * g
     if noise_scale > 0.0:
-        xi = np.empty_like(step)
-        for r, rng in enumerate(rngs):
-            rng.standard_normal(out=xi[r])
-        step = step + noise_scale * xi
+        streams = rngs if isinstance(rngs, Streams) else Streams(rngs)
+        step = step + noise_scale * streams.normals(step.shape[1])
     return step
 
 
@@ -66,6 +90,8 @@ class PerturbedGD:
     name = "pgd"
 
     def __init__(self, eta0: float = 0.1, noise_scale: float = 0.01):
+        if not 0.0 <= noise_scale < math.inf:
+            raise ValueError(f"noise_scale must be finite and non-negative, got {noise_scale!r}")
         self.eta0 = eta0
         self.noise_scale = noise_scale
 
@@ -79,6 +105,8 @@ class RandomSearch:
     name = "random"
 
     def __init__(self, radius: float = 1.0, center=None):
+        if not 0.0 <= radius < math.inf:
+            raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
         self.radius = radius
         self.center = center
 
@@ -184,14 +212,17 @@ def lockstep(algorithm, instances, X0, T: int, rngs):
     Yields (t, X, values, G) for t = 0..T-1: the (R, d) iterates, their
     oracle values (R,) and minimal-norm subgradients (R, d), the last two
     fresh at each step; no history is kept.  Row r starts at X0[r], queries
-    instance r and draws from rngs[r] only: one stacked instance answers all
-    rows with one ``query`` per step, a list of R instances row by row.  A
-    point the oracle rejects (a non-finite one) stops all runs with a
-    ValueError naming the step t at which it was proposed (t = 0 for X0) and
-    its row.
+    instance r and draws from rngs[r] only (R distinct Generators, passed on
+    as ``Streams`` over the T - 1 proposals): one stacked instance answers
+    all rows with one ``query`` per step, a list of R instances row by row.
+    A point the oracle rejects (a non-finite one) stops all runs with a
+    ValueError naming its step t (t = 0 for X0) and its row.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
+    if len({id(rng) for rng in rngs}) < len(rngs):
+        raise ValueError("rows share a Generator; each run needs its own stream")
+    rngs = Streams(rngs, T - 1)
     X = np.asarray(X0, dtype=float)
     R, d = X.shape
     stacked = not isinstance(instances, (list, tuple))

@@ -153,9 +153,9 @@ def mc_hitting(
     Each run draws a fresh bit string, builds the shifted 1D hard function (one stacked
     instance for all runs), takes T oracle steps from x0 (in lockstep, one stacked query
     per step), and records whether any iterate came within rho of the minimizer and how
-    deep the progress process got.  Estimates come with Wilson intervals and are compared to
-    the analytic bounds 16 T / sqrt(log2(1/rho)) and min(1, 4T/k); bounds
-    that exceed 1 are flagged vacuous rather than failed.
+    deep the progress process got (one stacked ``locate``).  Estimates come with Wilson
+    intervals and are compared to the analytic bounds 16 T / sqrt(log2(1/rho)) and
+    min(1, 4T/k); bounds that exceed 1 are flagged vacuous rather than failed.
     """
     if n_runs < 100:
         raise ValueError("n_runs must be at least 100")
@@ -175,7 +175,7 @@ def mc_hitting(
     hits = int(np.count_nonzero(np.any(np.abs(x_last - inst.x_star[:, None]) <= rho_eval, axis=1)))
     # the progress process of each run, Z[:, 0] = 0
     Z = np.zeros((n_runs, T + 1), dtype=int)
-    Z[:, 1:] = np.maximum.accumulate([locate(x_last[r], bits[r], sched) for r in range(n_runs)], axis=1)
+    Z[:, 1:] = np.maximum.accumulate(locate(x_last, bits, sched), axis=1)
     deep = int(np.count_nonzero(Z[:, -1] >= k))
     jumps = np.diff(Z, axis=1)
     jump_trials = jumps.size
@@ -454,19 +454,9 @@ class CertificateReport:
 
         with open(path, "w") as fh:
             for c in self.checks:
-                fh.write(
-                    json.dumps(
-                        {
-                            "check": c.name,
-                            "passed": c.passed,
-                            "measured": c.measured,
-                            "bound": c.bound,
-                            "tol": c.tol,
-                            "detail": c.detail,
-                        }
-                    )
-                    + "\n"
-                )
+                row = {"check": c.name, "passed": c.passed, "measured": c.measured, "bound": c.bound,
+                       "tol": c.tol, "detail": c.detail}
+                fh.write(json.dumps(row) + "\n")
 
     def summary(self) -> str:
         lines = []

@@ -6,11 +6,14 @@ element takes the same IEEE operations in the same order, so the results
 must be equal bit for bit, NaN, signed zeros, interval endpoints and tails
 included, for array calls and for scalar calls alike.  Points are drawn at
 random and on every prefix interval's endpoints and their float neighbours.
+A stacked descent of R strings equals R descents of one string each.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nshard.hard1d import build_1d_instance, eval_r
 from nshard.intervals import descend, interval, locate
@@ -130,3 +133,54 @@ def test_progress_process_is_running_max_of_reference_locate(bits, seed):
     traj = Trajectory(algorithm="manual", seed=0, points=pts, responses=[query(inst, p) for p in pts], instance=inst)
     want = np.maximum.accumulate([0] + [reference_descend(float(x), bits)[0] for x in xs])
     assert np.array_equal(progress_process(traj).Z, want)
+
+
+@st.composite
+def bit_stacks(draw, max_depth):
+    """R <= 50 bit strings of one depth, and a seed for their points."""
+    bits = draw(arrays(np.int64, (draw(st.integers(1, 50)), draw(st.integers(1, max_depth))),
+                       elements=st.integers(0, 1)))
+    return bits, draw(st.integers(0, 2**32 - 1))
+
+
+def _stacked_points(bits, seed, sched):
+    """6 points per row: uniform, the endpoints and the midpoint of one of the
+    row's prefixes, NaN and +-inf, in a random order."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for row in bits:
+        iv = interval(row[:rng.integers(1, len(row) + 1)], sched)
+        pts = [rng.uniform(-0.5, 1.5), iv.lo, iv.hi, iv.mid, np.nan, rng.choice([np.inf, -np.inf])]
+        rows.append([pts[i] for i in rng.permutation(6)])
+    return np.array(rows, dtype=float if sched is DEFAULT_SCHEDULE else object)
+
+
+@SETTINGS
+@given(case=bit_stacks(max_depth=24))
+def test_stacked_descent_equals_row_descents(case):
+    bits, seed = case
+    X = _stacked_points(bits, seed, DEFAULT_SCHEDULE)
+    depth, u = descend(X, bits)
+    assert np.array_equal(locate(X, bits), depth)
+    for r, row in enumerate(bits):
+        want_depth, want_u = descend(X[r], row)
+        assert np.array_equal(depth[r], want_depth) and np.array_equal(u[r], want_u, equal_nan=True), r
+        assert u[r].tobytes() == want_u.tobytes(), r
+
+
+@settings(SETTINGS, max_examples=25)
+@given(case=bit_stacks(max_depth=24))
+def test_extended_stacked_descent_equals_row_descents(case):
+    bits, seed = case
+    X = _stacked_points(bits, seed, EXTENDED)
+    depth, u = descend(X, bits, EXTENDED)
+    assert np.array_equal(locate(X, bits, EXTENDED), depth)
+    for r, row in enumerate(bits):
+        want_depth, want_u = descend(X[r], row, EXTENDED)
+        assert np.array_equal(depth[r], want_depth), r
+        assert all(_same(a, b) for a, b in zip(u[r], want_u)), r
+
+
+def test_stacked_descent_needs_one_row_of_points_per_string():
+    with pytest.raises(ValueError, match="2 bit strings"):
+        locate(np.zeros((3, 4)), np.array([[0, 1], [1, 0]]))

@@ -367,3 +367,25 @@ def test_config_accepts_integer_for_float(tmp_path):
     cfgp.write_text(json.dumps({"eta": 1, "delta": 1, "k": 2}))
     assert main(["build", "--config", str(cfgp), "--d", "3", "--out", str(out)]) == 0
     assert json.loads((out / "config.json").read_text())["eta"] == 1
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("algo,key,value", [
+    ("pgd", "noise", -0.5), ("pgd", "noise", float("nan")), ("random", "radius", -2.0),
+    ("pgd", "delta", -1.0), ("pgd", "delta", float("nan")),
+])
+def test_run_rejects_bad_flag_values_before_stepping(tmp_path, capsys, monkeypatch, via, algo, key, value):
+    monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("the run started"))
+    out = tmp_path / "o"
+    out.mkdir()
+    argv = ["run", "--mode", "desk", "--d", "4", "--k", "3", "--T", "5", "--algo", algo, "--out", str(out)]
+    if via == "flag":
+        argv += [f"--{key}", repr(value)]
+    else:
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfgp)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "must be" in err and repr(value) in err
+    assert not list(out.iterdir())

@@ -12,6 +12,7 @@ from nshard.oracles import (
     GridSearch,
     PerturbedGD,
     RandomSearch,
+    Streams,
     SubgradientDescent,
     lockstep,
     make_algorithm,
@@ -273,3 +274,57 @@ def test_lockstep_on_a_stacked_instance_names_the_step_and_row_of_a_non_finite_p
     with pytest.raises(ValueError, match=r"^run stopped at step t=3: row 2: oracle query at a non-finite point"):
         for _ in steps:
             pass
+
+
+STREAM_CASES = [  # (T, d, noise_scale): the draws of T - 1 steps, in blocks of Streams.BLOCK_BYTES // (8 d)
+    (1, 3, 0.1),  # no proposal, no draw
+    (2, 3, 0.1),  # one step
+    (13, 200, 0.1),  # 12 steps in blocks of 5, the last one short
+    (6, 1500, 0.1),  # blocks of one step
+    (40, 1, 0.1),  # the whole run in one block
+    (9, 4, 0.0),  # no noise, no draw
+]
+
+
+@pytest.mark.parametrize("T,d,noise", STREAM_CASES)
+def test_pgd_lockstep_draws_as_per_step_draws(T, d, noise):
+    """Each Generator ends where T - 1 one-step draws leave it, and every
+    proposal is x - eta g + noise xi with xi that step's one-step draw."""
+    R, eta = 4, 0.1
+    bits = np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 1]])
+    stack = build_1d_instance(bits) if d == 1 else build_h(d, bits)
+    rngs, ref = [default_rng(s) for s in range(R)], [default_rng(s) for s in range(R)]
+    prev = None
+    for t, X, values, G in lockstep(PerturbedGD(eta0=eta, noise_scale=noise), stack, np.zeros((R, d)), T, rngs):
+        if t > 0:
+            want = prev[0] - (eta / np.sqrt(t)) * prev[1]
+            if noise > 0:
+                want = want + noise * np.stack([rng.standard_normal(d) for rng in ref])
+            assert X.tobytes() == want.tobytes(), t
+        prev = X, G.copy()
+    for rng, want in zip(rngs, ref):
+        assert rng.bit_generator.state == want.bit_generator.state
+
+
+def test_streams_block_depends_on_d_and_steps_only():
+    for R in (1, 7):
+        streams = Streams([default_rng(r) for r in range(R)], steps=12)
+        streams.normals(200)
+        assert streams.buf.shape == (R, 5, 200)
+    streams = Streams([default_rng(0)], steps=49)
+    assert streams.normals(1).shape == (1, 1) and streams.buf.shape == (1, 49, 1)
+
+
+def test_lockstep_rejects_rows_that_share_a_generator(inst):
+    rng = default_rng(0)
+    with pytest.raises(ValueError, match="share a Generator"):
+        next(lockstep(PerturbedGD(), [inst] * 3, np.zeros((3, 4)), 2, [rng, default_rng(1), rng]))
+
+
+@pytest.mark.parametrize("algo,key,value", [
+    ("pgd", "noise_scale", -0.5), ("pgd", "noise_scale", np.nan), ("pgd", "noise_scale", np.inf),
+    ("random", "radius", -2.0), ("random", "radius", np.nan), ("random", "radius", -np.inf),
+])
+def test_algorithms_reject_negative_or_non_finite_scales(algo, key, value):
+    with pytest.raises(ValueError, match=f"{key} must be finite and non-negative"):
+        make_algorithm(algo, **{key: value})
