@@ -114,14 +114,14 @@ def _instance(cfg: RunConfig):
 
 
 def _algorithm(cfg: RunConfig):
-    """The configured algorithm with its own flags (eta, noise, radius, resolution)."""
-    kwargs = {
-        "sgd": {"eta0": cfg.eta},
-        "pgd": {"eta0": cfg.eta, "noise_scale": cfg.noise},
-        "random": {"radius": cfg.radius},
-        "grid": {"resolution": cfg.resolution},
-    }.get(cfg.algo, {})
-    return make_algorithm(cfg.algo, **kwargs)
+    """The configured algorithm with its own flags (eta, noise, radius, resolution); errors name the flag."""
+    flags = {"sgd": {"eta0": "eta"}, "pgd": {"eta0": "eta", "noise_scale": "noise"},  # parameter: flag
+             "random": {"radius": "radius"}, "grid": {"resolution": "resolution"}}.get(cfg.algo, {})
+    try:
+        return make_algorithm(cfg.algo, **{p: getattr(cfg, flag) for p, flag in flags.items()})
+    except ValueError as exc:  # "noise_scale must be ..." -> "--noise must be ..."
+        param, _, rest = str(exc).partition(" ")
+        raise (ValueError(f"--{flags[param]} {rest}") if param in flags else exc) from None
 
 
 def _write_config(cfg: RunConfig, params, path) -> None:
@@ -173,7 +173,7 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_run(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     if not cfg.delta >= 0:
-        raise ValueError(f"delta must be non-negative (0 turns certificates off), got {cfg.delta!r}")
+        raise ValueError(f"--delta must be non-negative (0 turns certificates off), got {cfg.delta!r}")
     inst, params = _instance(cfg)
     algo = _algorithm(cfg)
     algo_ss, cert_ss = np.random.SeedSequence(cfg.seed).spawn(4)[2:]

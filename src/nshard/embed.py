@@ -15,8 +15,9 @@ norm (at least 1/50) wherever f is positive.
 
 Each point is evaluated by one scalar pass up to the kinks; the oracle
 (value and minimal-norm subgradient) and the structured subdifferential are
-views of it.  Stacks of rows go through one batch pass, whose views are the
-value kernel and the minimal-subgradient-norm kernel.  The subdifferential's
+views of it.  Stacks of rows go through one row kernel, in cache-sized blocks,
+whose rows equal the scalar oracle's bit for bit; the value batch, the
+minimal-subgradient-norm batch and the stacked oracle are views of it.  The subdifferential's
 structure is a smooth base vector, a slope interval along the last axis (the
 valley kink), an optional radius-1/32 ball in the leading coordinates (the
 norm kink at x_{1:d-1} = 0), and an optional scaling segment to the origin
@@ -127,8 +128,8 @@ def choose_w_mu(d: int, rho: float, seed=0) -> Tuple[np.ndarray, float]:
 class HardInstance:
     """Immutable d-dimensional instance; evaluation and subgradients are pure.
 
-    Every query is a view of the scalar pass ``_pass`` or the batch pass ``_batch``.
-    A stacked instance, R cap-free ones with (R, N) ``bits`` and (R, d) ``x_star``, answers through ``_rows``.
+    Every query is a view of the scalar pass ``_pass`` or the row kernel ``_kernel``.
+    A stacked instance, R cap-free ones with (R, N) ``bits`` and (R, d) ``x_star``, answers through ``_kernel``.
     """
 
     d: int
@@ -217,7 +218,11 @@ class HardInstance:
         """Body of value_and_subgrad; eval_f and min_subgrad call it directly so
         that they are not counted as oracle queries where value_and_subgrad is."""
         if self.hbar.stacked:
-            return self._rows(x)
+            X = np.ascontiguousarray(x, dtype=float)
+            pn, xd = np.sqrt(row_dots(X[:, :-1], X[:, :-1])), X[:, -1]
+            reject_rows(np.isfinite(pn) & np.isfinite(xd), lambda r: "oracle query at a non-finite point: "
+                        f"x_d={float(xd[r])!r}, ||x_(1:d-1)||={float(pn[r])!r}")
+            return self._kernel(X, grad=True, pn=pn)[:2]
         _, pn, _, psi, g, lo, hi, _, _ = self._pass(x)
         if psi <= 0.0:  # zero region or max boundary: 0 is a subgradient
             return 0.0, np.zeros(self.d)
@@ -228,19 +233,6 @@ class HardInstance:
         gd = float(g[-1])
         g[-1] = gd + min(max(-gd, lo), hi)
         return psi, g
-
-    def _rows(self, X):
-        """``_oracle`` at row r of X on instance r of a stacked instance, bit for bit.
-        The stacked matmul takes the scalar pass's BLAS ddot per row; np.linalg.norm does not."""
-        X = np.asarray(X, dtype=float)
-        P, xd = X[:, :-1], X[:, -1]
-        pn = np.sqrt(np.matmul(P[:, None, :], P[:, :, None])[:, 0, 0])
-        reject_rows(np.isfinite(pn) & np.isfinite(xd), lambda r: "oracle query at a non-finite point: "
-                    f"x_d={float(xd[r])!r}, ||x_(1:d-1)||={float(pn[r])!r}")
-        hv, lo, hi = self.hbar.value_and_subdiff(xd)
-        G = np.where((pn > 0.0)[:, None], X / (32.0 * np.where(pn > 0.0, pn, 1.0))[:, None], 0.0)
-        G[:, -1] = np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))
-        return NORM_WEIGHT * pn + hv.astype(float), G
 
     def subgrad(self, x) -> SubgradientSet:
         """Clarke subdifferential with its pointwise case label.
@@ -277,52 +269,79 @@ class HardInstance:
                 case = "slice_cap_band_far"
         return SubgradientSet(case, d, g, lo, hi, ball)
 
-    # -- batch pass and its views -----------------------------------------------
+    # -- row kernel and its views -------------------------------------------------
 
-    def _batch(self, X: np.ndarray):
-        """Rows of X up to the kinks: (X, pn, psi, Z, nz, q).
+    BLOCK_BYTES = 256 * 1024  # rows go in blocks of about this many bytes, so temporaries stay in L2
 
-        pn are the leading norms, psi = h - cap, and Z = X - x_star + w with
-        its row norms nz and gaps q (all three None without a cap).
+    def _kernel(self, X, grad=False, norms=False, pn=None):
+        """``_oracle`` at each row of X (row r on instance r if stacked), bit for bit in binary64.
+
+        Returns (f, G, n): the values, the minimal-norm subgradients if ``grad`` and
+        their norms if ``norms``.  Norms and dot products are ``row_dots``; ``pn`` are the
+        leading norms if the caller has them.  An extended table is read through its
+        binary64 arrays.  Non-finite rows are not rejected.
         """
-        X = np.asarray(X, dtype=float)
-        pn = np.linalg.norm(X[:, :-1], axis=1)
-        psi = NORM_WEIGHT * pn + self.hbar.eval_batch(X[:, -1])
-        if not self.has_cap:
-            return X, pn, psi, None, None, None
-        Z = X - self.x_star + self.w
-        nz = np.linalg.norm(Z, axis=1)
-        q = Z @ self.w_unit - 0.5 * nz
-        return X, pn, psi - cap_value(q, self.mu), Z, nz, q
+        X = np.ascontiguousarray(X, dtype=float)
+        (R, d), table = X.shape, self.hbar
+        if grad or norms or table.stacked:
+            hv, lo, hi = (np.asarray(a, dtype=float) for a in table.value_and_subdiff(X[:, -1]))
+        else:  # values only: one search
+            hv = table.eval_batch(X[:, -1])
+        f, G, n = np.empty(R), np.empty((R, d)) if grad else None, np.empty(R) if norms else None
+        step = max(1, self.BLOCK_BYTES // (8 * d))
+        Zbuf, Gbuf = np.empty((min(step, R), d)), np.empty((min(step, R), d))
+        for a in range(0, R, step):
+            rows = slice(a, a + step)
+            Xb = X[rows]
+            pnb = np.sqrt(row_dots(Xb[:, :-1], Xb[:, :-1])) if pn is None else pn[rows]
+            psi = NORM_WEIGHT * pnb + hv[rows]
+            if self.has_cap:
+                Z = np.subtract(Xb, self.x_star, out=Zbuf[:len(Xb)])
+                Z += self.w
+                nz = np.sqrt(row_dots(Z, Z))
+                ramp = nz > 0.0  # at the anchor the ramp and its gradient vanish
+                q = np.where(ramp, row_dots(Z, self.w_unit) - 0.5 * nz, 0.0)
+                psi -= cap_value(q, self.mu)
+            f[rows] = np.where(psi <= 0.0, 0.0, psi)
+            if not (grad or norms):
+                continue
+            Gb = G[rows] if grad else Gbuf[:len(Xb)]
+            flat = pnb == 0.0  # the norm kink (or a leading part whose squared norm underflows)
+            np.divide(Xb, (32.0 * np.where(flat, 1.0, pnb))[:, None], out=Gb)
+            Gb[flat, :-1] = Gb[:, -1] = 0.0
+            if self.has_cap:  # Gb -= s * (w_unit - Z / (2 nz)) where the ramp is on
+                np.divide(Z, (2.0 * np.where(ramp, nz, 1.0))[:, None], out=Z)
+                np.subtract(self.w_unit, Z, out=Z)
+                Z *= cap_slope(q, self.mu)[:, None]
+                Z[~ramp] = 0.0
+                Gb -= Z
+            if flat.any():  # project the leading part onto the 1/32 ball
+                gp = Gb[flat, :-1]
+                gn = np.sqrt(row_dots(gp, gp))
+                Gb[flat, :-1] = np.where((gn <= NORM_WEIGHT)[:, None], 0.0,
+                                         gp * (1.0 - NORM_WEIGHT / np.maximum(gn, NORM_WEIGHT))[:, None])
+            Gb[:, -1] += np.clip(-Gb[:, -1], lo[rows], hi[rows])  # = min(max(-gd, lo), hi), as no slope is 0
+            Gb[psi <= 0.0] = 0.0
+            if norms:
+                n[rows] = np.sqrt(row_dots(Gb, Gb))
+        return f, G, n
 
     def eval_f_batch(self, X: np.ndarray) -> np.ndarray:
-        return np.maximum(self._batch(X)[2], 0.0)
+        """f at each row of X, equal to ``eval_f`` row by row in binary64."""
+        return self._kernel(X)[0]
 
     def min_subgrad_norm_batch(self, X: np.ndarray):
-        """(f, norms of the minimal-norm subgradients) from one vectorized pass.
+        """(f, ||min_subgrad||) at each row of X, equal to ``eval_f`` and ``np.linalg.norm(min_subgrad)``
+        row by row in binary64, also at the norm kink, the cap anchor and in the zero region."""
+        f, _, n = self._kernel(X, norms=True)
+        return f, n
 
-        f equals ``eval_f_batch(X)`` bit for bit; row by row the norms are those of
-        ``min_subgrad`` up to rounding, also at the norm kink, the cap anchor and in the zero region.
-        """
-        X, pn, psi, Z, nz, q = self._batch(X)
-        lo, hi = self.hbar.subdiff_batch(X[:, -1])
-        kink = pn == 0.0
-        base_perp = X[:, :-1] / (32.0 * np.where(kink, 1.0, pn)[:, None])
-        base_d = np.zeros(X.shape[0])
-        if self.has_cap:
-            # at the anchor q = 0, so the gradient is 0 once the divisor is safe
-            safe_nz = np.where(nz == 0.0, 1.0, nz)
-            capg = -cap_slope(q, self.mu)[:, None] * (self.w_unit[None, :] - Z / (2.0 * safe_nz[:, None]))
-            base_perp = base_perp + capg[:, :-1]
-            base_d = capg[:, -1]
 
-        ed = base_d + np.clip(-base_d, lo, hi)
-        perp2 = np.einsum("ij,ij->i", base_perp, base_perp)
-        # norm kink: projecting onto the 1/32 ball shortens the leading part by 1/32
-        perp2[kink] = np.maximum(np.sqrt(perp2[kink]) - NORM_WEIGHT, 0.0) ** 2
-        out = np.sqrt(perp2 + ed * ed)
-        out[psi <= 0.0] = 0.0
-        return np.maximum(psi, 0.0), out
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot product of each row of A with that row of B, or with B if it is one vector: a stacked
+    (1, k) by (k, 1) matmul, which takes BLAS ddot per row as ``a.dot(b)`` and ``np.linalg.norm``
+    do for one row (``np.linalg.norm(axis=1)`` and ``einsum`` sum in another order)."""
+    return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
 
 
 def build_h(d: int, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> HardInstance:

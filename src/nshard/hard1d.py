@@ -91,14 +91,19 @@ class PiecewiseAffine1D:
         return self.slopes[l], self.slopes[r]
 
     def value_and_subdiff(self, x):
-        """(value, lo, hi) at x from one table lookup; equals (self(x), *self.subdiff(x)).
-        A stacked table looks up x[r] in table r: the bisections count b <= x and b < x."""
+        """(value, lo, hi) at x from one lookup (b <= x and b < x); equals (self(x), *self.subdiff(x)).
+        A stacked table looks up x[r] in table r; an array x on one table, the binary64 ``_arrays``."""
         bp = self.breakpoints
         if self.stacked:
-            rows, s, r = np.arange(len(bp)), self.slopes, np.count_nonzero(bp <= x[:, None], axis=1)
+            rows, s, r = np.arange(len(bp)), self.slopes, (bp <= x[:, None]).sum(axis=1)
             a = np.maximum(r - 1, 0)
             return (np.asarray(self.values)[a] + s[rows, r] * (x - bp[rows, a]),
-                    s[rows, np.count_nonzero(bp < x[:, None], axis=1)], s[rows, r])
+                    s[rows, (bp < x[:, None]).sum(axis=1)], s[rows, r])
+        if isinstance(x, np.ndarray):
+            b, v, s = self._arrays()
+            r = np.searchsorted(b, x, side="right")
+            a = np.maximum(r - 1, 0)
+            return v[a] + s[r] * (x - b[a]), s[np.searchsorted(b, x, side="left")], s[r]
         r = bisect.bisect_right(bp, x)
         a = r - 1 if r > 0 else 0
         return (self.values[a] + self.slopes[r] * (x - bp[a]),
@@ -121,11 +126,6 @@ class PiecewiseAffine1D:
         j = np.searchsorted(b, x, side="right")
         a = np.maximum(j - 1, 0)
         return v[a] + s[j] * (x - b[a])
-
-    def subdiff_batch(self, x: np.ndarray):
-        b, _, s = self._arrays()
-        x = np.asarray(x, dtype=float)
-        return s[np.searchsorted(b, x, side="left")], s[np.searchsorted(b, x, side="right")]
 
     # -- structure -------------------------------------------------------------
 
@@ -388,8 +388,7 @@ def build_1d_instance(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -
 
 def profile_rows(pwa: PiecewiseAffine1D, lo: float = -1.0, hi: float = 2.0, n: int = 3001):
     xs = np.linspace(lo, hi, n)
-    vals = pwa.eval_batch(xs)
-    los, his = pwa.subdiff_batch(xs)
+    vals, los, his = pwa.value_and_subdiff(xs)
     return [(float(x), float(v), float(a), float(b)) for x, v, a, b in zip(xs, vals, los, his)]
 
 

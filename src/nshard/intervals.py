@@ -34,8 +34,9 @@ def as_bits(bits: BitsLike) -> Bits:
     """Normalize "0110", [0,1,1,0], etc. to a tuple of 0/1 ints; an (R, N)
     array of R bit strings becomes an int array."""
     if isinstance(bits, np.ndarray) and bits.ndim == 2:
-        as_bits(np.unique(bits))
-        return bits.astype(int)
+        bits = bits.astype(int)
+        as_bits(np.sort(bits[(bits < 0) | (bits > 1)])[:1])  # raises on the smallest bad value
+        return bits
     seq = [int(b) for b in bits]
     for b in seq:
         if b not in (0, 1):

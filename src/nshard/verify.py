@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import hard1d
-from .embed import build_h, build_instance
+from .embed import build_h, build_instance, row_dots
 from .hard1d import build_1d_instance, build_r, eval_r
 from .intervals import as_bits, interval, locate, phi, random_bits, separation_margins
 from .oracles import lockstep
@@ -103,35 +103,15 @@ class HittingReport:
     jump_stats: Dict[int, dict]  # m -> {freq, se, bound, n}
 
     def rows(self):
-        out = [
-            {
-                "check": "hit_within_rho",
-                "estimate": self.hit_freq,
-                "wilson_lo": self.hit_wilson[0],
-                "wilson_hi": self.hit_wilson[1],
-                "bound": self.hit_bound,
-                "vacuous": self.hit_vacuous,
-            },
-            {
-                "check": f"depth_ge_{self.k}",
-                "estimate": self.deep_freq,
-                "wilson_lo": self.deep_wilson[0],
-                "wilson_hi": self.deep_wilson[1],
-                "bound": self.deep_bound,
-                "vacuous": self.deep_vacuous,
-            },
-        ]
+        def row(check, estimate, lo, hi, bound, vacuous):
+            return {"check": check, "estimate": estimate, "wilson_lo": lo, "wilson_hi": hi, "bound": bound,
+                    "vacuous": vacuous}
+
+        out = [row("hit_within_rho", self.hit_freq, *self.hit_wilson, self.hit_bound, self.hit_vacuous),
+               row(f"depth_ge_{self.k}", self.deep_freq, *self.deep_wilson, self.deep_bound, self.deep_vacuous)]
         for m, st in sorted(self.jump_stats.items()):
-            out.append(
-                {
-                    "check": f"jump_ge_{m}",
-                    "estimate": st["freq"],
-                    "wilson_lo": max(0.0, st["freq"] - 3 * st["se"]),
-                    "wilson_hi": min(1.0, st["freq"] + 3 * st["se"]),
-                    "bound": st["bound"],
-                    "vacuous": st["bound"] >= 1.0,
-                }
-            )
+            out.append(row(f"jump_ge_{m}", st["freq"], max(0.0, st["freq"] - 3 * st["se"]),
+                           min(1.0, st["freq"] + 3 * st["se"]), st["bound"], st["bound"] >= 1.0))
         return out
 
 
@@ -619,10 +599,11 @@ def invariant_suite(
         bits = random_bits(5, rng)
         inst = build_instance(d, bits, rho=p.rho, seed=int(rng.integers(2**32)), sched=sched)
         X = rng.uniform(-3.0, 3.0, size=(p.lipschitz_pairs, d))
-        X /= np.maximum(1.0, np.linalg.norm(X, axis=1, keepdims=True) / 3.0)
+        X /= np.maximum(1.0, np.sqrt(row_dots(X, X))[:, None] / 3.0)
         Y = X + rng.normal(scale=0.5, size=X.shape)
         fx, fy = inst.eval_f_batch(X), inst.eval_f_batch(Y)
-        dist = np.linalg.norm(X - Y, axis=1)
+        D = X - Y
+        dist = np.sqrt(row_dots(D, D))
         ok = dist > 0
         worst_lip = max(worst_lip, float(np.max(np.abs(fx - fy)[ok] / dist[ok])))
         min_f = min(min_f, float(np.min(fx)))

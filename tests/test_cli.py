@@ -388,4 +388,5 @@ def test_run_rejects_bad_flag_values_before_stepping(tmp_path, capsys, monkeypat
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "must be" in err and repr(value) in err
+    assert err.startswith(f"error: --{key} must be")  # the flag, not the library parameter
     assert not list(out.iterdir())

@@ -323,7 +323,7 @@ def test_batch_min_norm_matches_pointwise(inst):
         vals, batch = instance.min_subgrad_norm_batch(X)
         assert vals.tobytes() == instance.eval_f_batch(X).tobytes()
         for i in range(300):
-            assert batch[i] == pytest.approx(np.linalg.norm(instance.min_subgrad(X[i])), abs=1e-13)
+            assert batch[i] == np.linalg.norm(instance.min_subgrad(X[i]))
 
 
 def test_zero_region_boundary_bracket(inst):

@@ -7,15 +7,20 @@ own, through ``np.linalg.norm``, the table's ``__call__`` and ``subdiff``,
 ``cap_value`` and ``cap_slope``.  The arithmetic is the same, so the outputs
 must be equal exactly, not within a tolerance.  Points are drawn at random and also on every kink: the last
 axis, valley breakpoints, x_star, the cap anchor x_star - w, the cap band
-where the ramp is quadratic, and the zero region.
+where the ramp is quadratic, and the zero region.  The batch entry points,
+which run the row kernel over blocks of rows, equal the scalar oracle row by
+row in binary64 on the same points.
 """
+
+import dataclasses
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nshard.embed import build_h, build_instance
+from nshard.embed import HardInstance, build_h, build_instance
 from nshard.hard1d import build_1d_instance
 from nshard.schedule import DEFAULT_SCHEDULE, AngleSchedule
 from oracle_reference import composed_1d, composed_subgrad, composed_value, gap, reference_subgrad
@@ -29,10 +34,10 @@ KINDS = ("uniform", "axis", "breakpoint", "x_star", "anchor", "cap_band", "zero_
 
 
 @st.composite
-def instances(draw):
+def instances(draw, scheds=sched_st):
     d = draw(st.integers(2, 60))
     bits = draw(bits_st)
-    sched = draw(sched_st)
+    sched = draw(scheds)
     if draw(st.booleans()):
         return build_h(d, bits, sched)
     rho = draw(st.floats(1e-6, 0.9))
@@ -93,6 +98,48 @@ def test_fused_oracle_matches_composition(inst, seed):
     for kind in KINDS:
         for _ in range(3):
             _assert_same(inst, _point(inst, kind, rng))
+
+
+def _assert_batch_rows_equal_scalar(inst, X):
+    f = inst.eval_f_batch(X)
+    f2, norms = inst.min_subgrad_norm_batch(X)
+    G = inst._kernel(X, grad=True)[1]  # the kernel's rows, which only a stacked instance hands out
+    for r, x in enumerate(X):
+        v, g = inst.value_and_subgrad(x.copy())  # a fresh row, aligned apart from X
+        assert f[r:r + 1].tobytes() == f2[r:r + 1].tobytes() == np.array([v]).tobytes(), r
+        assert norms[r:r + 1].tobytes() == np.array([np.linalg.norm(g)]).tobytes(), r
+        assert G[r].tobytes() == g.tobytes(), r
+
+
+@SETTINGS
+@given(inst=instances(st.just(DEFAULT_SCHEDULE)), n=st.integers(1, 6), block=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_batch_rows_equal_scalar_oracle(inst, n, block, seed):
+    rng = np.random.default_rng(seed)
+    X = np.array([_point(inst, kind, rng) for kind in KINDS for _ in range(n)])
+    X = X[rng.permutation(len(X))]
+    with patch.object(HardInstance, "BLOCK_BYTES", 8 * inst.d * block):  # blocks of 1 to 16 rows
+        _assert_batch_rows_equal_scalar(inst, X)
+
+
+def test_batch_rows_equal_scalar_oracle_over_full_blocks():
+    inst = build_instance(50, "01101", rho=1e-3, seed=5)
+    rng = np.random.default_rng(9)
+    X = np.array([_point(inst, KINDS[i % len(KINDS)], rng) for i in range(2000)])
+    assert len(X) > 3 * inst.BLOCK_BYTES // (8 * inst.d)
+    _assert_batch_rows_equal_scalar(inst, X)
+    _assert_batch_rows_equal_scalar(inst, np.asfortranarray(X))  # strided rows
+
+
+def test_batch_rows_keep_the_signed_zeros_where_the_ramp_vanishes():
+    # ||z|| underflows to 0 at a point whose leading part holds a -0.0: the scalar
+    # pass skips the ramp there, so the -0.0 of the gradient must stay
+    inst = build_instance(3, "01", rho=1e-3, seed=1)
+    inst = dataclasses.replace(inst, w=np.array([1e-3, -1e-170, 0.0]), _w_unit=None)
+    x = np.array([-1e-3, -0.0, inst.x_star[-1]])
+    g = inst.min_subgrad(x)
+    assert np.signbit(g[1])
+    _assert_batch_rows_equal_scalar(inst, x[None, :])
 
 
 def test_engineered_points_hit_every_branch():

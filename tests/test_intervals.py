@@ -37,6 +37,16 @@ def test_bits_normalization():
         as_bits("012")
 
 
+def test_stacked_bits_name_their_smallest_bad_value():
+    stack = np.array([[0, 1, 5], [3, 1, 0]])
+    assert as_bits(np.array([[0, 1], [1, 0]])).tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(ValueError, match=r"^bits must be 0 or 1, got 3$"):
+        as_bits(stack)
+    stack[1, 2] = -2
+    with pytest.raises(ValueError, match=r"^bits must be 0 or 1, got -2$"):
+        as_bits(stack)
+
+
 def test_phi_images():
     s = DEFAULT_SCHEDULE
     for i in (1, 2, 5, 12, 30):

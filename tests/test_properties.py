@@ -3,10 +3,12 @@
 f is 1-Lipschitz and nonnegative on any pair of points, near or far, and an
 instance written by ``save_instance`` reads back equal through
 ``load_instance``.  A stacked build and a stacked oracle equal, row for row
-and bit for bit, the build and the oracle of each bit string on its own.
+and bit for bit, the build and the oracle of each bit string on its own; so
+do the stacked instance's batch entry points, over blocks of 1 to 16 rows.
 """
 
 import dataclasses
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracle_reference import reference_build_r
 
-from nshard.embed import build_h, build_instance, load_instance, save_instance
+from nshard.embed import HardInstance, build_h, build_instance, load_instance, save_instance
 from nshard.hard1d import build_1d_instance, build_hbar, build_r
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -117,16 +119,21 @@ def _queries(inst, rng):
 
 
 @SETTINGS
-@given(bits=bit_stacks(max_depth=12), d=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
-def test_stacked_oracle_rows_equal_row_oracles(bits, d, seed):
+@given(bits=bit_stacks(max_depth=12), d=st.integers(1, 60), block=st.integers(1, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_oracle_rows_equal_row_oracles(bits, d, block, seed):
     stack, rows = _stacked_and_rows(bits, d)
     X = _queries(stack, np.random.default_rng(seed))
-    values, G = stack.value_and_subgrad(X)
+    with patch.object(HardInstance, "BLOCK_BYTES", 8 * d * block):  # blocks of 1 to 16 rows
+        values, G = stack.value_and_subgrad(X)
+        f, norms = stack.min_subgrad_norm_batch(X) if d > 1 else (values, None)
+        f2 = stack.eval_f_batch(X) if d > 1 else values
     assert values.shape == (len(bits),) and G.shape == (len(bits), d)
     for r, inst in enumerate(rows):
-        v, g = inst.value_and_subgrad(X[r])
-        assert values[r:r + 1].tobytes() == _bytes([v]), r
+        v, g = inst.value_and_subgrad(X[r].copy())
+        assert values[r:r + 1].tobytes() == f[r:r + 1].tobytes() == f2[r:r + 1].tobytes() == _bytes([v]), r
         assert G[r].tobytes() == g.tobytes(), r
+        assert norms is None or norms[r:r + 1].tobytes() == _bytes([np.linalg.norm(g)]), r
 
 
 @SETTINGS
