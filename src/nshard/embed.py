@@ -282,11 +282,8 @@ class HardInstance:
         binary64 arrays.  Non-finite rows are not rejected.
         """
         X = np.ascontiguousarray(X, dtype=float)
-        (R, d), table = X.shape, self.hbar
-        if grad or norms or table.stacked:
-            hv, lo, hi = (np.asarray(a, dtype=float) for a in table.value_and_subdiff(X[:, -1]))
-        else:  # values only: one search
-            hv = table.eval_batch(X[:, -1])
+        R, d = X.shape
+        hv, lo, hi = (np.asarray(a, dtype=float) for a in self.hbar.value_and_subdiff_batch(X[:, -1]))
         f, G, n = np.empty(R), np.empty((R, d)) if grad else None, np.empty(R) if norms else None
         step = max(1, self.BLOCK_BYTES // (8 * d))
         Zbuf, Gbuf = np.empty((min(step, R), d)), np.empty((min(step, R), d))

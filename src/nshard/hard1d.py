@@ -91,25 +91,14 @@ class PiecewiseAffine1D:
         return self.slopes[l], self.slopes[r]
 
     def value_and_subdiff(self, x):
-        """(value, lo, hi) at x from one lookup (b <= x and b < x); equals (self(x), *self.subdiff(x)).
-        A stacked table looks up x[r] in table r; an array x on one table, the binary64 ``_arrays``."""
+        """(value, lo, hi) at x from one table lookup; equals (self(x), *self.subdiff(x))."""
         bp = self.breakpoints
-        if self.stacked:
-            rows, s, r = np.arange(len(bp)), self.slopes, (bp <= x[:, None]).sum(axis=1)
-            a = np.maximum(r - 1, 0)
-            return (np.asarray(self.values)[a] + s[rows, r] * (x - bp[rows, a]),
-                    s[rows, (bp < x[:, None]).sum(axis=1)], s[rows, r])
-        if isinstance(x, np.ndarray):
-            b, v, s = self._arrays()
-            r = np.searchsorted(b, x, side="right")
-            a = np.maximum(r - 1, 0)
-            return v[a] + s[r] * (x - b[a]), s[np.searchsorted(b, x, side="left")], s[r]
         r = bisect.bisect_right(bp, x)
         a = r - 1 if r > 0 else 0
         return (self.values[a] + self.slopes[r] * (x - bp[a]),
                 self.slopes[bisect.bisect_left(bp, x, 0, r)], self.slopes[r])
 
-    # -- batch evaluation (float tables only) ---------------------------------
+    # -- batch evaluation ------------------------------------------------------
 
     def _arrays(self):
         if self._np is None:
@@ -120,12 +109,25 @@ class PiecewiseAffine1D:
             )
         return self._np
 
-    def eval_batch(self, x: np.ndarray) -> np.ndarray:
+    def value_and_subdiff_batch(self, x: np.ndarray):
+        """``value_and_subdiff`` at each entry of an array x, counting b <= x and b < x.  A stacked
+        table looks up x[r] in table r; one table looks up in its binary64 arrays."""
+        if self.stacked:
+            bp, s = self.breakpoints, self.slopes
+            rows, r = np.arange(len(bp)), (bp <= x[:, None]).sum(axis=1)
+            a = np.maximum(r - 1, 0)
+            return (np.asarray(self.values)[a] + s[rows, r] * (x - bp[rows, a]),
+                    s[rows, (bp < x[:, None]).sum(axis=1)], s[rows, r])
         b, v, s = self._arrays()
-        x = np.asarray(x, dtype=float)
-        j = np.searchsorted(b, x, side="right")
-        a = np.maximum(j - 1, 0)
-        return v[a] + s[j] * (x - b[a])
+        r = np.searchsorted(b, x, side="right")
+        a = np.maximum(r - 1, 0)
+        on = b[a] == x  # b < x counts fewer than b <= x only where x sits on a breakpoint
+        l = r.copy()
+        l[on] = np.searchsorted(b, x[on], side="left")
+        return v[a] + s[r] * (x - b[a]), s[l], s[r]
+
+    def eval_batch(self, x: np.ndarray) -> np.ndarray:
+        return self.value_and_subdiff_batch(np.asarray(x, dtype=float))[0]
 
     # -- structure -------------------------------------------------------------
 
@@ -367,7 +369,7 @@ class OneDimInstance:
         if self.pwa.stacked:
             x = np.asarray(x, dtype=float)[:, 0]
             reject_rows(np.isfinite(x), lambda r: f"oracle query at a non-finite point x={float(x[r])!r}")
-            v, lo, hi = self.pwa.value_and_subdiff(x)
+            v, lo, hi = self.pwa.value_and_subdiff_batch(x)
             return v.astype(float), np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0)).astype(float)[:, None]
         x0 = float(np.asarray(x, dtype=float).reshape(-1)[0])
         if not math.isfinite(x0):
@@ -388,7 +390,7 @@ def build_1d_instance(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -
 
 def profile_rows(pwa: PiecewiseAffine1D, lo: float = -1.0, hi: float = 2.0, n: int = 3001):
     xs = np.linspace(lo, hi, n)
-    vals, los, his = pwa.value_and_subdiff(xs)
+    vals, los, his = pwa.value_and_subdiff_batch(xs)
     return [(float(x), float(v), float(a), float(b)) for x, v, a, b in zip(xs, vals, los, his)]
 
 

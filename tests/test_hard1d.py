@@ -314,3 +314,17 @@ def test_extended_stacked_build_and_oracles_equal_row_by_row():
             assert (values[r], slopes[r].tobytes()) == (v, g.tobytes())
             v, g = build_h(5, row, sched).value_and_subgrad(X[r])
             assert (emb_values[r], G[r].tobytes()) == (v, g.tobytes())
+
+
+def test_batch_lookup_equals_scalar_lookup_on_tied_breakpoints():
+    # at depth 24 about 30 neighbouring breakpoints round to the same float
+    rng = np.random.default_rng(4)
+    for N in (3, 24):
+        table, _ = build_hbar(random_bits(N, rng))
+        b = np.asarray(table.breakpoints)
+        assert N < 24 or np.any(np.diff(b) == 0.0)
+        xs = np.concatenate([b, (b[1:] + b[:-1]) / 2, np.nextafter(b, -np.inf), np.nextafter(b, np.inf),
+                             [-np.inf, -1e300, 1e300, np.inf]])
+        values, los, his = table.value_and_subdiff_batch(xs)
+        for x, v, lo, hi in zip(xs, values, los, his):
+            assert (v, lo, hi) == table.value_and_subdiff(float(x)), x
