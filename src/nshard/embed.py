@@ -286,7 +286,8 @@ class HardInstance:
         hv, lo, hi = (np.asarray(a, dtype=float) for a in self.hbar.value_and_subdiff_batch(X[:, -1]))
         f, G, n = np.empty(R), np.empty((R, d)) if grad else None, np.empty(R) if norms else None
         step = max(1, self.BLOCK_BYTES // (8 * d))
-        Zbuf, Gbuf = np.empty((min(step, R), d)), np.empty((min(step, R), d))
+        Zbuf = np.empty((min(step, R), d)) if self.has_cap else None
+        Gbuf = np.empty((min(step, R), d)) if norms and not grad else None
         for a in range(0, R, step):
             rows = slice(a, a + step)
             Xb = X[rows]
