@@ -173,12 +173,12 @@ class HardInstance:
         if not (math.isfinite(pn) and math.isfinite(xd)):
             raise ValueError(f"oracle query at a non-finite point: x_d={xd!r}, ||x_(1:d-1)||={pn!r}")
         hv, lo, hi = self.hbar.value_and_subdiff(xd)
-        h = NORM_WEIGHT * pn + float(hv)
+        h = NORM_WEIGHT * pn + hv
         g = np.zeros(self.d)
         if pn > 0.0:
             g[:-1] = p / (32.0 * pn)
         if not self.has_cap:
-            return x, pn, h, h, g, float(lo), float(hi), None, None
+            return x, pn, h, h, g, lo, hi, None, None
         z = (x - self.x_star) + self.w
         nz = math.sqrt(z.dot(z))
         cap = 0.0
@@ -193,7 +193,7 @@ class HardInstance:
             else:
                 cap, s = q / 4.0 - mu / 8.0, 0.25
             g -= s * (wu - z / (2.0 * nz))
-        return x, pn, h, h - cap, g, float(lo), float(hi), z, nz
+        return x, pn, h, h - cap, g, lo, hi, z, nz
 
     def eval_h(self, x) -> float:
         return self._pass(x)[2]
@@ -274,16 +274,16 @@ class HardInstance:
     BLOCK_BYTES = 256 * 1024  # rows go in blocks of about this many bytes, so temporaries stay in L2
 
     def _kernel(self, X, grad=False, norms=False, pn=None):
-        """``_oracle`` at each row of X (row r on instance r if stacked), bit for bit in binary64.
+        """``_oracle`` at each row of X (row r on instance r if stacked), bit for bit in both
+        precisions, as both read the one binary64 table that ``build_hbar`` rounds.
 
         Returns (f, G, n): the values, the minimal-norm subgradients if ``grad`` and
         their norms if ``norms``.  Norms and dot products are ``row_dots``; ``pn`` are the
-        leading norms if the caller has them.  An extended table is read through its
-        binary64 arrays.  Non-finite rows are not rejected.
+        leading norms if the caller has them.  Non-finite rows are not rejected.
         """
         X = np.ascontiguousarray(X, dtype=float)
         R, d = X.shape
-        hv, lo, hi = (np.asarray(a, dtype=float) for a in self.hbar.value_and_subdiff_batch(X[:, -1]))
+        hv, lo, hi = self.hbar.value_and_subdiff_batch(X[:, -1])
         f, G, n = np.empty(R), np.empty((R, d)) if grad else None, np.empty(R) if norms else None
         step = max(1, self.BLOCK_BYTES // (8 * d))
         Zbuf = np.empty((min(step, R), d)) if self.has_cap else None
@@ -325,12 +325,12 @@ class HardInstance:
         return f, G, n
 
     def eval_f_batch(self, X: np.ndarray) -> np.ndarray:
-        """f at each row of X, equal to ``eval_f`` row by row in binary64."""
+        """f at each row of X, equal to ``eval_f`` row by row."""
         return self._kernel(X)[0]
 
     def min_subgrad_norm_batch(self, X: np.ndarray):
         """(f, ||min_subgrad||) at each row of X, equal to ``eval_f`` and ``np.linalg.norm(min_subgrad)``
-        row by row in binary64, also at the norm kink, the cap anchor and in the zero region."""
+        row by row, also at the norm kink, the cap anchor and in the zero region."""
         f, _, n = self._kernel(X, norms=True)
         return f, n
 
@@ -350,13 +350,7 @@ def build_h(d: int, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> 
     pwa, x_mid = build_hbar(bits, sched)
     x_star = np.zeros(np.shape(x_mid) + (d,))
     x_star[..., -1] = x_mid
-    return HardInstance(
-        d=d,
-        bits=bits,
-        hbar=pwa.scale(0.5),
-        x_star=x_star,
-        precision=sched.backend,
-    )
+    return HardInstance(d=d, bits=bits, hbar=pwa.scale(0.5), x_star=x_star, precision=sched.backend)
 
 
 def build_instance(

@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -111,7 +111,8 @@ class PiecewiseAffine1D:
 
     def value_and_subdiff_batch(self, x: np.ndarray):
         """``value_and_subdiff`` at each entry of an array x, counting b <= x and b < x.  A stacked
-        table looks up x[r] in table r; one table looks up in its binary64 arrays."""
+        table looks up x[r] in table r.  On the binary64 tables of ``build_hbar`` it equals the
+        scalar lookup in both precisions; an extended ``build_r`` table is read rounded."""
         if self.stacked:
             bp, s = self.breakpoints, self.slopes
             rows, r = np.arange(len(bp)), (bp <= x[:, None]).sum(axis=1)
@@ -289,16 +290,18 @@ def eval_r(bits: BitsLike, x, sched: AngleSchedule = DEFAULT_SCHEDULE):
 
 
 def build_hbar(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE):
-    """Shifted table hbar = r_b + 2 - r_b(x_mid) and its minimizer.
+    """Shifted table hbar = r_b + 2 - r_b(x_mid) and its minimizer, rounded once to binary64.
 
-    Returns (table, x_star).  The minimum value is exactly 2 at the x_mid
-    breakpoint by construction of the shift; stacked bits give one per row.
+    Returns (table, x_star).  The shift is taken in the schedule's precision, so the minimum is
+    exactly 2 at x_mid.  Every oracle reads this table: float lists, or arrays for stacked bits.
     """
     r = build_r(bits, sched)
     mid = len(r.values) // 2  # x_mid, breakpoint N+1 of 2N+3
-    r_min = r.values[mid]
-    values = [(v - r_min) + 2 for v in r.values]
-    return replace(r, values=values), r.breakpoints[:, mid] if r.stacked else r.breakpoints[mid]
+    values = [float((v - r.values[mid]) + 2) for v in r.values]
+    bp, slopes = (np.asarray(a, dtype=float) for a in (r.breakpoints, r.slopes))
+    if not r.stacked:
+        return PiecewiseAffine1D(bp.tolist(), values, slopes.tolist()), float(bp[mid])
+    return PiecewiseAffine1D(bp, values, slopes), bp[:, mid]
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +373,17 @@ class OneDimInstance:
             x = np.asarray(x, dtype=float)[:, 0]
             reject_rows(np.isfinite(x), lambda r: f"oracle query at a non-finite point x={float(x[r])!r}")
             v, lo, hi = self.pwa.value_and_subdiff_batch(x)
-            return v.astype(float), np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0)).astype(float)[:, None]
+            return v, np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))[:, None]
         x0 = float(np.asarray(x, dtype=float).reshape(-1)[0])
         if not math.isfinite(x0):
             raise ValueError(f"oracle query at a non-finite point x={x0!r}")
         v, lo, hi = self.pwa.value_and_subdiff(x0)
-        return float(v), np.array([float(lo if lo > 0 else hi if hi < 0 else 0.0)])
+        return v, np.array([lo if lo > 0 else hi if hi < 0 else 0.0])
 
 
 def build_1d_instance(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> OneDimInstance:
     pwa, x_star = build_hbar(bits, sched)
-    return OneDimInstance(pwa, as_bits(bits), x_star.astype(float) if pwa.stacked else float(x_star))
+    return OneDimInstance(pwa, as_bits(bits), x_star)
 
 
 # ---------------------------------------------------------------------------

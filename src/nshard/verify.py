@@ -517,13 +517,12 @@ def invariant_suite(
     lower_ok = all(sched.delta(i) >= math.tan(sched.theta_shift(i)) / 12 for i in range(1, 61))
     rep.add("schedule-delta-lower", lower_ok, min(deltas), 0.0, 0.0, "delta >= tan(shift)/12")
 
-    # interval combinatorics, compared in the local frame of the common prefix
+    # interval combinatorics in the local frame of the common prefix: a child there depends on (k, bit) alone
     depth = p.interval_depth
     worst_nest = np.inf
     for k in range(1, depth + 1):
-        for code in range(2 ** k):
-            bits = tuple((code >> (k - 1 - j)) & 1 for j in range(k))
-            child = interval(bits[-1:], sched, base_level=k)
+        for bit in (0, 1):
+            child = interval((bit,), sched, base_level=k)
             worst_nest = min(worst_nest, child.lo - 0.0, 1.0 - child.hi)
     rep.add("interval-nesting", worst_nest > 1e-12, worst_nest, 1e-12, 1e-12, f"depth <= {depth}, local frames")
     worst_gap = np.inf
@@ -575,7 +574,7 @@ def invariant_suite(
         dual = np.abs(ref - eval_r(bits, xs, sched))
         worst_dual = max(worst_dual, float(np.max(dual / np.maximum(1.0, np.abs(ref)))))
         hbar, x_mid = hard1d.build_hbar(bits, sched)
-        hbar_zero_max = max(hbar_zero_max, float(hbar(0.0)))
+        hbar_zero_max = max(hbar_zero_max, hbar(0.0))
         grid = rng.uniform(-1.0, 2.0, size=500)
         slack = hbar.eval_batch(grid) - (2.0 + np.abs(grid - x_mid) / 8.0)
         worst_growth = min(worst_growth, float(np.min(slack)))
@@ -632,7 +631,7 @@ def invariant_suite(
         kink_pts.append(q)
     for bp in kink_inst.hbar.breakpoints[1:-1]:
         q = rng.uniform(-0.5, 0.5, size=6)
-        q[-1] = float(bp)
+        q[-1] = bp
         kink_pts.append(q)
     worst_kink = max(_fd_gap(kink_inst, x, p.fd_dirs, rng) for x in kink_pts)
     rep.add("f-directional-derivative-kinks", worst_kink <= 1e-4, worst_kink, 1e-4, 0.0,

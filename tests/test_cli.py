@@ -68,6 +68,17 @@ def test_check_passes_and_writes_report(tmp_path):
     assert (out / "report.jsonl").exists()
 
 
+def test_extended_check_passes_every_row(tmp_path):
+    # the embedded oracle reads one binary64 table in both precisions, so the
+    # forward differences at the valley breakpoints see the kinks the subdifferential reports
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["check", "--precision", "extended", "--seed", "0", "--out", str(out)]) == 0
+    rows = list(csv.DictReader((out / "report.csv").open()))
+    assert len(rows) == 22
+    assert [r["check"] for r in rows if r["passed"] != "1"] == []
+
+
 def test_check_mutation_fails_but_writes_report(tmp_path):
     out = tmp_path / "o"
     out.mkdir()

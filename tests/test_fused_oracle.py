@@ -9,7 +9,7 @@ must be equal exactly, not within a tolerance.  Points are drawn at random and a
 axis, valley breakpoints, x_star, the cap anchor x_star - w, the cap band
 where the ramp is quadratic, and the zero region.  The batch entry points,
 which run the row kernel over blocks of rows, equal the scalar oracle row by
-row in binary64 on the same points.
+row on the same points, in both precisions: both read the binary64 table.
 """
 
 import dataclasses
@@ -34,10 +34,10 @@ KINDS = ("uniform", "axis", "breakpoint", "x_star", "anchor", "cap_band", "zero_
 
 
 @st.composite
-def instances(draw, scheds=sched_st):
+def instances(draw):
     d = draw(st.integers(2, 60))
     bits = draw(bits_st)
-    sched = draw(scheds)
+    sched = draw(sched_st)
     if draw(st.booleans()):
         return build_h(d, bits, sched)
     rho = draw(st.floats(1e-6, 0.9))
@@ -112,8 +112,7 @@ def _assert_batch_rows_equal_scalar(inst, X):
 
 
 @SETTINGS
-@given(inst=instances(st.just(DEFAULT_SCHEDULE)), n=st.integers(1, 6), block=st.integers(1, 16),
-       seed=st.integers(0, 2**32 - 1))
+@given(inst=instances(), n=st.integers(1, 6), block=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
 def test_batch_rows_equal_scalar_oracle(inst, n, block, seed):
     rng = np.random.default_rng(seed)
     X = np.array([_point(inst, kind, rng) for kind in KINDS for _ in range(n)])

@@ -292,7 +292,8 @@ def test_profile_rows_match_eval():
 
 
 def test_extended_stacked_build_and_oracles_equal_row_by_row():
-    # the extended schedule runs the stacked build and lookups on object arrays of mpf
+    # the extended schedule runs the stacked build on object arrays of mpf; build_hbar rounds
+    # the oracle tables to binary64 once, so the stacked lookups read float arrays
     sched = AngleSchedule("extended")
     rng = np.random.default_rng(3)
     for N in (1, 4, 9):
@@ -305,6 +306,7 @@ def test_extended_stacked_build_and_oracles_equal_row_by_row():
         X[3, :-1] = 0.0
         values, slopes = line.value_and_subgrad(X[:, -1:])
         emb_values, G = emb.value_and_subgrad(X)
+        assert line.pwa.breakpoints.dtype == line.x_star.dtype == emb.hbar.slopes.dtype == float
         for r, row in enumerate(bits):
             ref = reference_build_r(row, sched)
             assert list(table.breakpoints[r]) == ref.breakpoints
@@ -314,6 +316,7 @@ def test_extended_stacked_build_and_oracles_equal_row_by_row():
             assert (values[r], slopes[r].tobytes()) == (v, g.tobytes())
             v, g = build_h(5, row, sched).value_and_subgrad(X[r])
             assert (emb_values[r], G[r].tobytes()) == (v, g.tobytes())
+            assert type(v) is float  # the one-string table holds Python floats
 
 
 def test_batch_lookup_equals_scalar_lookup_on_tied_breakpoints():
