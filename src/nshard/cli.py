@@ -2,7 +2,8 @@
 
 All randomness flows from one root seed: each command derives independent
 streams via numpy SeedSequence.spawn in a fixed order (bit string, cap
-vector, algorithm, certificates), so identical configs replay bit-identically.
+vector, algorithm, certificates; for ``mc``, one seed per experiment, which
+spawns one Generator per role), so identical configs replay bit-identically.
 Data files carry no timestamps.
 """
 

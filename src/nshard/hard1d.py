@@ -112,17 +112,21 @@ class PiecewiseAffine1D:
     def value_and_subdiff_batch(self, x: np.ndarray):
         """``value_and_subdiff`` at each entry of an array x, counting b <= x and b < x.  A stacked
         table looks up x[r] in table r.  On the binary64 tables of ``build_hbar`` it equals the
-        scalar lookup in both precisions; an extended ``build_r`` table is read rounded."""
+        scalar lookup in both precisions; an extended ``build_r`` table is read rounded.  b < x
+        counts fewer than b <= x only where x sits on a breakpoint, so only there are ties counted."""
         if self.stacked:
             bp, s = self.breakpoints, self.slopes
             rows, r = np.arange(len(bp)), (bp <= x[:, None]).sum(axis=1)
             a = np.maximum(r - 1, 0)
-            return (np.asarray(self.values)[a] + s[rows, r] * (x - bp[rows, a]),
-                    s[rows, (bp < x[:, None]).sum(axis=1)], s[rows, r])
+            b, v = bp[rows, a], np.asarray(self.values)[a]
+            on = b == x
+            l = r.copy()
+            l[on] -= (bp[on] == x[on, None]).sum(axis=1)
+            return v + s[rows, r] * (x - b), s[rows, l], s[rows, r]
         b, v, s = self._arrays()
         r = np.searchsorted(b, x, side="right")
         a = np.maximum(r - 1, 0)
-        on = b[a] == x  # b < x counts fewer than b <= x only where x sits on a breakpoint
+        on = b[a] == x
         l = r.copy()
         l[on] = np.searchsorted(b, x[on], side="left")
         return v[a] + s[r] * (x - b[a]), s[l], s[r]

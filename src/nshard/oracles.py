@@ -1,12 +1,14 @@
 """Local first-order oracle and a small algorithm zoo.
 
 The oracle returns (value, minimal-norm subgradient) and nothing else.  An
-algorithm's ``propose(t, x, response, rngs)`` receives only the (R, d)
-current iterates of R independent runs, the oracle's responses there and one
-seeded random stream per run, and row r of its proposal depends only on row r
-of these and on rngs[r].  This keeps every algorithm in the information model
-under which the hard instances are constructed: no peeking at the bit string,
-the cap vector, or the minimizer.
+algorithm's ``propose(t, x, response, rng)`` receives only the (R, d)
+current iterates of R independent runs, the oracle's responses there and the
+one seeded Generator that the runs share, which it draws from for all rows
+at once ((R, d) noise or directions per step).  Row r of its proposal
+depends only on row r of the iterates, the responses and the draws.  This
+keeps every algorithm in the information model under which the hard
+instances are constructed: no peeking at the bit string, the cap vector, the
+minimizer, or another run's iterates or instance.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 import numpy as np
+
+from .embed import row_dots
 
 
 class OracleResponse(NamedTuple):
@@ -31,39 +35,12 @@ def query(instance, x) -> OracleResponse:
     return OracleResponse(float(v) if np.ndim(v) == 0 else v, np.asarray(g, dtype=float))
 
 
-class Streams(list):
-    """The R Generators of a lockstep loop, streams[r] run r's, that also serve
-    pgd's noise: ``normals(d)`` is the next (R, d) step of N(0, 1) draws, row r
-    from streams[r].  A refill draws up to BLOCK_BYTES per run (5 steps at
-    d = 200, independent of R) into one reused buffer, but at most ``steps``
-    steps in all (then one at a time), so no stream draws ahead of its run."""
-
-    BLOCK_BYTES = 8192
-
-    def __init__(self, rngs, steps: int = 0):
-        super().__init__(rngs)
-        self.left, self.buf, self.next, self.filled = steps, None, 0, 0
-
-    def normals(self, d: int) -> np.ndarray:
-        """The next (R, d) step, a view of the buffer valid until the next call."""
-        if self.buf is None:
-            self.buf = np.empty((len(self), min(max(1, self.BLOCK_BYTES // (8 * d)), max(1, self.left)), d))
-        if self.next == self.filled:
-            self.next, self.filled = 0, min(self.buf.shape[1], max(1, self.left))
-            self.left -= self.filled
-            for rng, out in zip(self, self.buf):
-                rng.standard_normal(out=out[: self.filled])
-        self.next += 1
-        return self.buf[:, self.next - 1]
-
-
-def pgd_step(x, g, eta: float, noise_scale: float, rngs) -> np.ndarray:
-    """One perturbed step per row of x: x - eta * g + xi, with xi the next
-    step of ``Streams.normals`` (rngs may be a plain list of Generators)."""
+def pgd_step(x, g, eta: float, noise_scale: float, rng) -> np.ndarray:
+    """One perturbed step per row of x: x - eta * g + noise_scale * xi, with xi one
+    draw of x's shape from rng (the next (R, d) block of the loop's one stream)."""
     step = x - eta * g
     if noise_scale > 0.0:
-        streams = rngs if isinstance(rngs, Streams) else Streams(rngs)
-        step = step + noise_scale * streams.normals(step.shape[1])
+        step += noise_scale * rng.standard_normal(step.shape)
     return step
 
 
@@ -80,7 +57,7 @@ class SubgradientDescent:
     def __init__(self, eta0: float = 0.1):
         self.eta0 = eta0
 
-    def propose(self, t, x, response, rngs):
+    def propose(self, t, x, response, rng):
         return x - (self.eta0 / np.sqrt(t)) * response.subgrad
 
 
@@ -95,8 +72,8 @@ class PerturbedGD:
         self.eta0 = eta0
         self.noise_scale = noise_scale
 
-    def propose(self, t, x, response, rngs):
-        return pgd_step(x, response.subgrad, self.eta0 / np.sqrt(t), self.noise_scale, rngs)
+    def propose(self, t, x, response, rng):
+        return pgd_step(x, response.subgrad, self.eta0 / np.sqrt(t), self.noise_scale, rng)
 
 
 class RandomSearch:
@@ -110,15 +87,17 @@ class RandomSearch:
         self.radius = radius
         self.center = center
 
-    def propose(self, t, x, response, rngs):
+    def propose(self, t, x, response, rng):
         R, d = x.shape
         center = np.zeros(d) if self.center is None else np.asarray(self.center, dtype=float)
-        u, n, r = np.empty_like(x), np.zeros(R), np.empty(R)
-        for row, rng in enumerate(rngs):
-            while n[row] == 0.0:  # redraw a zero direction
-                rng.standard_normal(out=u[row])
-                n[row] = math.sqrt(u[row].dot(u[row]))  # np.linalg.norm's dot and sqrt
-            r[row] = self.radius * rng.uniform() ** (1.0 / d)
+        u = rng.standard_normal((R, d))
+        n = np.sqrt(row_dots(u, u))  # each row's dot and sqrt, as np.linalg.norm takes them
+        while not n.all():  # redraw the zero directions
+            zero = n == 0.0
+            u[zero] = rng.standard_normal((np.count_nonzero(zero), d))
+            n[zero] = np.sqrt(row_dots(u[zero], u[zero]))
+        # float_power calls libm pow as a float's ** does; np.power's SIMD loop can differ in the last bit
+        r = self.radius * np.float_power(rng.uniform(size=R), 1.0 / d)
         return center + r[:, None] * u / n[:, None]
 
 
@@ -134,7 +113,7 @@ class GridSearch:
         self.lo = lo
         self.hi = hi
 
-    def propose(self, t, x, response, rngs):
+    def propose(self, t, x, response, rng):
         d = x.shape[1]
         per_axis = int(np.floor((self.hi - self.lo) / self.resolution)) + 1
         idx = (t - 1) % per_axis**d
@@ -206,23 +185,22 @@ class Trajectory:
                 w.writerow(row)
 
 
-def lockstep(algorithm, instances, X0, T: int, rngs):
+def lockstep(algorithm, instances, X0, T: int, rng):
     """Drive R = len(X0) independent runs together, one row per run.
 
     Yields (t, X, values, G) for t = 0..T-1: the (R, d) iterates, their
     oracle values (R,) and minimal-norm subgradients (R, d), the last two
-    fresh at each step; no history is kept.  Row r starts at X0[r], queries
-    instance r and draws from rngs[r] only (R distinct Generators, passed on
-    as ``Streams`` over the T - 1 proposals): one stacked instance answers
-    all rows with one ``query`` per step, a list of R instances row by row.
-    A point the oracle rejects (a non-finite one) stops all runs with a
-    ValueError naming its step t (t = 0 for X0) and its row.
+    fresh at each step; no history is kept.  Row r starts at X0[r] and
+    queries instance r: one stacked instance answers all rows with one
+    ``query`` per step, a list of R instances row by row.  The runs share the
+    one Generator rng, which each proposal draws from for all rows at once;
+    row r's proposal reads row r of the iterates, the responses and the
+    draws, and never another row's iterates, responses or instance.  A point
+    the oracle rejects (a non-finite one) stops all runs with a ValueError
+    naming its step t (t = 0 for X0) and its row.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    if len({id(rng) for rng in rngs}) < len(rngs):
-        raise ValueError("rows share a Generator; each run needs its own stream")
-    rngs = Streams(rngs, T - 1)
     X = np.asarray(X0, dtype=float)
     R, d = X.shape
     stacked = not isinstance(instances, (list, tuple))
@@ -230,7 +208,7 @@ def lockstep(algorithm, instances, X0, T: int, rngs):
         # an overflow ends in a non-finite point, which the oracle rejects below
         with np.errstate(over="ignore"):
             if t > 0:
-                X = np.asarray(algorithm.propose(t, X, response, rngs), dtype=float)
+                X = np.asarray(algorithm.propose(t, X, response, rng), dtype=float)
             try:
                 if stacked:  # the oracle's message names the row
                     response = query(instances, X)
@@ -253,7 +231,7 @@ def run(algorithm, instance, x0=None, T: int = 1, seed: int = 0) -> Trajectory:
         x0 = np.zeros(instance.d)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     points, responses = [], []
-    for _, X, values, G in lockstep(algorithm, [instance], x0[None], T, [np.random.default_rng(seed)]):
+    for _, X, values, G in lockstep(algorithm, [instance], x0[None], T, np.random.default_rng(seed)):
         points.append(X[0])
         responses.append(OracleResponse(float(values[0]), G[0]))
     return Trajectory(

@@ -41,10 +41,6 @@ def wilson_interval(successes: int, n: int, z: float = 1.96) -> Tuple[float, flo
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _split_seeds(seed: int, n: int):
-    return np.random.SeedSequence(seed).spawn(n)
-
-
 # ---------------------------------------------------------------------------
 # progress process
 # ---------------------------------------------------------------------------
@@ -136,6 +132,12 @@ def mc_hitting(
     deep the progress process got (one stacked ``locate``).  Estimates come with Wilson
     intervals and are compared to the analytic bounds 16 T / sqrt(log2(1/rho)) and
     min(1, 4T/k); bounds that exceed 1 are flagged vacuous rather than failed.
+
+    The seed spawns one Generator per role, (bits, algorithm), and each role draws for
+    all runs at once: the bits in one (n_runs, N) draw, the algorithm's noise or
+    directions in one (n_runs, d) draw per step.  Run r reads row r of each draw and
+    never another run's iterates, oracle answers or bits, so the information model
+    holds; a single run replays from (seed, n_runs, r).
     """
     if n_runs < 100:
         raise ValueError("n_runs must be at least 100")
@@ -145,12 +147,11 @@ def mc_hitting(
         log2_inv_rho = -math.log2(rho)
     rho_eval = rho if rho is not None else (2.0 ** (-log2_inv_rho) if log2_inv_rho < 1060 else 0.0)
 
-    seeds = [[int(s) for s in child.generate_state(2)] for child in _split_seeds(seed, n_runs)]
-    bits = np.array([random_bits(N, np.random.default_rng(bits_seed)) for bits_seed, _ in seeds])
+    bits_rng, algo_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    bits = bits_rng.integers(0, 2, (n_runs, N))
     inst = build_1d_instance(bits, sched)
-    rngs = [np.random.default_rng(algo_seed) for _, algo_seed in seeds]
     x_last = np.empty((n_runs, T))
-    for t, X, _, _ in lockstep(algorithm, inst, np.full((n_runs, 1), x0), T, rngs):
+    for t, X, _, _ in lockstep(algorithm, inst, np.full((n_runs, 1), x0), T, algo_rng):
         x_last[:, t] = X[:, -1]
     hits = int(np.count_nonzero(np.any(np.abs(x_last - inst.x_star[:, None]) <= rho_eval, axis=1)))
     # the progress process of each run, Z[:, 0] = 0
@@ -225,7 +226,9 @@ def concentration_check(
     lockstep step), and measures max_t <u, (x_t - x_star)/||x_t - x_star||> step by step for an
     independent unit vector u supported on the leading d-1 coordinates.  The
     exceedance probability of 1/3 is compared against T exp(-d/36); for
-    small d the bound exceeds 1 and is flagged vacuous.
+    small d the bound exceeds 1 and is flagged vacuous.  The seed spawns one Generator
+    per role, (bits, algorithm, directions), each drawing for all runs at once, as in
+    ``mc_hitting``; the directions are one (n_runs, d - 1) draw.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -233,19 +236,17 @@ def concentration_check(
 
     if algorithm is None:
         algorithm = PerturbedGD()
-    seeds = [[int(s) for s in child.generate_state(3)] for child in _split_seeds(seed, n_runs)]
-    inst = build_h(d, np.array([random_bits(N, np.random.default_rng(s)) for s, _, _ in seeds]), sched)
-    rngs = [np.random.default_rng(algo_seed) for _, algo_seed, _ in seeds]
+    bits_rng, algo_rng, dir_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
+    inst = build_h(d, bits_rng.integers(0, 2, (n_runs, N)), sched)
+    U = dir_rng.standard_normal((n_runs, d - 1))
     W = np.zeros((n_runs, d))
-    for r, (_, _, w_seed) in enumerate(seeds):
-        u = np.random.default_rng(w_seed).standard_normal(d - 1)
-        W[r, :-1] = u / np.linalg.norm(u)
+    W[:, :-1] = U / np.sqrt(row_dots(U, U))[:, None]
     # running max of each run's alignment; a run whose iterate sits on x_star
     # gives 0/0 = NaN there, which fmax skips; one far out may overflow its
     # norm before the oracle rejects its next point
     align = np.full(n_runs, -np.inf)
     with np.errstate(invalid="ignore", over="ignore"):
-        for _, X, _, _ in lockstep(algorithm, inst, np.zeros((n_runs, d)), T, rngs):
+        for _, X, _, _ in lockstep(algorithm, inst, np.zeros((n_runs, d)), T, algo_rng):
             diffs = X - inst.x_star
             align = np.fmax(align, np.einsum("ij,ij->i", diffs, W) / np.linalg.norm(diffs, axis=1))
     exceed = int(np.count_nonzero(align >= 1.0 / 3.0))

@@ -18,10 +18,16 @@
 * ``reference_descend`` / ``reference_eval_r``: the interval descent and the
   recursive evaluator of r_b one point at a time, which the array descent
   and ``eval_r`` must reproduce bit for bit on every point.
+* ``RowOf`` / ``row_run``: run r of R driven on its own, a one-row
+  ``lockstep`` that keeps row r of each (R, ·) draw from the Generator the R
+  runs share.
 * ``reference_mc_hitting`` / ``reference_concentration_check``: the
-  Monte-Carlo experiments one run after another, each run a one-row
-  ``run``, which the lockstep experiments must reproduce (the alignment to
-  rounding: a row dot differs from a matrix-vector product in the last bit).
+  Monte-Carlo experiments one run after another, run r a ``row_run`` on
+  row r of each role's draws, which the lockstep experiments must reproduce
+  (the alignment to rounding: a row dot differs from a matrix-vector product
+  in the last bit).
+* ``max_boundary_ties``: float points where h equals the cap exactly, the
+  max boundary that no drawn point reaches.
 * ``reference_local_decrease_certificate``: the certificate that runs the
   flow over its whole arc and keeps the arc's best point, then the ball
   samples; the certificate whose flow stops at its first witness must agree
@@ -34,14 +40,13 @@ import numpy as np
 
 from nshard.embed import NORM_WEIGHT, SubgradientSet, build_h, cap_slope, cap_value
 from nshard.hard1d import PiecewiseAffine1D, build_1d_instance
-from nshard.intervals import as_bits, interval, random_bits
-from nshard.oracles import PerturbedGD, run
+from nshard.intervals import as_bits, interval
+from nshard.oracles import OracleResponse, PerturbedGD, Trajectory, lockstep
 from nshard.schedule import DEFAULT_SCHEDULE
 from nshard.verify import (
     CertResult,
     ConcentrationReport,
     HittingReport,
-    _split_seeds,
     progress_process,
     subgradient_flow,
     wilson_interval,
@@ -320,6 +325,31 @@ def reference_eval_r(bits, x, sched=DEFAULT_SCHEDULE):
     return v
 
 
+class RowOf:
+    """Row r of the Generator rng that R lockstep runs share.  A draw for one row
+    (shape (1, d) or size 1) draws for all R rows and keeps row r, so a one-row run
+    reads what row r of the R-row loop reads.  A random-search redraw matches only
+    where every row redraws, as after an all-zero draw."""
+
+    def __init__(self, rng, R, r):
+        self.rng, self.R, self.r = rng, R, r
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal((self.R,) + tuple(size[1:]))[self.r:self.r + 1]
+
+    def uniform(self, size):
+        return self.rng.uniform(size=self.R)[self.r:self.r + 1]
+
+
+def row_run(algorithm, inst, x0, T, rng) -> Trajectory:
+    """``run`` from x0, drawing from rng (a ``RowOf``) instead of a seed."""
+    points, responses = [], []
+    for _, X, values, G in lockstep(algorithm, [inst], np.atleast_1d(x0)[None], T, rng):
+        points.append(X[0])
+        responses.append(OracleResponse(float(values[0]), G[0]))
+    return Trajectory(algorithm.name, 0, np.stack(points), responses, inst)
+
+
 def reference_mc_hitting(algorithm, T, k, N, n_runs, seed=0, rho=None, log2_inv_rho=None, m_max=6,
                          x0=0.0, sched=DEFAULT_SCHEDULE) -> HittingReport:
     """``mc_hitting`` with each run's trajectory driven on its own."""
@@ -330,11 +360,12 @@ def reference_mc_hitting(algorithm, T, k, N, n_runs, seed=0, rho=None, log2_inv_
     deep = 0
     jump_counts = {m: 0 for m in range(1, m_max + 1)}
     jump_trials = 0
-    for child in _split_seeds(seed, n_runs):
-        bits_seed, algo_seed = (int(s) for s in child.generate_state(2))
-        bits = random_bits(N, np.random.default_rng(bits_seed))
+    bits_ss, algo_ss = np.random.SeedSequence(seed).spawn(2)
+    all_bits = np.random.default_rng(bits_ss).integers(0, 2, (n_runs, N))
+    for r in range(n_runs):
+        bits = as_bits(all_bits[r])
         inst = build_1d_instance(bits, sched)
-        traj = run(algorithm, inst, np.array([x0]), T, seed=algo_seed)
+        traj = row_run(algorithm, inst, x0, T, RowOf(np.random.default_rng(algo_ss), n_runs, r))
         dists = np.abs(traj.points[:, -1] - inst.x_star)
         if np.any(dists <= rho_eval):
             hits += 1
@@ -370,14 +401,13 @@ def reference_concentration_check(d, T, n_runs, seed=0, algorithm=None, N=5,
         algorithm = PerturbedGD()
     exceed = 0
     max_align = -np.inf
-    for child in _split_seeds(seed, n_runs):
-        bits_seed, algo_seed, w_seed = (int(s) for s in child.generate_state(3))
-        bits = random_bits(N, np.random.default_rng(bits_seed))
-        inst = build_h(d, bits, sched)
-        traj = run(algorithm, inst, np.zeros(d), T, seed=algo_seed)
-        wrng = np.random.default_rng(w_seed)
-        u = wrng.standard_normal(d - 1)
-        u /= np.linalg.norm(u)
+    bits_ss, algo_ss, dir_ss = np.random.SeedSequence(seed).spawn(3)
+    all_bits = np.random.default_rng(bits_ss).integers(0, 2, (n_runs, N))
+    U = np.random.default_rng(dir_ss).standard_normal((n_runs, d - 1))
+    for r in range(n_runs):
+        inst = build_h(d, as_bits(all_bits[r]), sched)
+        traj = row_run(algorithm, inst, np.zeros(d), T, RowOf(np.random.default_rng(algo_ss), n_runs, r))
+        u = U[r] / np.linalg.norm(U[r])
         w_unit = np.zeros(d)
         w_unit[:-1] = u
         diffs = traj.points - inst.x_star
@@ -394,6 +424,29 @@ def reference_concentration_check(d, T, n_runs, seed=0, algorithm=None, N=5,
         d=d, T=T, n_runs=n_runs, exceed_freq=exceed / n_runs, wilson=wilson_interval(exceed, n_runs),
         bound=bound, vacuous=bound >= 1.0, max_alignment=float(max_align),
     )
+
+
+def max_boundary_ties(inst, want=2, span=4000):
+    """Float points where the change-of-sign tie is hit exactly: the sign change of f
+    on the ray x_star - w + s w_unit by bisection, then s one float at a time."""
+    ray = lambda s: inst.x_star + s * inst.w_unit - inst.w
+    lo, hi = 1.0, 60.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if inst.eval_f(ray(mid)) > 0:
+            lo = mid
+        else:
+            hi = mid
+    ties = []
+    for direction in (np.inf, -np.inf):
+        s = lo
+        for _ in range(span):
+            s = np.nextafter(s, direction)
+            x = ray(s)
+            if inst.subgrad(x).case == "max_boundary":
+                ties.append(x)
+                if len(ties) >= want:
+                    return ties
+    return ties
 
 
 def reference_local_decrease_certificate(instance, x, delta, c=0.01, eta=None, n_samples=1000,

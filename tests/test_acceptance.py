@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracle_reference import max_boundary_ties
 
 from nshard.cli import main
 from nshard.embed import build_instance
@@ -164,30 +165,6 @@ def test_c06_stationarity_sweep():
     _finish(6, "stationarity-sweep", t0, 60.0, f"min norm {overall:.6f}")
 
 
-def _max_boundary_ties(inst, want=2, span=4000):
-    """Float points where the change-of-sign tie is hit exactly."""
-    xs = inst.x_star
-    ray = lambda s: xs + s * inst.w_unit - inst.w
-    lo, hi = 1.0, 60.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if inst.eval_f(ray(mid)) > 0:
-            lo = mid
-        else:
-            hi = mid
-    ties = []
-    for direction in (np.inf, -np.inf):
-        s = lo
-        for _ in range(span):
-            s = np.nextafter(s, direction)
-            x = ray(s)
-            if inst.subgrad(x).case == "max_boundary":
-                ties.append(x)
-                if len(ties) >= want:
-                    return ties
-    return ties
-
-
 def test_c07_fd_regularity():
     t0 = time.time()
     d = 10
@@ -217,7 +194,7 @@ def test_c07_fd_regularity():
         engineered.append(inst.x_star + tmul * wn * inst.w_unit)  # valley kink, cap active
     engineered.append(inst.x_star - 0.5 * inst.w_unit)  # cap strictly off, valley kink
     engineered.append(inst.x_star + 0.5 * inst.w_unit)  # cap linear branch, valley kink
-    engineered.extend(_max_boundary_ties(inst, want=2))
+    engineered.extend(max_boundary_ties(inst, want=2))
     assert len(engineered) >= 30
 
     worst = 0.0

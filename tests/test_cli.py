@@ -177,13 +177,16 @@ def test_mc_replay_bit_identical(tmp_path):
     assert file_hashes(out) == first
 
 
-# sha256 of mc_report.csv, recorded from the serial per-run loops that the
-# lockstep Monte-Carlo replaced; any change to these bytes must say why
+# sha256 of mc_report.csv, re-recorded when each experiment came to draw from
+# one Generator per role (bits, algorithm, directions) in (R, ·) blocks instead
+# of one seed per run; the lockstep experiments equal the serial per-run
+# references of oracle_reference on that layout; any change to these bytes
+# must say why
 MC_GOLDEN = {
-    "sgd": "2a3a7ad5390d8a9c2d23d6bf884bbd94d20301761c46285a9a1ca18599925730",
-    "pgd": "64c910519272c038fa81045dd24dfe1bd8919f823c2b139fe5ffa1b7c2e766a8",
-    "random": "b56e1dc919cf63c1d97225247f3e3cbf15b1362356f8960fa36992e8a775f326",
-    "grid": "7ef995313f32bb822224029260d21ab89b97f04f9c249e35fe27621cbed48e07",
+    "sgd": "2b319e5fb256b4bde23954aaa801ba3f460abfb3afe8b520c57ebd9b8863c675",
+    "pgd": "cdcef3b93612227d02a24200198f3998ff3b26da968c0aecdd91a4bae4a79dd4",
+    "random": "55a9dbbc83b8ef12a2d0c0a5b9deb935aeceba4eacd570580c85f9a7cbac61db",
+    "grid": "a63ce38e0580e0aa199c032902d880bbf15c8fd1597efd8992151a5aaa93e315",
 }
 
 
@@ -196,9 +199,9 @@ def test_mc_report_matches_golden_digest(tmp_path, algo):
     assert file_hashes(out)["mc_report.csv"] == MC_GOLDEN[algo]
 
 
-# sha256 of mc_report.csv in extended precision, recorded from the per-row
-# oracle loop before one stacked instance answered each lockstep step
-MC_EXTENDED_GOLDEN = "e155e4845559d94485235f6eb4ffb2d368b5f3f5f778ee250625371fca3c36cd"
+# sha256 of mc_report.csv in extended precision, re-recorded with MC_GOLDEN
+# for the per-role seed layout
+MC_EXTENDED_GOLDEN = "5a0e98dac93124a05f770162f27fcf0dac50a706056469f2930c2218ff3eeacb"
 
 
 def test_mc_extended_report_matches_golden_digest(tmp_path):
@@ -325,7 +328,7 @@ class ProposesNaNInRow:
 
     name = "nan"
 
-    def propose(self, t, x, response, rngs):
+    def propose(self, t, x, response, rng):
         x = x + 1.0
         if t == 3:
             x[37, 0] = np.nan

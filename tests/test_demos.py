@@ -1,8 +1,7 @@
 """The demos run to completion and print their walk-through.
 
 Each demo writes its files under ``out/`` next to itself, so each runs from a
-copy in ``tmp_path`` and ``demos/out`` is left alone.  ``03_hitting_experiment.py``
-is left out: its 20 000-run deep experiment takes about 10 s.
+copy in ``tmp_path`` and ``demos/out`` is left alone.
 """
 
 import os
@@ -19,7 +18,7 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.mark.parametrize("name", ["01_build_and_profile.py", "02_oracle_and_algorithms.py",
-                                  "04_certify_everything.py"])
+                                  "03_hitting_experiment.py", "04_certify_everything.py"])
 def test_demo_runs(tmp_path, name):
     script = shutil.copy(DEMOS / name, tmp_path / name)
     env = dict(os.environ, PYTHONPATH=str(Path(nshard.__file__).resolve().parent.parent))

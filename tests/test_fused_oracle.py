@@ -7,7 +7,8 @@ own, through ``np.linalg.norm``, the table's ``__call__`` and ``subdiff``,
 ``cap_value`` and ``cap_slope``.  The arithmetic is the same, so the outputs
 must be equal exactly, not within a tolerance.  Points are drawn at random and also on every kink: the last
 axis, valley breakpoints, x_star, the cap anchor x_star - w, the cap band
-where the ramp is quadratic, and the zero region.  The batch entry points,
+where the ramp is quadratic, the zero region, and (for the batch entry
+points) the max boundary psi = 0, where h equals the cap.  The batch entry points,
 which run the row kernel over blocks of rows, equal the scalar oracle row by
 row on the same points, in both precisions: both read the binary64 table.
 """
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from nshard.embed import HardInstance, build_h, build_instance
 from nshard.hard1d import build_1d_instance
 from nshard.schedule import DEFAULT_SCHEDULE, AngleSchedule
-from oracle_reference import composed_1d, composed_subgrad, composed_value, gap, reference_subgrad
+from oracle_reference import composed_1d, composed_subgrad, composed_value, gap, max_boundary_ties, reference_subgrad
 
 EXTENDED = AngleSchedule("extended")
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -115,7 +116,8 @@ def _assert_batch_rows_equal_scalar(inst, X):
 @given(inst=instances(), n=st.integers(1, 6), block=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
 def test_batch_rows_equal_scalar_oracle(inst, n, block, seed):
     rng = np.random.default_rng(seed)
-    X = np.array([_point(inst, kind, rng) for kind in KINDS for _ in range(n)])
+    ties = max_boundary_ties(inst, span=64) if inst.has_cap else []  # psi == 0, which no drawn point hits
+    X = np.array([_point(inst, kind, rng) for kind in KINDS for _ in range(n)] + ties)
     X = X[rng.permutation(len(X))]
     with patch.object(HardInstance, "BLOCK_BYTES", 8 * inst.d * block):  # blocks of 1 to 16 rows
         _assert_batch_rows_equal_scalar(inst, X)
@@ -142,11 +144,14 @@ def test_batch_rows_keep_the_signed_zeros_where_the_ramp_vanishes():
 
 
 def test_engineered_points_hit_every_branch():
-    """The point kinds above reach the zero region, the cap band and both kinks."""
+    """The point kinds above reach the zero region, the cap band and both kinks;
+    ``max_boundary_ties`` reaches the max boundary."""
     inst = build_instance(7, "0110", rho=0.25, seed=4)
     rng = np.random.default_rng(0)
     cases = {inst.subgrad(_point(inst, kind, rng)).case for kind in KINDS for _ in range(20)}
     assert {"zero_region", "at_minimizer", "at_cap_anchor", "off_slice"} <= cases
+    assert "max_boundary" not in cases
+    assert {inst.subgrad(x).case for x in max_boundary_ties(inst, span=64)} == {"max_boundary"}
     assert cases & {"slice_cap_band_near", "slice_cap_band_far"}
     band = [_point(inst, "cap_band", rng) for _ in range(20)]
     gaps = [gap(inst, x - inst.x_star) for x in band]

@@ -331,3 +331,21 @@ def test_batch_lookup_equals_scalar_lookup_on_tied_breakpoints():
         values, los, his = table.value_and_subdiff_batch(xs)
         for x, v, lo, hi in zip(xs, values, los, his):
             assert (v, lo, hi) == table.value_and_subdiff(float(x)), x
+
+
+def test_stacked_lookup_equals_one_table_lookup_at_breakpoints():
+    # row r of a stacked lookup reads table r as the one-table branch does, on every breakpoint
+    # of its row (tied ones included at N = 24), beside it, and on other rows' breakpoints
+    rng = np.random.default_rng(5)
+    for N in (3, 24):
+        bits = rng.integers(0, 2, size=(20, N))
+        stack, _ = build_hbar(bits)
+        b = stack.breakpoints
+        assert N < 24 or np.any(np.diff(b, axis=1) == 0.0)
+        tables = [build_hbar(row)[0] for row in bits]
+        columns = [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), np.roll(b, 1, axis=0)]
+        for x in np.concatenate(columns, axis=1).T:
+            got = stack.value_and_subdiff_batch(x)
+            for r, table in enumerate(tables):
+                want = table.value_and_subdiff_batch(x[r:r + 1])
+                assert [g[r:r + 1].tobytes() for g in got] == [w.tobytes() for w in want], (N, r, x[r])

@@ -1,16 +1,17 @@
 """The lockstep loop against one-row runs, and the lockstep Monte-Carlo
-experiments against the serial per-run loops they replaced.
+experiments against the serial per-run loops they replaced.  The R rows share
+one Generator; the one-row runs replay row r of each (R, ·) draw from it.
 
 Every configuration is fixed, so the tests are deterministic.
 """
 
 import numpy as np
 import pytest
-from oracle_reference import reference_concentration_check, reference_mc_hitting
+from oracle_reference import RowOf, reference_concentration_check, reference_mc_hitting, row_run
 
 from nshard.embed import build_h, build_instance
 from nshard.hard1d import build_1d_instance
-from nshard.oracles import GridSearch, PerturbedGD, RandomSearch, SubgradientDescent, lockstep, run
+from nshard.oracles import GridSearch, PerturbedGD, RandomSearch, SubgradientDescent, lockstep
 from nshard.verify import concentration_check, mc_hitting
 
 ALGOS = {
@@ -20,13 +21,13 @@ ALGOS = {
     "random": lambda: RandomSearch(radius=1.5),
     "grid": lambda: GridSearch(resolution=0.1),
 }
-ZERO_SEED = 4242  # the row whose first Gaussian draw is all zeros
+SEED = 4242
 default_rng = np.random.default_rng
 
 
 class ZeroFirstDraw:
     """A Generator whose first ``standard_normal`` result is all zeros, so that
-    RandomSearch must redraw; counts its ``standard_normal`` calls."""
+    RandomSearch must redraw every row; counts its ``standard_normal`` calls."""
 
     def __init__(self, seed):
         self.gen = default_rng(seed)
@@ -53,30 +54,30 @@ def _rows(d):
                  build_instance(d, "011", rho=1e-3, seed=2)]
     X0 = np.linspace(-0.5, 1.5, 5 * d).reshape(5, d)
     X0[0] = 0.0
-    return insts, X0, [11, 12, 13, ZERO_SEED, 15]
+    return insts, X0
 
 
 @pytest.mark.parametrize("d", [1, 4, 9])
 @pytest.mark.parametrize("name", sorted(ALGOS))
-def test_lockstep_rows_equal_one_row_runs(monkeypatch, name, d):
+def test_lockstep_rows_equal_one_row_runs(name, d):
     T = 12
-    insts, X0, seeds = _rows(d)
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: ZeroFirstDraw(seed) if seed == ZERO_SEED else default_rng(seed))
-    rngs = [np.random.default_rng(s) for s in seeds]
-    steps = list(lockstep(ALGOS[name](), insts, X0, T, rngs))
+    insts, X0 = _rows(d)
+    rng = ZeroFirstDraw(SEED)
+    steps = list(lockstep(ALGOS[name](), insts, X0, T, rng))
     assert [t for t, _, _, _ in steps] == list(range(T))
     for r in range(5):
-        traj = run(ALGOS[name](), insts[r], X0[r], T, seed=seeds[r])
+        traj = row_run(ALGOS[name](), insts[r], X0[r], T, RowOf(ZeroFirstDraw(SEED), 5, r))
         for t, X, values, G in steps:
             assert X[r].tobytes() == traj.points[t].tobytes(), (r, t)
             assert values[r:r + 1].tobytes() == np.float64(traj.responses[t].value).tobytes(), (r, t)
             assert G[r].tobytes() == traj.responses[t].subgrad.tobytes(), (r, t)
     if name == "random":
         # the zero draw was redrawn: one extra call in the first proposal
-        assert rngs[3].normal_calls == T
+        assert rng.normal_calls == T
     if name == "grid":
         assert all(np.all(X == X[0]) for t, X, _, _ in steps if t > 0)
+    if name == "sgd":
+        assert rng.normal_calls == 0
 
 
 HITTING = [  # (T, k, N, rho, seed)

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from test_lockstep import ALGOS, ZERO_SEED, ZeroFirstDraw, _rows, default_rng
+from test_lockstep import ALGOS, SEED, ZeroFirstDraw, _rows, default_rng
 
 from nshard.embed import build_h, build_instance
 from nshard.hard1d import build_1d_instance
@@ -12,7 +12,6 @@ from nshard.oracles import (
     GridSearch,
     PerturbedGD,
     RandomSearch,
-    Streams,
     SubgradientDescent,
     lockstep,
     make_algorithm,
@@ -98,8 +97,8 @@ def test_pgd_step_noise_is_mean_zero():
     g = np.array([1.0, 1.0])
     s = 0.3
     rng = np.random.default_rng(7)
-    # 10 000 rows that all draw from the one stream, row after row
-    draws = pgd_step(np.tile(x, (10000, 1)), np.tile(g, (10000, 1)), 0.2, s, [rng] * 10000)
+    # 10 000 rows that draw from the one stream in one (R, d) block
+    draws = pgd_step(np.tile(x, (10000, 1)), np.tile(g, (10000, 1)), 0.2, s, rng)
     target = x - 0.2 * g
     assert np.all(np.abs(draws.mean(axis=0) - target) <= 4 * s / 100.0)
 
@@ -152,11 +151,11 @@ def test_make_algorithm_unknown():
 
 def test_algorithms_structurally_local(inst):
     # the propose interface admits only the current iterates, the responses
-    # there, and one random stream per row; algorithm objects hold no
-    # instance reference
+    # there, and the one random stream the rows share; algorithm objects hold
+    # no instance reference
     for cls in ALGORITHMS.values():
         params = list(inspect.signature(cls.propose).parameters)
-        assert params == ["self", "t", "x", "response", "rngs"]
+        assert params == ["self", "t", "x", "response", "rng"]
     for name in ALGORITHMS:
         algo = make_algorithm(name)
         run(algo, inst, np.zeros(4), 5, seed=1)
@@ -217,7 +216,7 @@ class ProposesNaN:
     def __init__(self, row: int = 0):
         self.row = row
 
-    def propose(self, t, x, response, rngs):
+    def propose(self, t, x, response, rng):
         x = x + np.eye(x.shape[1])[0]
         if t == 3:
             x[self.row, 0] = np.nan
@@ -232,8 +231,7 @@ def test_run_names_the_step_of_a_non_finite_proposal(inst):
 
 
 def test_lockstep_names_the_step_and_row_of_a_non_finite_proposal(inst):
-    steps = lockstep(ProposesNaN(row=2), [inst] * 5, np.zeros((5, 4)), 6,
-                     [np.random.default_rng(r) for r in range(5)])
+    steps = lockstep(ProposesNaN(row=2), [inst] * 5, np.zeros((5, 4)), 6, default_rng(0))
     seen = []
     with pytest.raises(ValueError, match=r"step t=3: row 2: .*non-finite"):
         for t, X, values, G in steps:
@@ -244,17 +242,14 @@ def test_lockstep_names_the_step_and_row_of_a_non_finite_proposal(inst):
 
 @pytest.mark.parametrize("d", [1, 4, 9])
 @pytest.mark.parametrize("name", sorted(ALGOS))
-def test_lockstep_on_a_stacked_instance_equals_the_row_loop(monkeypatch, name, d):
+def test_lockstep_on_a_stacked_instance_equals_the_row_loop(name, d):
     T = 12
     bits = np.array([[0, 1, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 0], [0, 1, 1, 0]])
     stack = build_1d_instance(bits) if d == 1 else build_h(d, bits)
     insts = [build_1d_instance(b) if d == 1 else build_h(d, b) for b in bits]
     X0 = _rows(d)[1]
-    monkeypatch.setattr(np.random, "default_rng",
-                        lambda seed: ZeroFirstDraw(seed) if seed == ZERO_SEED else default_rng(seed))
-    seeds = [11, 12, 13, ZERO_SEED, 15]
-    rows = list(lockstep(ALGOS[name](), insts, X0, T, [np.random.default_rng(s) for s in seeds]))
-    steps = list(lockstep(ALGOS[name](), stack, X0, T, [np.random.default_rng(s) for s in seeds]))
+    rows = list(lockstep(ALGOS[name](), insts, X0, T, ZeroFirstDraw(SEED)))
+    steps = list(lockstep(ALGOS[name](), stack, X0, T, ZeroFirstDraw(SEED)))
     assert len(steps) == T
     for (t, X, values, G), (u, Y, want_values, want_G) in zip(steps, rows):
         assert t == u
@@ -270,55 +265,58 @@ def test_stacked_capped_instance_is_refused():
 
 def test_lockstep_on_a_stacked_instance_names_the_step_and_row_of_a_non_finite_proposal():
     stack = build_h(4, np.array([[0, 1], [1, 0], [1, 1], [0, 0], [0, 1]]))
-    steps = lockstep(ProposesNaN(row=2), stack, np.zeros((5, 4)), 6, [np.random.default_rng(r) for r in range(5)])
+    steps = lockstep(ProposesNaN(row=2), stack, np.zeros((5, 4)), 6, default_rng(0))
     with pytest.raises(ValueError, match=r"^run stopped at step t=3: row 2: oracle query at a non-finite point"):
         for _ in steps:
             pass
 
 
-STREAM_CASES = [  # (T, d, noise_scale): the draws of T - 1 steps, in blocks of Streams.BLOCK_BYTES // (8 d)
+STREAM_CASES = [  # (T, d, noise_scale): the draws of T - 1 steps, one (R, d) block per step
     (1, 3, 0.1),  # no proposal, no draw
     (2, 3, 0.1),  # one step
-    (13, 200, 0.1),  # 12 steps in blocks of 5, the last one short
-    (6, 1500, 0.1),  # blocks of one step
-    (40, 1, 0.1),  # the whole run in one block
+    (13, 200, 0.1),
+    (6, 1500, 0.1),
+    (40, 1, 0.1),
     (9, 4, 0.0),  # no noise, no draw
 ]
 
 
 @pytest.mark.parametrize("T,d,noise", STREAM_CASES)
 def test_pgd_lockstep_draws_as_per_step_draws(T, d, noise):
-    """Each Generator ends where T - 1 one-step draws leave it, and every
-    proposal is x - eta g + noise xi with xi that step's one-step draw."""
+    """Every proposal is x - eta g + noise xi, with xi that step's (R, d) draw
+    from the one Generator, which ends where T - 1 such draws leave it."""
     R, eta = 4, 0.1
     bits = np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 1]])
     stack = build_1d_instance(bits) if d == 1 else build_h(d, bits)
-    rngs, ref = [default_rng(s) for s in range(R)], [default_rng(s) for s in range(R)]
+    rng, ref = default_rng(SEED), default_rng(SEED)
     prev = None
-    for t, X, values, G in lockstep(PerturbedGD(eta0=eta, noise_scale=noise), stack, np.zeros((R, d)), T, rngs):
+    for t, X, values, G in lockstep(PerturbedGD(eta0=eta, noise_scale=noise), stack, np.zeros((R, d)), T, rng):
         if t > 0:
             want = prev[0] - (eta / np.sqrt(t)) * prev[1]
             if noise > 0:
-                want = want + noise * np.stack([rng.standard_normal(d) for rng in ref])
+                want = want + noise * ref.standard_normal((R, d))
             assert X.tobytes() == want.tobytes(), t
         prev = X, G.copy()
-    for rng, want in zip(rngs, ref):
-        assert rng.bit_generator.state == want.bit_generator.state
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
-def test_streams_block_depends_on_d_and_steps_only():
-    for R in (1, 7):
-        streams = Streams([default_rng(r) for r in range(R)], steps=12)
-        streams.normals(200)
-        assert streams.buf.shape == (R, 5, 200)
-    streams = Streams([default_rng(0)], steps=49)
-    assert streams.normals(1).shape == (1, 1) and streams.buf.shape == (1, 49, 1)
-
-
-def test_lockstep_rejects_rows_that_share_a_generator(inst):
-    rng = default_rng(0)
-    with pytest.raises(ValueError, match="share a Generator"):
-        next(lockstep(PerturbedGD(), [inst] * 3, np.zeros((3, 4)), 2, [rng, default_rng(1), rng]))
+@pytest.mark.parametrize("name", ["pgd", "random"])
+def test_lockstep_rows_never_see_another_rows_iterates(name):
+    """Moving one row's start changes no other row's iterates: the rows share
+    a Generator's draws, not their iterates, responses or instances."""
+    d, T = 6, 10
+    stack = build_h(d, np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 1], [1, 0, 1]]))
+    X0 = _rows(d)[1]
+    base = [X.copy() for _, X, _, _ in lockstep(ALGOS[name](), stack, X0, T, default_rng(SEED))]
+    for r in range(len(X0)):
+        moved = X0.copy()
+        moved[r] += 0.25
+        steps = [X.copy() for _, X, _, _ in lockstep(ALGOS[name](), stack, moved, T, default_rng(SEED))]
+        if name == "pgd":  # row r's own iterates do move
+            assert steps[-1][r].tobytes() != base[-1][r].tobytes()
+        others = np.arange(len(X0)) != r
+        for t, (X, want) in enumerate(zip(steps, base)):
+            assert X[others].tobytes() == want[others].tobytes(), (r, t)
 
 
 @pytest.mark.parametrize("algo,key,value", [
