@@ -4,72 +4,21 @@ Builds randomized convex 1D functions with nested-interval structure, embeds
 them in R^d behind a smooth directional cap, exposes the result through a
 local first-order oracle (value + minimal-norm Clarke subgradient), and ships
 the experiment and certification machinery for every checkable property of
-the construction.
+the construction.  The package exports what the command line, the demos and
+the README use; everything else is reached through its module.
 """
 
 from .schedule import AngleSchedule, DEFAULT_SCHEDULE
-from .intervals import (
-    AffineMap,
-    Interval,
-    as_bits,
-    bits_to_str,
-    interval,
-    locate,
-    phi,
-    random_bits,
-    separation_depth,
-    separation_margins,
-)
-from .hard1d import (
-    OneDimInstance,
-    PiecewiseAffine1D,
-    ScheduleParams,
-    build_1d_instance,
-    build_hbar,
-    build_r,
-    eval_r,
-    schedule_params,
-    write_profile_csv,
-)
-from .embed import (
-    HardInstance,
-    SubgradientSet,
-    build_h,
-    build_instance,
-    cap_slope,
-    cap_value,
-    choose_w_mu,
-    load_instance,
-    save_instance,
-)
-from .oracles import (
-    ALGORITHMS,
-    GridSearch,
-    OracleResponse,
-    PerturbedGD,
-    RandomSearch,
-    SubgradientDescent,
-    Trajectory,
-    make_algorithm,
-    pgd_step,
-    query,
-    run,
-)
+from .intervals import interval, locate, random_bits
+from .hard1d import build_1d_instance, build_hbar, build_r, eval_r, write_profile_csv
+from .embed import build_instance
+from .oracles import PerturbedGD, RandomSearch, make_algorithm, query, run
 from .verify import (
-    CertificateReport,
-    CertResult,
-    ConcentrationReport,
-    FlowResult,
-    HittingReport,
-    ProgressProcess,
-    SuiteParams,
     concentration_check,
     invariant_suite,
     local_decrease_certificate,
     mc_hitting,
     progress_process,
-    subgradient_flow,
-    wilson_interval,
 )
 
 __version__ = "0.1.0"

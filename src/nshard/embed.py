@@ -99,7 +99,7 @@ class SubgradientSet:
 # ---------------------------------------------------------------------------
 
 
-def choose_w_mu(d: int, rho: float, seed=0) -> Tuple[np.ndarray, float]:
+def choose_w_mu(d: int, rho: float, seed: int = 0) -> Tuple[np.ndarray, float]:
     """Draw the cap vector: ||w|| = rho/99, w_d = 0, direction uniform.
 
     mu is tied to the draw by ||w|| = 1000 mu, i.e. mu = rho / 99000.
@@ -113,7 +113,7 @@ def choose_w_mu(d: int, rho: float, seed=0) -> Tuple[np.ndarray, float]:
         raise ValueError(
             f"rho={rho!r} gives mu={mu:.3e} below the binary64 floor {MU_FLOOR:.0e}"
         )
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal(d - 1)
     n = np.linalg.norm(g)
     while n == 0.0:
@@ -374,9 +374,9 @@ def build_instance(
 
 
 def save_instance(inst: HardInstance, path) -> None:
-    """Write a flat key=value file that reconstructs the instance exactly.
+    """Write the instance as a flat key=value record, floats as round-tripping reprs.
 
-    Floats are written with repr, which round-trips binary64 exactly.
+    Nothing reads it back: ``config.json`` and the seed rebuild every instance.
     """
     lines = [
         "format = nshard-instance-v1",
@@ -390,30 +390,3 @@ def save_instance(inst: HardInstance, path) -> None:
     ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def load_instance(path, sched: Optional[AngleSchedule] = None) -> HardInstance:
-    kv = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            kv[key.strip()] = val.strip()
-    if kv.get("format") != "nshard-instance-v1":
-        raise ValueError(f"unrecognized instance file format {kv.get('format')!r}")
-    d = int(kv["d"])
-    bits = as_bits(kv["bits"])
-    precision = kv.get("precision", "binary64")
-    if sched is None:
-        sched = DEFAULT_SCHEDULE if precision == "binary64" else AngleSchedule("extended")
-    inst = build_h(d, bits, sched)
-    seed = None if kv.get("seed", "none") == "none" else int(kv["seed"])
-    mu = None if kv.get("mu", "none") == "none" else float(kv["mu"])
-    w = None
-    if kv.get("w", "none") != "none":
-        w = np.array([float(tok) for tok in kv["w"].split()])
-        if w.shape != (d,):
-            raise ValueError("w length does not match d")
-    return replace(inst, w=w, mu=mu, c=float(kv.get("c", STATIONARITY_C)), seed=seed, precision=precision)

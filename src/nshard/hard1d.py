@@ -21,7 +21,7 @@ import bisect
 import csv
 import math
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,14 +84,9 @@ class PiecewiseAffine1D:
         a = j - 1 if j > 0 else 0
         return self.values[a] + self.slopes[j] * (x - self.breakpoints[a])
 
-    def subdiff(self, x) -> Tuple[float, float]:
-        """Slope interval [lo, hi] at x; a singleton inside a piece."""
-        l = bisect.bisect_left(self.breakpoints, x)
-        r = bisect.bisect_right(self.breakpoints, x)
-        return self.slopes[l], self.slopes[r]
-
     def value_and_subdiff(self, x):
-        """(value, lo, hi) at x from one table lookup; equals (self(x), *self.subdiff(x))."""
+        """(value, lo, hi) at x from one table lookup: self(x) and the slope interval [lo, hi],
+        a singleton inside a piece."""
         bp = self.breakpoints
         r = bisect.bisect_right(bp, x)
         a = r - 1 if r > 0 else 0
@@ -149,8 +144,8 @@ class PiecewiseAffine1D:
             out.append(abs(float(pred - self.values[k])) / denom)
         return out
 
-    def merged(self, tol=0.0) -> "PiecewiseAffine1D":
-        """Collapse adjacent collinear pieces (equal slopes within tol).
+    def merged(self) -> "PiecewiseAffine1D":
+        """Collapse adjacent collinear pieces (equal slopes).
 
         The construction legitimately produces equal-slope neighbors (e.g. a
         tail continuing into the first wedge branch), so strict slope growth
@@ -159,7 +154,7 @@ class PiecewiseAffine1D:
         bp, vals, slopes = [], [], [self.slopes[0]]
         for k in range(len(self.breakpoints)):
             nxt = self.slopes[k + 1]
-            if abs(float(nxt - slopes[-1])) <= tol:
+            if nxt == slopes[-1]:
                 continue
             bp.append(self.breakpoints[k])
             vals.append(self.values[k])
@@ -395,15 +390,11 @@ def build_1d_instance(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -
 # ---------------------------------------------------------------------------
 
 
-def profile_rows(pwa: PiecewiseAffine1D, lo: float = -1.0, hi: float = 2.0, n: int = 3001):
-    xs = np.linspace(lo, hi, n)
-    vals, los, his = pwa.value_and_subdiff_batch(xs)
-    return [(float(x), float(v), float(a), float(b)) for x, v, a, b in zip(xs, vals, los, his)]
-
-
-def write_profile_csv(path, pwa: PiecewiseAffine1D, lo: float = -1.0, hi: float = 2.0, n: int = 3001):
+def write_profile_csv(path, pwa: PiecewiseAffine1D):
+    """Value and slope interval of a table at 3001 points of [-1, 2], one CSV row each."""
+    xs = np.linspace(-1.0, 2.0, 3001)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["x", "value", "lo_slope", "hi_slope"])
-        for row in profile_rows(pwa, lo, hi, n):
-            w.writerow([repr(c) for c in row])
+        for row in zip(xs, *pwa.value_and_subdiff_batch(xs)):
+            w.writerow([repr(float(c)) for c in row])

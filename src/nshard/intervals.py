@@ -54,18 +54,16 @@ def random_bits(n: int, rng) -> Bits:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> slope * x + intercept restricted to domain (a closed interval)."""
+    """x -> slope * x + intercept on [0, 1]."""
 
     slope: float
     intercept: float
-    domain: Tuple[float, float] = (0.0, 1.0)
 
     def __call__(self, x):
         return self.slope * x + self.intercept
 
     def image(self) -> Tuple[float, float]:
-        lo, hi = self.domain
-        return self(lo), self(hi)
+        return self(0.0), self(1.0)
 
 
 @dataclass(frozen=True)
@@ -74,9 +72,6 @@ class Interval:
 
     lo: float
     hi: float
-
-    def __contains__(self, x) -> bool:
-        return self.lo < x < self.hi
 
     @property
     def width(self):

@@ -77,19 +77,17 @@ class PerturbedGD:
 
 
 class RandomSearch:
-    """Iterates drawn uniformly from the ball B(center, radius)."""
+    """Iterates drawn uniformly from the ball B(0, radius)."""
 
     name = "random"
 
-    def __init__(self, radius: float = 1.0, center=None):
+    def __init__(self, radius: float = 1.0):
         if not 0.0 <= radius < math.inf:
             raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
         self.radius = radius
-        self.center = center
 
     def propose(self, t, x, response, rng):
         R, d = x.shape
-        center = np.zeros(d) if self.center is None else np.asarray(self.center, dtype=float)
         u = rng.standard_normal((R, d))
         n = np.sqrt(row_dots(u, u))  # each row's dot and sqrt, as np.linalg.norm takes them
         while not n.all():  # redraw the zero directions
@@ -98,28 +96,26 @@ class RandomSearch:
             n[zero] = np.sqrt(row_dots(u[zero], u[zero]))
         # float_power calls libm pow as a float's ** does; np.power's SIMD loop can differ in the last bit
         r = self.radius * np.float_power(rng.uniform(size=R), 1.0 / d)
-        return center + r[:, None] * u / n[:, None]
+        return 0.0 + r[:, None] * u / n[:, None]  # the ball's center, which also turns -0.0 into 0.0
 
 
 class GridSearch:
-    """Row-major sweep of a lattice over [lo, hi]^d with the given resolution."""
+    """Row-major sweep of a lattice over [-1, 2]^d with the given resolution."""
 
     name = "grid"
 
-    def __init__(self, resolution: float = 0.25, lo: float = -1.0, hi: float = 2.0):
-        if resolution <= 0:
+    def __init__(self, resolution: float = 0.25):
+        if not resolution > 0:
             raise ValueError("resolution must be positive")
         self.resolution = resolution
-        self.lo = lo
-        self.hi = hi
 
     def propose(self, t, x, response, rng):
         d = x.shape[1]
-        per_axis = int(np.floor((self.hi - self.lo) / self.resolution)) + 1
+        per_axis = int(np.floor(3.0 / self.resolution)) + 1
         idx = (t - 1) % per_axis**d
         coords = []
         for _ in range(d):
-            coords.append(self.lo + (idx % per_axis) * self.resolution)
+            coords.append(-1.0 + (idx % per_axis) * self.resolution)
             idx //= per_axis
         return np.broadcast_to(np.array(coords[::-1]), x.shape)
 

@@ -24,16 +24,17 @@ import numpy as np
 from . import hard1d
 from .embed import build_h, build_instance, row_dots
 from .hard1d import build_1d_instance, build_r, eval_r
-from .intervals import as_bits, interval, locate, phi, random_bits, separation_margins
+from .intervals import interval, locate, phi, random_bits, separation_margins
 from .oracles import lockstep
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96) -> Tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
+    """95 % Wilson score interval for a binomial proportion."""
     if n <= 0:
         raise ValueError("n must be positive")
     p = successes / n
+    z = 1.96
     z2 = z * z
     denom = 1.0 + z2 / n
     center = (p + z2 / (2 * n)) / denom
@@ -61,18 +62,10 @@ class ProgressProcess:
         return int(self.Z[-1])
 
 
-def progress_process(trajectory, bits=None, sched: AngleSchedule = DEFAULT_SCHEDULE) -> ProgressProcess:
-    """Z_t from a trajectory, located on the last coordinate of each iterate."""
-    inst_bits = getattr(trajectory.instance, "bits", None)
-    if bits is None:
-        bits = inst_bits
-        if bits is None:
-            raise ValueError("trajectory instance carries no bit string; pass bits explicitly")
-    bits = as_bits(bits)
-    if inst_bits is not None and as_bits(inst_bits) != bits:
-        raise ValueError("bit string does not match the trajectory's instance")
+def progress_process(trajectory, sched: AngleSchedule = DEFAULT_SCHEDULE) -> ProgressProcess:
+    """Z_t from a trajectory: the last coordinate of each iterate located on its instance's bits."""
     Z = np.zeros(trajectory.T + 1, dtype=int)
-    Z[1:] = np.maximum.accumulate(locate(trajectory.points[:, -1], bits, sched))
+    Z[1:] = np.maximum.accumulate(locate(trajectory.points[:, -1], trajectory.instance.bits, sched))
     return ProgressProcess(Z)
 
 
@@ -117,21 +110,20 @@ def mc_hitting(
     k: int,
     N: int,
     n_runs: int,
+    log2_inv_rho: float,
     seed: int = 0,
-    rho: Optional[float] = None,
-    log2_inv_rho: Optional[float] = None,
-    m_max: int = 6,
-    x0: float = 0.0,
     sched: AngleSchedule = DEFAULT_SCHEDULE,
 ) -> HittingReport:
     """Estimate hitting and progress probabilities over fresh random bit draws.
 
     Each run draws a fresh bit string, builds the shifted 1D hard function (one stacked
-    instance for all runs), takes T oracle steps from x0 (in lockstep, one stacked query
+    instance for all runs), takes T oracle steps from 0 (in lockstep, one stacked query
     per step), and records whether any iterate came within rho of the minimizer and how
     deep the progress process got (one stacked ``locate``).  Estimates come with Wilson
-    intervals and are compared to the analytic bounds 16 T / sqrt(log2(1/rho)) and
-    min(1, 4T/k); bounds that exceed 1 are flagged vacuous rather than failed.
+    intervals and are compared to the analytic bounds 16 T / sqrt(log2(1/rho)),
+    min(1, 4T/k) and, for jumps of m = 1..6 levels in one step, 2^-(m-1); bounds that
+    exceed 1 are flagged vacuous rather than failed.  rho is 2^-log2_inv_rho, taken as 0
+    from log2_inv_rho = 1060 on.
 
     The seed spawns one Generator per role, (bits, algorithm), and each role draws for
     all runs at once: the bits in one (n_runs, N) draw, the algorithm's noise or
@@ -141,32 +133,27 @@ def mc_hitting(
     """
     if n_runs < 100:
         raise ValueError("n_runs must be at least 100")
-    if rho is None and log2_inv_rho is None:
-        raise ValueError("pass rho or log2_inv_rho")
-    if log2_inv_rho is None:
-        log2_inv_rho = -math.log2(rho)
-    rho_eval = rho if rho is not None else (2.0 ** (-log2_inv_rho) if log2_inv_rho < 1060 else 0.0)
+    rho = 2.0 ** (-log2_inv_rho) if log2_inv_rho < 1060 else 0.0
 
     bits_rng, algo_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     bits = bits_rng.integers(0, 2, (n_runs, N))
     inst = build_1d_instance(bits, sched)
     x_last = np.empty((n_runs, T))
-    for t, X, _, _ in lockstep(algorithm, inst, np.full((n_runs, 1), x0), T, algo_rng):
+    for t, X, _, _ in lockstep(algorithm, inst, np.zeros((n_runs, 1)), T, algo_rng):
         x_last[:, t] = X[:, -1]
-    hits = int(np.count_nonzero(np.any(np.abs(x_last - inst.x_star[:, None]) <= rho_eval, axis=1)))
+    hits = int(np.count_nonzero(np.any(np.abs(x_last - inst.x_star[:, None]) <= rho, axis=1)))
     # the progress process of each run, Z[:, 0] = 0
     Z = np.zeros((n_runs, T + 1), dtype=int)
     Z[:, 1:] = np.maximum.accumulate(locate(x_last, bits, sched), axis=1)
     deep = int(np.count_nonzero(Z[:, -1] >= k))
     jumps = np.diff(Z, axis=1)
     jump_trials = jumps.size
-    jump_counts = {m: int(np.count_nonzero(jumps >= m)) for m in range(1, m_max + 1)}
 
     hit_bound = 16.0 * T / math.sqrt(log2_inv_rho)
     deep_bound = 4.0 * T / k
     jump_stats = {}
-    for m in range(1, m_max + 1):
-        freq = jump_counts[m] / jump_trials
+    for m in range(1, 7):
+        freq = int(np.count_nonzero(jumps >= m)) / jump_trials
         se = math.sqrt(max(freq * (1 - freq), 1.0 / jump_trials) / jump_trials)
         jump_stats[m] = {"freq": freq, "se": se, "bound": 2.0 ** (-(m - 1)), "n": jump_trials}
     return HittingReport(
@@ -351,8 +338,6 @@ def local_decrease_certificate(
     x,
     delta: float,
     c: float = 0.01,
-    eta: Optional[float] = None,
-    n_samples: int = 1000,
     seed: int = 0,
 ) -> CertResult:
     """Witness that min over B(x, delta) of f drops below f(x) - delta * c.
@@ -360,23 +345,24 @@ def local_decrease_certificate(
     One-sided: any point of the ball below the target certifies, and an
     upper bound on the minimum is all the certificate needs.  The flow stops
     at its first point below the target, which is then the witness.  Only
-    if the flow finds none (its best point over the whole arc, which stays
-    inside the ball, is not below the target) are uniform ball samples drawn.
+    if the flow (Euler step delta/1000) finds none (its best point over the
+    whole arc, which stays inside the ball, is not below the target) are 1000
+    uniform ball samples drawn.
     As in ``lockstep``, overflow is not warned about: norms of points far
     from the origin may overflow.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     with np.errstate(over="ignore"):
-        flow = subgradient_flow(instance, x, delta, eta, drop=delta * c)
+        flow = subgradient_flow(instance, x, delta, drop=delta * c)
         f_x = flow.start_value
         target = f_x - delta * c
         best_point, best_value = flow.best_point, flow.best_value
-        if best_value >= target and n_samples > 0:
+        if best_value >= target:
             rng = np.random.default_rng(seed)
             d = x.shape[0]
-            U = rng.standard_normal((n_samples, d))
+            U = rng.standard_normal((1000, d))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
-            R = delta * rng.uniform(size=n_samples) ** (1.0 / d)
+            R = delta * rng.uniform(size=1000) ** (1.0 / d)
             pts = x[None, :] + R[:, None] * U
             vals = instance.eval_f_batch(pts)
             j = int(np.argmin(vals))
@@ -642,13 +628,21 @@ def invariant_suite(
 
 
 def _fd_gap(inst, x, n_dirs: int, rng, h: float = 1e-6) -> float:
-    """Max gap between forward differences and the support function at x."""
+    """Max gap between forward differences and the support function at x.
+
+    Along v the step is at most half the distance to the nearest valley
+    breakpoint, so that a point near a kink is not differenced across it; a
+    point within 1e-9 of one (a kink point) keeps the step h.
+    """
     s = inst.subgrad(x)
     f0 = inst.eval_f(x)
+    to_kink = float(np.min(np.abs(np.asarray(inst.hbar.breakpoints) - x[-1])))
     worst = 0.0
     for _ in range(n_dirs):
         v = rng.standard_normal(x.shape[0])
         v /= np.linalg.norm(v)
-        fd = (inst.eval_f(x + h * v) - f0) / h
+        dist = to_kink / abs(v[-1])
+        step = min(h, dist / 2) if dist > 1e-9 else h
+        fd = (inst.eval_f(x + step * v) - f0) / step
         worst = max(worst, abs(fd - s.support(v)))
     return worst

@@ -7,7 +7,8 @@
 * ``reference_h``, ``gap``, ``reference_subgrad`` and ``min_norm``: h, the
   cap gap, the structured subdifferential and its minimal-norm element, each
   computed on its own through ``np.linalg.norm``, the table's ``__call__``
-  and ``subdiff``, and the vectorized ``cap_value`` / ``cap_slope``.
+  and the slope interval of ``value_and_subdiff``, and the vectorized
+  ``cap_value`` / ``cap_slope``.
 * ``composed_value`` / ``composed_subgrad`` / ``composed_1d``: the oracle
   assembled from those parts, which the one-pass ``value_and_subgrad`` (and
   ``subgrad``, which shares its pass) must reproduce bit for bit.
@@ -32,6 +33,8 @@
   flow over its whole arc and keeps the arc's best point, then the ball
   samples; the certificate whose flow stops at its first witness must agree
   with it on ``ok`` everywhere.
+* ``check_instance_record``: the fields that ``save_instance``'s record must
+  hold, each number as its repr.
 """
 
 import math
@@ -157,7 +160,7 @@ def reference_subgrad(inst, x) -> SubgradientSet:
     d = inst.d
     p = x[:-1]
     pn = float(np.linalg.norm(p))
-    lo, hi = inst.hbar.subdiff(float(x[-1]))
+    _, lo, hi = inst.hbar.value_and_subdiff(float(x[-1]))
     lo, hi = float(lo), float(hi)
 
     base = np.zeros(d)
@@ -240,7 +243,7 @@ def composed_subgrad(inst, x) -> np.ndarray:
 def composed_1d(inst, x):
     """Value and minimal-norm slope of a 1D instance from separate table queries."""
     x0 = float(np.asarray(x, dtype=float).reshape(-1)[0])
-    lo, hi = inst.pwa.subdiff(x0)
+    _, lo, hi = inst.pwa.value_and_subdiff(x0)
     slope = lo if lo > 0 else hi if hi < 0 else 0.0
     return float(inst.pwa(x0)), np.array([float(slope)])
 
@@ -350,37 +353,34 @@ def row_run(algorithm, inst, x0, T, rng) -> Trajectory:
     return Trajectory(algorithm.name, 0, np.stack(points), responses, inst)
 
 
-def reference_mc_hitting(algorithm, T, k, N, n_runs, seed=0, rho=None, log2_inv_rho=None, m_max=6,
-                         x0=0.0, sched=DEFAULT_SCHEDULE) -> HittingReport:
+def reference_mc_hitting(algorithm, T, k, N, n_runs, log2_inv_rho, seed=0, sched=DEFAULT_SCHEDULE) -> HittingReport:
     """``mc_hitting`` with each run's trajectory driven on its own."""
-    if log2_inv_rho is None:
-        log2_inv_rho = -math.log2(rho)
-    rho_eval = rho if rho is not None else (2.0 ** (-log2_inv_rho) if log2_inv_rho < 1060 else 0.0)
+    rho = 2.0 ** (-log2_inv_rho) if log2_inv_rho < 1060 else 0.0
     hits = 0
     deep = 0
-    jump_counts = {m: 0 for m in range(1, m_max + 1)}
+    jump_counts = {m: 0 for m in range(1, 7)}
     jump_trials = 0
     bits_ss, algo_ss = np.random.SeedSequence(seed).spawn(2)
     all_bits = np.random.default_rng(bits_ss).integers(0, 2, (n_runs, N))
     for r in range(n_runs):
         bits = as_bits(all_bits[r])
         inst = build_1d_instance(bits, sched)
-        traj = row_run(algorithm, inst, x0, T, RowOf(np.random.default_rng(algo_ss), n_runs, r))
+        traj = row_run(algorithm, inst, 0.0, T, RowOf(np.random.default_rng(algo_ss), n_runs, r))
         dists = np.abs(traj.points[:, -1] - inst.x_star)
-        if np.any(dists <= rho_eval):
+        if np.any(dists <= rho):
             hits += 1
-        proc = progress_process(traj, bits, sched)
+        proc = progress_process(traj, sched)
         if proc.final >= k:
             deep += 1
         jumps = proc.jumps
         jump_trials += len(jumps)
-        for m in range(1, m_max + 1):
+        for m in range(1, 7):
             jump_counts[m] += int(np.count_nonzero(jumps >= m))
 
     hit_bound = 16.0 * T / math.sqrt(log2_inv_rho)
     deep_bound = 4.0 * T / k
     jump_stats = {}
-    for m in range(1, m_max + 1):
+    for m in range(1, 7):
         freq = jump_counts[m] / jump_trials
         se = math.sqrt(max(freq * (1 - freq), 1.0 / jump_trials) / jump_trials)
         jump_stats[m] = {"freq": freq, "se": se, "bound": 2.0 ** (-(m - 1)), "n": jump_trials}
@@ -449,20 +449,19 @@ def max_boundary_ties(inst, want=2, span=4000):
     return ties
 
 
-def reference_local_decrease_certificate(instance, x, delta, c=0.01, eta=None, n_samples=1000,
-                                         seed=0) -> CertResult:
+def reference_local_decrease_certificate(instance, x, delta, c=0.01, seed=0) -> CertResult:
     """``local_decrease_certificate`` with the flow run over its whole arc."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    flow = subgradient_flow(instance, x, delta, eta)
+    flow = subgradient_flow(instance, x, delta)
     f_x = flow.start_value
     target = f_x - delta * c
     best_point, best_value = flow.best_point, flow.best_value
-    if best_value >= target and n_samples > 0:
+    if best_value >= target:
         rng = np.random.default_rng(seed)
         d = x.shape[0]
-        U = rng.standard_normal((n_samples, d))
+        U = rng.standard_normal((1000, d))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
-        R = delta * rng.uniform(size=n_samples) ** (1.0 / d)
+        R = delta * rng.uniform(size=1000) ** (1.0 / d)
         pts = x[None, :] + R[:, None] * U
         vals = instance.eval_f_batch(pts)
         j = int(np.argmin(vals))
@@ -476,3 +475,25 @@ def reference_local_decrease_certificate(instance, x, delta, c=0.01, eta=None, n
         target=target,
         flow_status=flow.status,
     )
+
+
+def check_instance_record(path, inst) -> dict:
+    """Assert that the record ``save_instance`` wrote at path holds each field of inst, every
+    number as its repr (so each float reads back exactly) and "none" for a missing one."""
+    with open(path) as fh:
+        rec = dict(line.rstrip("\n").split(" = ", 1) for line in fh)
+    assert rec == {
+        "format": "nshard-instance-v1",
+        "d": repr(inst.d),
+        "bits": "".join(repr(b) for b in inst.bits),
+        "precision": inst.precision,
+        "seed": "none" if inst.seed is None else repr(inst.seed),
+        "c": repr(inst.c),
+        "mu": "none" if inst.mu is None else repr(inst.mu),
+        "w": "none" if inst.w is None else " ".join(repr(float(v)) for v in inst.w),
+    }
+    assert float(rec["c"]) == inst.c
+    if inst.w is not None:
+        assert float(rec["mu"]) == inst.mu
+        assert np.array_equal([float(tok) for tok in rec["w"].split()], inst.w)
+    return rec

@@ -6,10 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from oracle_reference import check_instance_record
 
 from nshard import cli
 from nshard.cli import main
-from nshard.embed import load_instance
 
 
 def file_hashes(directory):
@@ -28,14 +28,13 @@ def test_build_desk(tmp_path):
     assert rc == 0
     for name in ("instance.txt", "hbar_profile.csv", "f_slices.csv", "config.json"):
         assert (out / name).exists()
-    inst = load_instance(out / "instance.txt")
-    assert inst.d == 6
-    assert inst.has_cap
-    assert inst.mu == 1e-3 / 99000.0
-    assert len(inst.bits) == 5
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["resolved_k"] == 4
     assert cfg["resolved_N"] == 5
+    # config.json and the seed replay the instance that instance.txt records
+    inst, _ = cli._instance(cli.RunConfig(**{k: cfg[k] for k in cli.KEYS}))
+    rec = check_instance_record(out / "instance.txt", inst)
+    assert (rec["d"], rec["mu"], len(rec["bits"])) == ("6", repr(1e-3 / 99000.0), 5)
 
 
 def test_build_theory_is_cap_free(tmp_path):
@@ -44,12 +43,12 @@ def test_build_theory_is_cap_free(tmp_path):
     rc = main(["build", "--mode", "theory", "--T", "1", "--gamma", "1.0", "--d", "4",
                "--seed", "1", "--out", str(out)])
     assert rc == 0
-    inst = load_instance(out / "instance.txt")
-    assert not inst.has_cap
-    assert len(inst.bits) == 5
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["log2_inv_rho"] == 256.0
     assert cfg["resolved_k"] == 4
+    inst, _ = cli._instance(cli.RunConfig(**{k: cfg[k] for k in cli.KEYS}))
+    rec = check_instance_record(out / "instance.txt", inst)
+    assert (rec["mu"], rec["w"], len(rec["bits"])) == ("none", "none", 5)
 
 
 def test_build_missing_out_dir_errors(tmp_path):
@@ -403,4 +402,16 @@ def test_run_rejects_bad_flag_values_before_stepping(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "must be" in err and repr(value) in err
     assert err.startswith(f"error: --{key} must be")  # the flag, not the library parameter
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "mc"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_grid_rejects_a_resolution_that_is_not_positive(tmp_path, capsys, command, value):
+    out = tmp_path / "o"
+    out.mkdir()
+    argv = [command, "--mode", "desk", "--d", "4", "--k", "3", "--T", "5", "--algo", "grid",
+            "--resolution", value, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --resolution must be positive\n"
     assert not list(out.iterdir())

@@ -9,10 +9,9 @@ from nshard.embed import (
     cap_slope,
     cap_value,
     choose_w_mu,
-    load_instance,
     save_instance,
 )
-from oracle_reference import gap, generators, min_norm, min_norm_point
+from oracle_reference import check_instance_record, gap, generators, min_norm, min_norm_point
 
 RHO = 1e-3
 BITS = "010"
@@ -520,20 +519,11 @@ def test_subgradient_set_clipping():
 
 
 def test_save_load_roundtrip(tmp_path, inst):
+    # the record is write-only; its floats read back exactly from their reprs
     path = tmp_path / "instance.txt"
     save_instance(inst, path)
-    got = load_instance(path)
-    assert got.d == inst.d
-    assert got.bits == inst.bits
-    assert got.mu == inst.mu
-    assert got.seed == inst.seed
-    assert np.array_equal(got.w, inst.w)
-    assert np.array_equal(got.x_star, inst.x_star)
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        x = rng.uniform(-2, 2, size=D)
-        assert got.eval_f(x) == inst.eval_f(x)
-        assert np.array_equal(got.min_subgrad(x), inst.min_subgrad(x))
+    rec = check_instance_record(path, inst)
+    assert (rec["d"], rec["bits"], rec["seed"]) == (repr(D), BITS, "11")
 
 
 def test_save_format_flat_key_value(tmp_path, inst):
@@ -548,16 +538,8 @@ def test_save_load_cap_free(tmp_path):
     h = build_h(3, "01")
     path = tmp_path / "h.txt"
     save_instance(h, path)
-    got = load_instance(path)
-    assert not got.has_cap
-    assert got.eval_f(np.zeros(3)) == h.eval_f(np.zeros(3))
-
-
-def test_load_rejects_garbage(tmp_path):
-    p = tmp_path / "bad.txt"
-    p.write_text("format = something-else\n")
-    with pytest.raises(ValueError):
-        load_instance(p)
+    rec = check_instance_record(path, h)
+    assert (rec["seed"], rec["mu"], rec["w"]) == ("none", "none", "none")
 
 
 def test_w_norm_is_1000_mu(inst):
@@ -586,8 +568,8 @@ def test_extended_precision_instance_roundtrip(tmp_path):
     assert inst.precision == "extended"
     p = tmp_path / "e.txt"
     save_instance(inst, p)
-    got = load_instance(p)
-    assert got.precision == "extended"
+    assert check_instance_record(p, inst)["precision"] == "extended"
+    # the record holds no table, and the same seed draws the same cap in both precisions
     ref = build_instance(3, "01", rho=1e-3, seed=1)
-    x = np.array([0.1, -0.2, 0.4])
-    assert got.eval_f(x) == pytest.approx(ref.eval_f(x), rel=1e-12)
+    save_instance(ref, tmp_path / "r.txt")
+    assert p.read_text() == (tmp_path / "r.txt").read_text().replace("binary64", "extended")

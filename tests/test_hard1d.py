@@ -13,7 +13,6 @@ from nshard.hard1d import (
     build_hbar,
     build_r,
     eval_r,
-    profile_rows,
     schedule_params,
     write_profile_csv,
 )
@@ -135,14 +134,14 @@ def test_subdiff_interval_at_minimizer():
     for bits in ("0", "01", "110", "010101"):
         n = len(bits)
         table = build_r(bits)
-        lo, hi = table.subdiff(table.breakpoints[n + 1])
+        _, lo, hi = table.value_and_subdiff(table.breakpoints[n + 1])
         assert lo == -s.cot_base(n + 1)
         assert hi == s.cot_base(n + 1)
         assert lo < 0.0 < hi
 
 
 def test_subdiff_at_zero():
-    lo, hi = build_r("0110").subdiff(0.0)
+    _, lo, hi = build_r("0110").value_and_subdiff(0.0)
     assert lo == -1.0
     assert -1.0 <= hi <= -1.0 / 8.0
     assert lo <= hi
@@ -153,7 +152,7 @@ def test_subdiff_singleton_off_breakpoints():
     bits = random_bits(6, rng)
     table = build_r(bits)
     for x in rng.uniform(-0.5, 1.5, size=200):
-        lo, hi = table.subdiff(float(x))
+        _, lo, hi = table.value_and_subdiff(float(x))
         if float(x) not in [float(b) for b in table.breakpoints]:
             assert lo == hi
             assert 1 / 8 <= abs(lo) <= 1.0
@@ -270,25 +269,28 @@ def test_table_validation():
 def test_profile_csv_roundtrip(tmp_path):
     hbar, _ = build_hbar("011")
     path = tmp_path / "profile.csv"
-    write_profile_csv(path, hbar, n=101)
+    write_profile_csv(path, hbar)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "value", "lo_slope", "hi_slope"]
-    assert len(rows) == 102
+    assert len(rows) == 3002
+    assert [float(rows[i][0]) for i in (1, 1501, 3001)] == [-1.0, 0.5, 2.0]
     x, v, lo, hi = (float(tok) for tok in rows[1])
     assert v == pytest.approx(hbar(x))
     assert lo <= hi
     # deterministic bytes
     path2 = tmp_path / "profile2.csv"
-    write_profile_csv(path2, hbar, n=101)
+    write_profile_csv(path2, hbar)
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_profile_rows_match_eval():
+def test_profile_rows_match_eval(tmp_path):
     hbar, _ = build_hbar("10")
-    for x, v, lo, hi in profile_rows(hbar, -0.2, 1.2, 31):
-        assert v == pytest.approx(float(hbar(x)))
-        assert lo <= hi
+    write_profile_csv(tmp_path / "profile.csv", hbar)
+    with open(tmp_path / "profile.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    for x, v, lo, hi in ([float(tok) for tok in row] for row in rows):
+        assert (v, lo, hi) == hbar.value_and_subdiff(x)
 
 
 def test_extended_stacked_build_and_oracles_equal_row_by_row():

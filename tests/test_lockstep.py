@@ -5,6 +5,8 @@ one Generator; the one-row runs replay row r of each (R, ·) draw from it.
 Every configuration is fixed, so the tests are deterministic.
 """
 
+import math
+
 import numpy as np
 import pytest
 from oracle_reference import RowOf, reference_concentration_check, reference_mc_hitting, row_run
@@ -80,24 +82,24 @@ def test_lockstep_rows_equal_one_row_runs(name, d):
         assert rng.normal_calls == 0
 
 
-HITTING = [  # (T, k, N, rho, seed)
-    (10, 2, 5, 0.05, 1),
-    (30, 2, 4, 1e-3, 3),
+HITTING = [  # (T, k, N, log2(1/rho), seed)
+    (10, 2, 5, -math.log2(0.05), 1),
+    (30, 2, 4, -math.log2(1e-3), 3),
 ]
 
 
 @pytest.mark.parametrize("cfg", HITTING)
 @pytest.mark.parametrize("name", sorted(ALGOS))
 def test_mc_hitting_matches_serial_reference(name, cfg):
-    T, k, N, rho, seed = cfg
-    args = dict(T=T, k=k, N=N, n_runs=100, seed=seed, rho=rho)
+    T, k, N, log2_inv_rho, seed = cfg
+    args = dict(T=T, k=k, N=N, n_runs=100, seed=seed, log2_inv_rho=log2_inv_rho)
     assert mc_hitting(ALGOS[name](), **args) == reference_mc_hitting(ALGOS[name](), **args)
 
 
 def test_mc_hitting_reference_configs_count_hits_and_depth():
     # the equality above would be weak if every count were zero
-    T, k, N, rho, seed = HITTING[0]
-    rep = reference_mc_hitting(ALGOS["pgd-noisy"](), T=T, k=k, N=N, n_runs=100, seed=seed, rho=rho)
+    T, k, N, log2_inv_rho, seed = HITTING[0]
+    rep = reference_mc_hitting(ALGOS["pgd-noisy"](), T=T, k=k, N=N, n_runs=100, seed=seed, log2_inv_rho=log2_inv_rho)
     assert rep.hit_freq > 0 and rep.deep_freq > 0 and rep.jump_stats[2]["freq"] > 0
 
 

@@ -134,14 +134,15 @@ def test_random_search_stays_in_ball(inst):
 
 def test_grid_search_lattice_1d():
     inst1 = build_1d_instance("01")
-    algo = GridSearch(resolution=1.0, lo=-1.0, hi=2.0)
+    algo = GridSearch(resolution=1.0)
     traj = run(algo, inst1, np.array([0.0]), 5, seed=0)
     assert [float(p[0]) for p in traj.points[1:]] == [-1.0, 0.0, 1.0, 2.0]
 
 
 def test_grid_search_rejects_bad_resolution():
-    with pytest.raises(ValueError):
-        GridSearch(resolution=0.0)
+    for bad in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            GridSearch(resolution=bad)
 
 
 def test_make_algorithm_unknown():

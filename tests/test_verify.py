@@ -6,7 +6,7 @@ import pytest
 from oracle_reference import reference_local_decrease_certificate
 
 from nshard import cli
-from nshard.embed import build_instance
+from nshard.embed import SubgradientSet, build_instance
 from nshard.hard1d import build_1d_instance
 from nshard.oracles import PerturbedGD, RandomSearch, SubgradientDescent, Trajectory, query, run
 from nshard.schedule import AngleSchedule
@@ -82,13 +82,6 @@ def test_progress_process_monotone_random():
     assert proc.final <= 6
 
 
-def test_progress_process_rejects_mismatched_bits():
-    inst = build_1d_instance("0101")
-    traj = manual_trajectory(inst, [[0.0]])
-    with pytest.raises(ValueError):
-        progress_process(traj, bits="1111")
-
-
 def test_progress_process_embedded_instance_uses_last_axis():
     inst = build_instance(3, "01", rho=1e-3, seed=0)
     x = np.zeros(3)
@@ -98,7 +91,7 @@ def test_progress_process_embedded_instance_uses_last_axis():
 
 
 def test_mc_hitting_small():
-    rep = mc_hitting(RandomSearch(radius=1.0), T=20, k=4, N=5, n_runs=200, seed=0, rho=1e-4)
+    rep = mc_hitting(RandomSearch(radius=1.0), T=20, k=4, N=5, n_runs=200, seed=0, log2_inv_rho=-math.log2(1e-4))
     assert rep.hit_freq <= 0.05
     assert rep.deep_freq <= rep.deep_bound + 3 * 0.05
     for m, st in rep.jump_stats.items():
@@ -116,9 +109,7 @@ def test_mc_hitting_vacuous_flag():
 
 def test_mc_hitting_rejects_small_n():
     with pytest.raises(ValueError):
-        mc_hitting(RandomSearch(), T=5, k=4, N=5, n_runs=10, rho=1e-4)
-    with pytest.raises(ValueError):
-        mc_hitting(RandomSearch(), T=5, k=4, N=5, n_runs=100)
+        mc_hitting(RandomSearch(), T=5, k=4, N=5, n_runs=10, log2_inv_rho=-math.log2(1e-4))
 
 
 def test_concentration_monotone_in_dimension():
@@ -344,6 +335,25 @@ def test_invariant_suite_extended_theta_range_passes():
 def test_invariant_suite_rejects_unknown_mutation():
     with pytest.raises(ValueError):
         invariant_suite(mutate="values")
+
+
+# the benchmark's invariants sizes at its workload seed 610; a point of the d = 50 draw lies
+# 3.05e-7 from a valley breakpoint, where a forward step of 1e-6 measured 3.9e-4
+NEAR_KINK = dict(seed=401775898, params=SuiteParams(lipschitz_pairs=20000, stationarity_points=20000,
+                                                    dims=(2, 10, 50)))
+
+
+def test_directional_derivative_steps_short_of_a_near_breakpoint():
+    rep = invariant_suite(**NEAR_KINK)
+    assert rep.all_passed, rep.summary()
+    assert next(c for c in rep.checks if c.name == "f-directional-derivative").measured < 1e-5
+
+
+def test_directional_derivative_catches_a_last_axis_slope_fault(monkeypatch):
+    support = SubgradientSet.support
+    monkeypatch.setattr(SubgradientSet, "support", lambda self, v: support(self, v) + 1e-3 * v[-1])
+    failed = {c.name for c in invariant_suite(**NEAR_KINK).failed()}
+    assert "f-directional-derivative" in failed
 
 
 def test_report_writers(tmp_path, suite_report):
