@@ -175,6 +175,8 @@ def cmd_run(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     if not cfg.delta >= 0:
         raise ValueError(f"--delta must be non-negative (0 turns certificates off), got {cfg.delta!r}")
+    if cfg.delta > 1:  # the certificates take delta in (0, 1]; refuse it before the run
+        raise ValueError(f"--delta must be at most 1, got {cfg.delta!r}")
     inst, params = _instance(cfg)
     algo = _algorithm(cfg)
     algo_ss, cert_ss = np.random.SeedSequence(cfg.seed).spawn(4)[2:]

@@ -1,21 +1,24 @@
 """Local first-order oracle and a small algorithm zoo.
 
 The oracle returns (value, minimal-norm subgradient) and nothing else.  An
-algorithm's ``propose(t, x, response, rng)`` receives only the (R, d)
-current iterates of R independent runs, the oracle's responses there and the
-one seeded Generator that the runs share, which it draws from for all rows
-at once ((R, d) noise or directions per step).  Row r of its proposal
-depends only on row r of the iterates, the responses and the draws.  This
-keeps every algorithm in the information model under which the hard
-instances are constructed: no peeking at the bit string, the cap vector, the
-minimizer, or another run's iterates or instance.
+algorithm's ``propose(t, x, response, draw)`` receives only the (R, d)
+iterates of R independent runs, the oracle's responses there and the step's
+draw: what its ``draw(rng, R, d)``, blind to the iterates, took for all rows
+from the one seeded Generator the runs share.  Row r of a proposal depends
+only on row r of the iterates, the responses and the draw, which keeps every
+algorithm in the information model of the hard instances: no peeking at the
+bit string, the cap vector, the minimizer, or another run's iterates or instance.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
@@ -35,12 +38,12 @@ def query(instance, x) -> OracleResponse:
     return OracleResponse(float(v) if np.ndim(v) == 0 else v, np.asarray(g, dtype=float))
 
 
-def pgd_step(x, g, eta: float, noise_scale: float, rng) -> np.ndarray:
-    """One perturbed step per row of x: x - eta * g + noise_scale * xi, with xi one
-    draw of x's shape from rng (the next (R, d) block of the loop's one stream)."""
+def pgd_step(x, g, eta: float, noise_scale: float, xi) -> np.ndarray:
+    """One perturbed step per row of x: x - eta * g + noise_scale * xi, with xi a
+    standard normal draw of x's shape (unused at noise_scale 0)."""
     step = x - eta * g
     if noise_scale > 0.0:
-        step += noise_scale * rng.standard_normal(step.shape)
+        step += noise_scale * xi
     return step
 
 
@@ -55,25 +58,31 @@ class SubgradientDescent:
     name = "sgd"
 
     def __init__(self, eta0: float = 0.1):
+        if not 0.0 < eta0 < math.inf:
+            raise ValueError(f"eta0 must be finite and positive, got {eta0!r}")
         self.eta0 = eta0
 
-    def propose(self, t, x, response, rng):
+    def propose(self, t, x, response, draw):
         return x - (self.eta0 / np.sqrt(t)) * response.subgrad
 
 
-class PerturbedGD:
+class PerturbedGD(SubgradientDescent):
     """Subgradient step plus mean-zero Gaussian perturbation."""
 
     name = "pgd"
 
     def __init__(self, eta0: float = 0.1, noise_scale: float = 0.01):
+        super().__init__(eta0)
         if not 0.0 <= noise_scale < math.inf:
             raise ValueError(f"noise_scale must be finite and non-negative, got {noise_scale!r}")
-        self.eta0 = eta0
         self.noise_scale = noise_scale
 
-    def propose(self, t, x, response, rng):
-        return pgd_step(x, response.subgrad, self.eta0 / np.sqrt(t), self.noise_scale, rng)
+    def draw(self, rng, R, d):
+        """One (R, d) standard normal block; nothing at noise_scale 0."""
+        return rng.standard_normal((R, d)) if self.noise_scale > 0.0 else None
+
+    def propose(self, t, x, response, draw):
+        return pgd_step(x, response.subgrad, self.eta0 / np.sqrt(t), self.noise_scale, draw)
 
 
 class RandomSearch:
@@ -86,8 +95,8 @@ class RandomSearch:
             raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
         self.radius = radius
 
-    def propose(self, t, x, response, rng):
-        R, d = x.shape
+    def draw(self, rng, R, d):
+        """(R, d) directions with their row norms, the zero rows redrawn, then R radii."""
         u = rng.standard_normal((R, d))
         n = np.sqrt(row_dots(u, u))  # each row's dot and sqrt, as np.linalg.norm takes them
         while not n.all():  # redraw the zero directions
@@ -95,7 +104,10 @@ class RandomSearch:
             u[zero] = rng.standard_normal((np.count_nonzero(zero), d))
             n[zero] = np.sqrt(row_dots(u[zero], u[zero]))
         # float_power calls libm pow as a float's ** does; np.power's SIMD loop can differ in the last bit
-        r = self.radius * np.float_power(rng.uniform(size=R), 1.0 / d)
+        return u, n, self.radius * np.float_power(rng.uniform(size=R), 1.0 / d)
+
+    def propose(self, t, x, response, draw):
+        u, n, r = draw
         return 0.0 + r[:, None] * u / n[:, None]  # the ball's center, which also turns -0.0 into 0.0
 
 
@@ -105,11 +117,12 @@ class GridSearch:
     name = "grid"
 
     def __init__(self, resolution: float = 0.25):
-        if not resolution > 0:
-            raise ValueError("resolution must be positive")
+        if not 0 < resolution < math.inf:  # NaN is not positive
+            raise ValueError("resolution must be positive" if not resolution > 0 else
+                             f"resolution must be finite, got {resolution!r}")
         self.resolution = resolution
 
-    def propose(self, t, x, response, rng):
+    def propose(self, t, x, response, draw):
         d = x.shape[1]
         per_axis = int(np.floor(3.0 / self.resolution)) + 1
         idx = (t - 1) % per_axis**d
@@ -181,6 +194,61 @@ class Trajectory:
                 w.writerow(row)
 
 
+DRAW_AHEAD = 4096  # numbers in one step's draw from which lockstep makes it on a worker thread
+
+
+def _other_cpus() -> set:
+    """The CPUs this process may run on but the calling thread's current one; empty where Linux's
+    /proc/thread-self does not tell which one that is."""
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            return os.sched_getaffinity(0) - {int(fh.read().rsplit(")", 1)[1].split()[36])}
+    except (OSError, AttributeError, ValueError, IndexError):
+        return set()
+
+
+def _draws(algorithm, rng, R: int, d: int, n: int):
+    """The algorithm's n >= 1 draws from rng in stream order, None where it draws nothing.
+
+    When the first is an (R, d) draw of DRAW_AHEAD numbers or more and the process may use another
+    CPU, a worker thread makes each of the others while the caller uses the one before.  The worker
+    keeps to the CPUs but the caller's: left alone, the kernel may wake it on the caller's CPU.
+    """
+    draw = getattr(algorithm, "draw", lambda rng, R, d: None)
+    first = draw(rng, R, d)
+    yield first
+    if first is None or R * d < DRAW_AHEAD or not (cpus := _other_cpus()):
+        for _ in range(n - 1):
+            yield draw(rng, R, d)
+        return
+    ready, stop = queue.Queue(1), threading.Event()
+
+    def work():
+        with contextlib.suppress(OSError):
+            os.sched_setaffinity(threading.get_native_id(), cpus)
+        try:
+            for _ in range(n - 1):
+                if stop.is_set():
+                    return
+                ready.put(draw(rng, R, d))
+        except BaseException as exc:  # raised again where the caller asks for this draw
+            ready.put(exc)
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    try:
+        for _ in range(n - 1):
+            item = ready.get()
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+    finally:  # closed or done: let the one put that may be in flight finish, then join
+        stop.set()
+        if ready.full():
+            ready.get()
+        worker.join()
+
+
 def lockstep(algorithm, instances, X0, T: int, rng):
     """Drive R = len(X0) independent runs together, one row per run.
 
@@ -188,33 +256,36 @@ def lockstep(algorithm, instances, X0, T: int, rng):
     oracle values (R,) and minimal-norm subgradients (R, d), the last two
     fresh at each step; no history is kept.  Row r starts at X0[r] and
     queries instance r: one stacked instance answers all rows with one
-    ``query`` per step, a list of R instances row by row.  The runs share the
-    one Generator rng, which each proposal draws from for all rows at once;
-    row r's proposal reads row r of the iterates, the responses and the
-    draws, and never another row's iterates, responses or instance.  A point
-    the oracle rejects (a non-finite one) stops all runs with a ValueError
-    naming its step t (t = 0 for X0) and its row.
+    ``query`` per step, a list of R instances row by row.  lockstep owns the
+    Generator rng that the runs share while it runs: each proposal gets the
+    algorithm's ``draw(rng, R, d)`` for all rows, which never sees the
+    iterates, so a worker thread may make step t+1's draw during step t (see
+    ``_draws``); one stream drawn in the same call order gives the same bytes.
+    Row r's proposal reads row r of the iterates, the responses and the draw,
+    never another row's.  A point the oracle rejects (a non-finite one) stops
+    all runs with a ValueError naming its step t (t = 0 for X0) and its row.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     X = np.asarray(X0, dtype=float)
     R, d = X.shape
     stacked = not isinstance(instances, (list, tuple))
-    for t in range(T):
-        # an overflow ends in a non-finite point, which the oracle rejects below
-        with np.errstate(over="ignore"):
-            if t > 0:
-                X = np.asarray(algorithm.propose(t, X, response, rng), dtype=float)
-            try:
-                if stacked:  # the oracle's message names the row
-                    response = query(instances, X)
-                else:
-                    response = OracleResponse(np.empty(R), np.empty((R, d)))
-                    for r in range(R):
-                        response.value[r], response.subgrad[r] = query(instances[r], X[r])
-            except ValueError as exc:
-                raise ValueError(f"run stopped at step t={t}: {'' if stacked else f'row {r}: '}{exc}") from exc
-        yield t, X, response.value, response.subgrad
+    with contextlib.closing(_draws(algorithm, rng, R, d, T - 1)) as draws:  # closing joins the worker
+        for t in range(T):
+            # an overflow ends in a non-finite point, which the oracle rejects below
+            with np.errstate(over="ignore"):
+                if t > 0:
+                    X = np.asarray(algorithm.propose(t, X, response, next(draws)), dtype=float)
+                try:
+                    if stacked:  # the oracle's message names the row
+                        response = query(instances, X)
+                    else:
+                        response = OracleResponse(np.empty(R), np.empty((R, d)))
+                        for r in range(R):
+                            response.value[r], response.subgrad[r] = query(instances[r], X[r])
+                except ValueError as exc:
+                    raise ValueError(f"run stopped at step t={t}: {'' if stacked else f'row {r}: '}{exc}") from exc
+            yield t, X, response.value, response.subgrad
 
 
 def run(algorithm, instance, x0=None, T: int = 1, seed: int = 0) -> Trajectory:

@@ -385,7 +385,9 @@ def test_config_accepts_integer_for_float(tmp_path):
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("algo,key,value", [
     ("pgd", "noise", -0.5), ("pgd", "noise", float("nan")), ("random", "radius", -2.0),
-    ("pgd", "delta", -1.0), ("pgd", "delta", float("nan")),
+    ("pgd", "delta", -1.0), ("pgd", "delta", float("nan")), ("pgd", "delta", 2.0),
+    ("sgd", "eta", float("nan")), ("pgd", "eta", float("inf")), ("pgd", "eta", -1.0), ("sgd", "eta", 0.0),
+    ("grid", "resolution", float("inf")),
 ])
 def test_run_rejects_bad_flag_values_before_stepping(tmp_path, capsys, monkeypatch, via, algo, key, value):
     monkeypatch.setattr(cli, "run", lambda *args, **kwargs: pytest.fail("the run started"))
@@ -415,3 +417,16 @@ def test_grid_rejects_a_resolution_that_is_not_positive(tmp_path, capsys, comman
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: --resolution must be positive\n"
     assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("algo,flag,value,message", [
+    ("sgd", "--eta", "inf", "--eta must be finite and positive, got inf"),
+    ("pgd", "--eta", "-1", "--eta must be finite and positive, got -1.0"),
+    ("grid", "--resolution", "inf", "--resolution must be finite, got inf"),
+])
+def test_mc_rejects_bad_algorithm_flags_before_running(tmp_path, capsys, monkeypatch, algo, flag, value, message):
+    monkeypatch.setattr(cli, "mc_hitting", lambda *args, **kwargs: pytest.fail("the experiment started"))
+    assert main(["mc", "--mode", "desk", "--T", "3", "--d", "4", "--runs", "100", "--algo", algo, flag, value,
+                 "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())

@@ -1,19 +1,28 @@
 """The lockstep loop against one-row runs, and the lockstep Monte-Carlo
 experiments against the serial per-run loops they replaced.  The R rows share
 one Generator; the one-row runs replay row r of each (R, ·) draw from it.
+Draws of DRAW_AHEAD numbers or more are made on a worker thread one step
+ahead: they must equal the inline draws, and the worker must end with the
+loop however it ends.
 
 Every configuration is fixed, so the tests are deterministic.
 """
 
+import hashlib
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 from oracle_reference import RowOf, reference_concentration_check, reference_mc_hitting, row_run
 
+from nshard import oracles
+from nshard.cli import main
 from nshard.embed import build_h, build_instance
 from nshard.hard1d import build_1d_instance
-from nshard.oracles import GridSearch, PerturbedGD, RandomSearch, SubgradientDescent, lockstep
+from nshard.oracles import DRAW_AHEAD, GridSearch, PerturbedGD, RandomSearch, SubgradientDescent, lockstep
 from nshard.verify import concentration_check, mc_hitting
 
 ALGOS = {
@@ -115,3 +124,209 @@ def test_concentration_check_matches_serial_reference(name, d):
     assert abs(got.max_alignment - want.max_alignment) <= 1e-12
     assert (got.d, got.T, got.n_runs, got.bound, got.vacuous) == (want.d, want.T, want.n_runs, want.bound,
                                                                  want.vacuous)
+
+
+def _stack(R, d):
+    return build_h(d, np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 1]] * (R // 4)))
+
+
+@pytest.fixture
+def any_cpu(monkeypatch):
+    """On a machine with one CPU, let the worker share it with the caller, so
+    that it starts there too."""
+    if len(os.sched_getaffinity(0)) < 2:
+        monkeypatch.setattr(oracles, "_other_cpus", lambda: os.sched_getaffinity(0))
+
+
+# sha256 of mc_report.csv and mc_report.jsonl at the montecarlo benchmark's
+# configuration, recorded with every draw made inline, before draws of
+# DRAW_AHEAD numbers moved to a worker thread; the (100, 200) draws of the
+# concentration check are made on the worker now
+MC_BENCH_GOLDEN = {
+    "pgd": ("f0313d05c374d6b48a88177269f2beedf617df4eb15ab7ad816e3a4d0735d343",
+            "0c7701cbf20ed6207ad270371edd1dc43eba9ea37669fa279569d48ac9270e21"),
+    "random": ("93a961e2d259b169ce3c59f287dd0842be19705fdd952739f80954316b37244a",
+               "6806e7927d54d022c8ffd4a99a11404f8e997040bc28313e482c76631d08abcd"),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(MC_BENCH_GOLDEN))
+def test_mc_at_the_benchmark_size_matches_golden_digest(tmp_path, any_cpu, algo):
+    assert main(["mc", "--mode", "desk", "--k", "5", "--rho", "1e-4", "--T", "50", "--d", "200", "--runs", "100",
+                 "--algo", algo, "--seed", "0", "--out", str(tmp_path)]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("mc_report.csv", "mc_report.jsonl"))
+    assert digests == MC_BENCH_GOLDEN[algo]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
+def test_worker_keeps_off_the_callers_cpu():
+    """The worker keeps to the CPUs the process may use but the one the caller
+    was on when it started; the caller's own CPUs are left as they were."""
+    cpus = os.sched_getaffinity(0)
+    assert len(oracles._other_cpus()) == len(cpus) - 1 and oracles._other_cpus() < cpus
+    R, d = 8, 1000
+    for t, _, _, _ in lockstep(ALGOS["pgd"](), _stack(R, d), np.zeros((R, d)), 5, default_rng(SEED)):
+        if t == 2:
+            workers = [th for th in threading.enumerate() if th is not threading.current_thread()]
+            assert len(workers) == 1 and os.sched_getaffinity(0) == cpus
+            assert len(os.sched_getaffinity(workers[0].native_id)) == len(cpus) - 1
+
+
+@pytest.mark.parametrize("name", ["pgd", "random"])
+def test_draws_made_ahead_equal_inline_draws(monkeypatch, any_cpu, name):
+    """Every iterate and the Generator's final state are the same whether the
+    (R, d) draws are made on the worker or inline; random search's first
+    draw is all zeros, so the worker makes its redraws too."""
+    R, d, T = 20, 300, 9
+    assert R * d >= DRAW_AHEAD
+    X0 = np.linspace(-0.5, 1.5, R * d).reshape(R, d)
+
+    def steps():
+        rng = ZeroFirstDraw(SEED)
+        seen = [(X.copy(), values.copy(), G.copy()) for _, X, values, G in
+                lockstep(ALGOS[name](), _stack(R, d), X0, T, rng)]
+        return seen, rng.gen.bit_generator.state, rng.normal_calls
+
+    ahead = steps()
+    monkeypatch.setattr(oracles, "DRAW_AHEAD", R * d + 1)
+    inline = steps()
+    assert ahead[1:] == inline[1:]
+    for t, (got, want) in enumerate(zip(ahead[0], inline[0])):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), t
+
+
+@pytest.mark.parametrize("d,ahead", [(10, False), (DRAW_AHEAD // 4 - 1, False), (DRAW_AHEAD // 4, True)])
+def test_only_draws_of_draw_ahead_numbers_start_a_worker(any_cpu, d, ahead):
+    """One worker at most, after the first draw, made inline; sgd, grid and
+    pgd without noise draw nothing and start none."""
+    before = threading.active_count()
+    algos = dict(ALGOS, quiet=lambda: PerturbedGD(noise_scale=0.0))
+    for name in sorted(algos):
+        counts = [threading.active_count() for _ in lockstep(algos[name](), _stack(4, d), np.zeros((4, d)), 6,
+                                                            default_rng(SEED))]
+        draws = name not in ("sgd", "grid", "quiet")
+        assert counts[:2] == [before] * 2 and max(counts) == before + (ahead and draws), name
+        assert threading.active_count() == before
+
+
+def _finishes(fn, timeout=60.0):
+    """fn() on a thread of its own: fails if it is still running after timeout
+    seconds, else returns fn's result or raises its error."""
+    out = []
+
+    def target():
+        try:
+            out.append((fn(), None))
+        except BaseException as exc:  # handed to the test below
+            out.append((None, exc))
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), "the lockstep loop hangs"
+    result, exc = out[0]
+    if exc is not None:
+        raise exc
+    return result
+
+
+class ProposesNaNWithNoise(PerturbedGD):
+    """pgd that proposes a NaN in row 2 at step 3."""
+
+    def propose(self, t, x, response, draw):
+        x = super().propose(t, x, response, draw)
+        if t == 3:
+            x[2, 0] = np.nan
+        return x
+
+
+def test_worker_ends_with_a_loop_that_ends_early(any_cpu):
+    R, d = 8, 1000
+    stack, X0 = _stack(R, d), np.zeros((R, d))
+
+    def leave_early():
+        before, cpus = threading.active_count(), os.sched_getaffinity(0)
+        for t, _, _, _ in lockstep(ALGOS["pgd"](), stack, X0, 20, default_rng(SEED)):
+            if t == 2:
+                assert threading.active_count() == before + 1
+                break
+        assert threading.active_count() == before and os.sched_getaffinity(0) == cpus
+        steps = lockstep(ALGOS["random"](), stack, X0, 20, default_rng(SEED))
+        for _ in range(3):
+            next(steps)
+        assert threading.active_count() == before + 1
+        steps.close()
+        assert threading.active_count() == before and os.sched_getaffinity(0) == cpus
+        with pytest.raises(ValueError, match=r"^run stopped at step t=3: row 2: oracle query at a non-finite point"):
+            for _ in lockstep(ProposesNaNWithNoise(), stack, X0, 20, default_rng(SEED)):
+                pass
+        assert threading.active_count() == before and os.sched_getaffinity(0) == cpus
+
+    _finishes(leave_early)
+
+
+class FailingDraw:
+    """A Generator whose third ``standard_normal`` call raises."""
+
+    def __init__(self):
+        self.gen, self.calls = default_rng(SEED), 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        if self.calls == 3:
+            raise RuntimeError("draw failed")
+        return self.gen.standard_normal(size)
+
+
+@pytest.mark.parametrize("d", [4, 1000])
+def test_an_error_in_a_draw_reaches_the_caller(any_cpu, d):
+    """The draw for step 3 raises, inline or on the worker: the caller gets
+    the error after step 2, the loop does not hang and no worker is left."""
+    R = 8
+    stack = _stack(R, d)
+
+    def consume():
+        before, cpus, seen = threading.active_count(), os.sched_getaffinity(0), []
+        with pytest.raises(RuntimeError, match="^draw failed$"):
+            for t, _, _, _ in lockstep(ALGOS["pgd"](), stack, np.zeros((R, d)), 20, FailingDraw()):
+                seen.append(t)
+        assert seen == [0, 1, 2]
+        assert threading.active_count() == before and os.sched_getaffinity(0) == cpus
+
+    _finishes(consume)
+
+
+def test_concurrent_loops_drawing_ahead_keep_their_bytes(any_cpu):
+    """Three loops at once, each with its own worker (six threads on fewer
+    cores) and a switch interval of 10 us: every loop's iterates and final
+    Generator state equal the inline ones."""
+    R, d, T = 8, 600, 30
+    stack = _stack(R, d)
+
+    def final(seed):
+        rng = default_rng(seed)
+        X = [X.copy() for _, X, _, _ in lockstep(ALGOS["random"](), stack, np.zeros((R, d)), T, rng)][-1]
+        return X.tobytes(), rng.bit_generator.state
+
+    want = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "DRAW_AHEAD", R * d + 1)
+        for seed in range(3):
+            want[seed] = final(seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        got = {}
+
+        def run_all():
+            loops = [threading.Thread(target=lambda s=seed: got.__setitem__(s, final(s))) for seed in range(3)]
+            for loop in loops:
+                loop.start()
+            for loop in loops:
+                loop.join()
+
+        _finishes(run_all)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want

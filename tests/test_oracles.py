@@ -73,18 +73,16 @@ def test_query_locality_against_cap_free_twin(inst):
 def test_pgd_step_identity():
     x = np.array([1.0, 2.0])
     g = np.array([3.0, -1.0])
-    rng = np.random.default_rng(0)
-    assert np.array_equal(pgd_step(x, g, 0.0, 0.0, rng), x)
+    assert np.array_equal(pgd_step(x, g, 0.0, 0.0, None), x)
 
 
 def test_pgd_step_descends_abs_value():
     fn = AbsValue()
     x = np.array([1.0])
-    rng = np.random.default_rng(0)
     seen = []
     for _ in range(30):
         _, g = fn.value_and_subgrad(x)
-        x = pgd_step(x, g, 0.1, 0.0, rng)
+        x = pgd_step(x, g, 0.1, 0.0, None)
         seen.append(float(x[0]))
     for t in range(9):
         assert seen[t] == pytest.approx(1.0 - 0.1 * (t + 1), abs=1e-12)
@@ -97,8 +95,8 @@ def test_pgd_step_noise_is_mean_zero():
     g = np.array([1.0, 1.0])
     s = 0.3
     rng = np.random.default_rng(7)
-    # 10 000 rows that draw from the one stream in one (R, d) block
-    draws = pgd_step(np.tile(x, (10000, 1)), np.tile(g, (10000, 1)), 0.2, s, rng)
+    # 10 000 rows perturbed by one (R, d) block of the one stream
+    draws = pgd_step(np.tile(x, (10000, 1)), np.tile(g, (10000, 1)), 0.2, s, rng.standard_normal((10000, 2)))
     target = x - 0.2 * g
     assert np.all(np.abs(draws.mean(axis=0) - target) <= 4 * s / 100.0)
 
@@ -145,6 +143,18 @@ def test_grid_search_rejects_bad_resolution():
             GridSearch(resolution=bad)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("algo", ["sgd", "pgd"])
+def test_step_size_must_be_finite_and_positive(algo, value):
+    with pytest.raises(ValueError, match="eta0 must be finite and positive"):
+        make_algorithm(algo, eta0=value)
+
+
+def test_grid_search_rejects_an_infinite_resolution():
+    with pytest.raises(ValueError, match="^resolution must be finite, got inf$"):
+        GridSearch(resolution=np.inf)
+
+
 def test_make_algorithm_unknown():
     with pytest.raises(ValueError):
         make_algorithm("annealing")
@@ -152,11 +162,13 @@ def test_make_algorithm_unknown():
 
 def test_algorithms_structurally_local(inst):
     # the propose interface admits only the current iterates, the responses
-    # there, and the one random stream the rows share; algorithm objects hold
-    # no instance reference
+    # there, and the step's draw, which sees only the one random stream the
+    # rows share and the shape; algorithm objects hold no instance reference
     for cls in ALGORITHMS.values():
         params = list(inspect.signature(cls.propose).parameters)
-        assert params == ["self", "t", "x", "response", "rng"]
+        assert params == ["self", "t", "x", "response", "draw"]
+        if hasattr(cls, "draw"):
+            assert list(inspect.signature(cls.draw).parameters) == ["self", "rng", "R", "d"]
     for name in ALGORITHMS:
         algo = make_algorithm(name)
         run(algo, inst, np.zeros(4), 5, seed=1)
