@@ -288,13 +288,14 @@ def eval_r(bits: BitsLike, x, sched: AngleSchedule = DEFAULT_SCHEDULE):
     return out if out.ndim else out.item()
 
 
-def build_hbar(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE):
+def build_hbar(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE, r: Optional[PiecewiseAffine1D] = None):
     """Shifted table hbar = r_b + 2 - r_b(x_mid) and its minimizer, rounded once to binary64.
 
     Returns (table, x_star).  The shift is taken in the schedule's precision, so the minimum is
     exactly 2 at x_mid.  Every oracle reads this table: float lists, or arrays for stacked bits.
+    r is ``build_r(bits, sched)`` where the caller has built it already.
     """
-    r = build_r(bits, sched)
+    r = build_r(bits, sched) if r is None else r
     mid = len(r.values) // 2  # x_mid, breakpoint N+1 of 2N+3
     values = [float((v - r.values[mid]) + 2) for v in r.values]
     bp, slopes = (np.asarray(a, dtype=float) for a in (r.breakpoints, r.slopes))

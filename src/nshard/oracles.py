@@ -207,46 +207,49 @@ def _other_cpus() -> set:
         return set()
 
 
-def _draws(algorithm, rng, R: int, d: int, n: int):
-    """The algorithm's n >= 1 draws from rng in stream order, None where it draws nothing.
-
-    When the first is an (R, d) draw of DRAW_AHEAD numbers or more and the process may use another
-    CPU, a worker thread makes each of the others while the caller uses the one before.  The worker
-    keeps to the CPUs but the caller's: left alone, the kernel may wake it on the caller's CPU.
-    """
-    draw = getattr(algorithm, "draw", lambda rng, R, d: None)
-    first = draw(rng, R, d)
-    yield first
-    if first is None or R * d < DRAW_AHEAD or not (cpus := _other_cpus()):
-        for _ in range(n - 1):
-            yield draw(rng, R, d)
+def ahead(items):
+    """items' values in order.  Where another CPU is usable, a worker thread kept off the caller's CPU
+    (the kernel may wake it there) takes each while the caller uses the one before; items is the
+    worker's until this iterator is exhausted or closed, which joins it.  An error in items reaches the caller."""
+    if not (cpus := _other_cpus()):
+        yield from items
         return
-    ready, stop = queue.Queue(1), threading.Event()
+    ready, stop, end = queue.Queue(1), threading.Event(), object()
 
     def work():
         with contextlib.suppress(OSError):
             os.sched_setaffinity(threading.get_native_id(), cpus)
         try:
-            for _ in range(n - 1):
+            for item in items:
+                ready.put(item)
                 if stop.is_set():
                     return
-                ready.put(draw(rng, R, d))
-        except BaseException as exc:  # raised again where the caller asks for this draw
+            ready.put(end)
+        except BaseException as exc:  # raised again where the caller asks for this value
             ready.put(exc)
 
     worker = threading.Thread(target=work, daemon=True)
     worker.start()
     try:
-        for _ in range(n - 1):
-            item = ready.get()
+        while (item := ready.get()) is not end:
             if isinstance(item, BaseException):
                 raise item
             yield item
-    finally:  # closed or done: let the one put that may be in flight finish, then join
+    finally:  # exhausted or closed: let the one put that may be in flight finish, then join
         stop.set()
         if ready.full():
             ready.get()
         worker.join()
+
+
+def _draws(algorithm, rng, R: int, d: int, n: int):
+    """The algorithm's n >= 1 draws from rng in stream order, None where it draws nothing: the first
+    inline, the others through ``ahead`` when the first is an (R, d) draw of DRAW_AHEAD numbers or more."""
+    draw = getattr(algorithm, "draw", lambda rng, R, d: None)
+    first = draw(rng, R, d)
+    yield first
+    rest = (draw(rng, R, d) for _ in range(n - 1))
+    yield from rest if first is None or R * d < DRAW_AHEAD else ahead(rest)
 
 
 def lockstep(algorithm, instances, X0, T: int, rng):

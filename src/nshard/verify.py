@@ -15,6 +15,7 @@ Three kinds of artifact live here:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -25,8 +26,10 @@ from . import hard1d
 from .embed import build_h, build_instance, row_dots
 from .hard1d import build_1d_instance, build_r, eval_r
 from .intervals import interval, locate, phi, random_bits, separation_margins
-from .oracles import lockstep
+from .oracles import ahead, lockstep
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
+
+SAMPLE_BLOCK_BYTES = 1 << 20  # the invariant suite draws and checks its samples in row blocks of about this size
 
 
 def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
@@ -475,7 +478,9 @@ def invariant_suite(
     """Re-check every structural invariant on fresh random instances.
 
     ``mutate="slope"`` injects a slope fault into one 1D table to demonstrate
-    that the suite detects broken convexity.
+    that the suite detects broken convexity; the ``hbar`` rows stay on the clean table.  The
+    embedded section checks the row blocks of ``_samples`` as they arrive, drawn one block ahead
+    through ``ahead``; its reductions are maxima and minima, so its rows equal whole-array draws'.
     """
     if mutate not in (None, "slope"):
         raise ValueError(f"unknown mutation {mutate!r}")
@@ -543,9 +548,8 @@ def invariant_suite(
     for i in range(p.n_instances):
         N = int(rng.integers(1, p.max_depth + 1))
         bits = random_bits(N, rng)
-        table = build_r(bits, sched)
-        if mutate == "slope" and i == 0:
-            table = _mutate_slope(table)
+        clean = build_r(bits, sched)
+        table = _mutate_slope(clean) if mutate == "slope" and i == 0 else clean
         worst_cont = max(worst_cont, max(table.continuity_residuals()))
         sl = np.asarray(table.slopes, dtype=float)
         worst_mono = min(worst_mono, float(np.min(np.diff(sl))))
@@ -560,7 +564,7 @@ def invariant_suite(
         ref = table.eval_batch(xs)
         dual = np.abs(ref - eval_r(bits, xs, sched))
         worst_dual = max(worst_dual, float(np.max(dual / np.maximum(1.0, np.abs(ref)))))
-        hbar, x_mid = hard1d.build_hbar(bits, sched)
+        hbar, x_mid = hard1d.build_hbar(bits, sched, clean)
         hbar_zero_max = max(hbar_zero_max, hbar(0.0))
         grid = rng.uniform(-1.0, 2.0, size=500)
         slack = hbar.eval_batch(grid) - (2.0 + np.abs(grid - x_mid) / 8.0)
@@ -581,28 +585,33 @@ def invariant_suite(
     min_stat = np.inf
     worst_fd = 0.0
     cap_inactive_ok = True
-    for d in p.dims:
-        bits = random_bits(5, rng)
-        inst = build_instance(d, bits, rho=p.rho, seed=int(rng.integers(2**32)), sched=sched)
-        X = rng.uniform(-3.0, 3.0, size=(p.lipschitz_pairs, d))
-        X /= np.maximum(1.0, np.sqrt(row_dots(X, X))[:, None] / 3.0)
-        Y = X + rng.normal(scale=0.5, size=X.shape)
-        fx, fy = inst.eval_f_batch(X), inst.eval_f_batch(Y)
-        D = X - Y
-        dist = np.sqrt(row_dots(D, D))
-        ok = dist > 0
-        worst_lip = max(worst_lip, float(np.max(np.abs(fx - fy)[ok] / dist[ok])))
-        min_f = min(min_f, float(np.min(fx)))
-        S = rng.uniform(-3.0, 3.0, size=(p.stationarity_points, d))
-        vals, norms = inst.min_subgrad_norm_batch(S)
-        active = vals > 1e-6
-        if np.any(active):
-            min_stat = min(min_stat, float(np.min(norms[active])))
-        for _ in range(p.fd_points):
-            x = rng.uniform(-1.0, 2.0, size=d)
-            worst_fd = max(worst_fd, _fd_gap(inst, x, p.fd_dirs, rng))
-        far = inst.x_star + np.concatenate([np.zeros(d - 1), [0.4]])
-        cap_inactive_ok &= inst.eval_f(far) == inst.eval_h(far)
+    with contextlib.closing(ahead(_samples(rng, p))) as samples:  # closing joins the worker: rng is free again
+        for d in p.dims:
+            bits, cap_seed = next(samples)
+            inst = build_instance(d, bits, rho=p.rho, seed=cap_seed, sched=sched)
+            X, fx = [], []
+            for _ in _row_blocks(p.lipschitz_pairs, d):
+                Xb = next(samples)
+                Xb /= np.maximum(1.0, np.sqrt(row_dots(Xb, Xb))[:, None] / 3.0)
+                X.append(Xb)
+                fx.append(inst.eval_f_batch(Xb))
+                min_f = min(min_f, float(np.min(fx[-1])))
+            for Xb, fxb in zip(X, fx):
+                Yb = next(samples)
+                Yb += Xb  # Y = X + noise, as IEEE addition commutes
+                D = Xb - Yb
+                dist = np.sqrt(row_dots(D, D))
+                ok = dist > 0
+                worst_lip = max(worst_lip, float(np.max(np.abs(fxb - inst.eval_f_batch(Yb))[ok] / dist[ok], initial=0)))
+            for _ in _row_blocks(p.stationarity_points, d):
+                vals, norms = inst.min_subgrad_norm_batch(next(samples))
+                active = vals > 1e-6
+                if np.any(active):
+                    min_stat = min(min_stat, float(np.min(norms[active])))
+            for _ in range(p.fd_points):
+                worst_fd = max(worst_fd, _fd_gap(inst, *next(samples)))
+            far = inst.x_star + np.concatenate([np.zeros(d - 1), [0.4]])
+            cap_inactive_ok &= inst.eval_f(far) == inst.eval_h(far)
     rep.add("f-lipschitz", worst_lip <= 1.0 + 1e-9, worst_lip, 1.0, 1e-9, f"dims {tuple(p.dims)}")
     rep.add("f-nonnegative", min_f >= 0.0, min_f, 0.0, 0.0)
     rep.add("f-stationarity", min_stat >= 0.02 - 1e-9, min_stat, 0.02, 1e-9, "min-norm subgradient where f > 1e-6")
@@ -620,15 +629,33 @@ def invariant_suite(
         q = rng.uniform(-0.5, 0.5, size=6)
         q[-1] = bp
         kink_pts.append(q)
-    worst_kink = max(_fd_gap(kink_inst, x, p.fd_dirs, rng) for x in kink_pts)
+    worst_kink = max(_fd_gap(kink_inst, x, rng.standard_normal((p.fd_dirs, 6))) for x in kink_pts)
     rep.add("f-directional-derivative-kinks", worst_kink <= 1e-4, worst_kink, 1e-4, 0.0,
             "axis and valley-breakpoint points")
     rep.add("f-cap-inactive", cap_inactive_ok, float(cap_inactive_ok), 1.0, 0.0, "f == h off the cap cone")
     return rep
 
 
-def _fd_gap(inst, x, n_dirs: int, rng, h: float = 1e-6) -> float:
-    """Max gap between forward differences and the support function at x.
+def _row_blocks(n: int, d: int) -> List[int]:
+    """n rows of d numbers as the row counts of blocks of about SAMPLE_BLOCK_BYTES."""
+    step = max(1, SAMPLE_BLOCK_BYTES // (8 * d))
+    return [min(step, n - a) for a in range(0, n, step)]
+
+
+def _samples(rng, p: SuiteParams):
+    """The embedded section's draws in stream order: per dimension the bits and cap seed, X, the pairs'
+    noise and S in ``_row_blocks`` (which a Generator fills as one call), and the fd points."""
+    for d in p.dims:
+        yield random_bits(5, rng), int(rng.integers(2**32))
+        yield from (rng.uniform(-3.0, 3.0, size=(n, d)) for n in _row_blocks(p.lipschitz_pairs, d))
+        yield from (rng.normal(scale=0.5, size=(n, d)) for n in _row_blocks(p.lipschitz_pairs, d))
+        yield from (rng.uniform(-3.0, 3.0, size=(n, d)) for n in _row_blocks(p.stationarity_points, d))
+        for _ in range(p.fd_points):
+            yield rng.uniform(-1.0, 2.0, size=d), rng.standard_normal((p.fd_dirs, d))
+
+
+def _fd_gap(inst, x, V, h: float = 1e-6) -> float:
+    """Max gap between forward differences and the support function at x, along each row of V.
 
     Along v the step is at most half the distance to the nearest valley
     breakpoint, so that a point near a kink is not differenced across it; a
@@ -638,9 +665,8 @@ def _fd_gap(inst, x, n_dirs: int, rng, h: float = 1e-6) -> float:
     f0 = inst.eval_f(x)
     to_kink = float(np.min(np.abs(np.asarray(inst.hbar.breakpoints) - x[-1])))
     worst = 0.0
-    for _ in range(n_dirs):
-        v = rng.standard_normal(x.shape[0])
-        v /= np.linalg.norm(v)
+    for v in V:
+        v = v / np.linalg.norm(v)
         dist = to_kink / abs(v[-1])
         step = min(h, dist / 2) if dist > 1e-9 else h
         fd = (inst.eval_f(x + step * v) - f0) / step

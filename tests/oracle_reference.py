@@ -33,6 +33,10 @@
   flow over its whole arc and keeps the arc's best point, then the ball
   samples; the certificate whose flow stops at its first witness must agree
   with it on ``ok`` everywhere.
+* ``reference_embedded_checks``: the invariant suite's embedded and kink
+  sections with each sample array drawn in one call and checked whole, and
+  each direction of a forward difference drawn on its own, which the suite's
+  row blocks drawn ahead on a worker thread must reproduce row for row.
 * ``check_instance_record``: the fields that ``save_instance``'s record must
   hold, each number as its repr.
 """
@@ -41,12 +45,13 @@ import math
 
 import numpy as np
 
-from nshard.embed import NORM_WEIGHT, SubgradientSet, build_h, cap_slope, cap_value
+from nshard.embed import NORM_WEIGHT, SubgradientSet, build_h, build_instance, cap_slope, cap_value, row_dots
 from nshard.hard1d import PiecewiseAffine1D, build_1d_instance
-from nshard.intervals import as_bits, interval
+from nshard.intervals import as_bits, interval, random_bits
 from nshard.oracles import OracleResponse, PerturbedGD, Trajectory, lockstep
 from nshard.schedule import DEFAULT_SCHEDULE
 from nshard.verify import (
+    CertificateReport,
     CertResult,
     ConcentrationReport,
     HittingReport,
@@ -475,6 +480,74 @@ def reference_local_decrease_certificate(instance, x, delta, c=0.01, seed=0) -> 
         target=target,
         flow_status=flow.status,
     )
+
+
+def _reference_fd_gap(inst, x, n_dirs, rng, h=1e-6) -> float:
+    """The suite's forward-difference gap, drawing each direction from rng on its own."""
+    s = inst.subgrad(x)
+    f0 = inst.eval_f(x)
+    to_kink = float(np.min(np.abs(np.asarray(inst.hbar.breakpoints) - x[-1])))
+    worst = 0.0
+    for _ in range(n_dirs):
+        v = rng.standard_normal(x.shape[0])
+        v /= np.linalg.norm(v)
+        dist = to_kink / abs(v[-1])
+        step = min(h, dist / 2) if dist > 1e-9 else h
+        fd = (inst.eval_f(x + step * v) - f0) / step
+        worst = max(worst, abs(fd - s.support(v)))
+    return worst
+
+
+def reference_embedded_checks(rng, p, sched=DEFAULT_SCHEDULE) -> CertificateReport:
+    """The rows of ``invariant_suite``'s embedded and kink sections, from rng where the suite
+    reaches them (the suite's own Generator when p has no separation draws and no tables)."""
+    rep = CertificateReport()
+    worst_lip = 0.0
+    min_f = np.inf
+    min_stat = np.inf
+    worst_fd = 0.0
+    cap_inactive_ok = True
+    for d in p.dims:
+        bits = random_bits(5, rng)
+        inst = build_instance(d, bits, rho=p.rho, seed=int(rng.integers(2**32)), sched=sched)
+        X = rng.uniform(-3.0, 3.0, size=(p.lipschitz_pairs, d))
+        X /= np.maximum(1.0, np.sqrt(row_dots(X, X))[:, None] / 3.0)
+        Y = X + rng.normal(scale=0.5, size=X.shape)
+        fx, fy = inst.eval_f_batch(X), inst.eval_f_batch(Y)
+        D = X - Y
+        dist = np.sqrt(row_dots(D, D))
+        ok = dist > 0
+        worst_lip = max(worst_lip, float(np.max(np.abs(fx - fy)[ok] / dist[ok])))
+        min_f = min(min_f, float(np.min(fx)))
+        S = rng.uniform(-3.0, 3.0, size=(p.stationarity_points, d))
+        vals, norms = inst.min_subgrad_norm_batch(S)
+        active = vals > 1e-6
+        if np.any(active):
+            min_stat = min(min_stat, float(np.min(norms[active])))
+        for _ in range(p.fd_points):
+            x = rng.uniform(-1.0, 2.0, size=d)
+            worst_fd = max(worst_fd, _reference_fd_gap(inst, x, p.fd_dirs, rng))
+        far = inst.x_star + np.concatenate([np.zeros(d - 1), [0.4]])
+        cap_inactive_ok &= inst.eval_f(far) == inst.eval_h(far)
+    rep.add("f-lipschitz", worst_lip <= 1.0 + 1e-9, worst_lip, 1.0, 1e-9, f"dims {tuple(p.dims)}")
+    rep.add("f-nonnegative", min_f >= 0.0, min_f, 0.0, 0.0)
+    rep.add("f-stationarity", min_stat >= 0.02 - 1e-9, min_stat, 0.02, 1e-9, "min-norm subgradient where f > 1e-6")
+    rep.add("f-directional-derivative", worst_fd <= 1e-4, worst_fd, 1e-4, 0.0, "forward difference vs support function")
+    kink_inst = build_instance(6, random_bits(3, rng), rho=0.25, seed=int(rng.integers(2**32)), sched=sched)
+    kink_pts = [kink_inst.x_star.copy()]
+    for off in (0.07, -0.07):
+        q = kink_inst.x_star.copy()
+        q[-1] += off
+        kink_pts.append(q)
+    for bp in kink_inst.hbar.breakpoints[1:-1]:
+        q = rng.uniform(-0.5, 0.5, size=6)
+        q[-1] = bp
+        kink_pts.append(q)
+    worst_kink = max(_reference_fd_gap(kink_inst, x, p.fd_dirs, rng) for x in kink_pts)
+    rep.add("f-directional-derivative-kinks", worst_kink <= 1e-4, worst_kink, 1e-4, 0.0,
+            "axis and valley-breakpoint points")
+    rep.add("f-cap-inactive", cap_inactive_ok, float(cap_inactive_ok), 1.0, 0.0, "f == h off the cap cone")
+    return rep
 
 
 def check_instance_record(path, inst) -> dict:

@@ -88,6 +88,25 @@ def test_check_mutation_fails_but_writes_report(tmp_path):
     assert "r-convexity" in failed
 
 
+# sha256 of report.csv and report.jsonl of `nshard check`, recorded before the suite came to draw
+# its samples in row blocks ahead on a worker thread; the blocks are the rows of the one-call draws
+CHECK_GOLDEN = {
+    "--seed 0": ("fffbde53cd062dd6600a9d248e47e14e1c684e1a8c2889d6b57c8b4ed81a188e",
+                 "492f0b27e102ae41817260d8435319294de695d189a86c36e9a9c494890cb9cc"),
+    "--seed 1": ("66244f2cb26ca5ee2e9363090327b0b73fd3f08fb92caf89dd127aec561284c2",
+                 "a26b1fc8b8f72a33394a9b4e5a599d0ba4ca96bd28846a80a9b3e0cbb79f1ed4"),
+    "--seed 0 --precision extended": ("ffcc1fc100456a38b8c8a665957834e6cb8a313e2ea100cbe5b30a2d081aa44a",
+                                      "56811a84141d37acea1658bf934890672d60b88741d4dfc1e91702f8e1f35dd9"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(CHECK_GOLDEN))
+def test_check_report_matches_golden_digest(tmp_path, args):
+    assert main(["check", *args.split(), "--out", str(tmp_path)]) == 0
+    hashes = file_hashes(tmp_path)
+    assert (hashes["report.csv"], hashes["report.jsonl"]) == CHECK_GOLDEN[args]
+
+
 def test_run_outputs_and_replay(tmp_path):
     out = tmp_path / "o"
     out.mkdir()

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from oracle_reference import reference_local_decrease_certificate
 
-from nshard import cli
+from nshard import cli, hard1d
 from nshard.embed import SubgradientSet, build_instance
-from nshard.hard1d import build_1d_instance
+from nshard.hard1d import build_1d_instance, build_r
 from nshard.oracles import PerturbedGD, RandomSearch, SubgradientDescent, Trajectory, query, run
 from nshard.schedule import AngleSchedule
 from nshard.verify import (
@@ -317,6 +317,21 @@ def test_invariant_suite_mutation_breaks_convexity():
     assert not rep.all_passed
     failed = {c.name for c in rep.failed()}
     assert "r-convexity" in failed
+
+
+def test_invariant_suite_mutation_keeps_hbar_on_the_clean_table(monkeypatch):
+    """Each hbar is shifted from the table the loop built, not rebuilt, and the mutated
+    table stays out of it."""
+    seen, build = [], hard1d.build_hbar
+
+    def spy(bits, sched, r=None):
+        seen.append(r is not None and r == build_r(bits, sched))
+        return build(bits, sched, r)
+
+    monkeypatch.setattr(hard1d, "build_hbar", spy)
+    invariant_suite(seed=0, mutate="slope", params=SuiteParams(n_instances=4, dims=(2,), lipschitz_pairs=10,
+                                                               stationarity_points=10, fd_points=1, fd_dirs=1))
+    assert seen == [True] * 4
 
 
 def test_invariant_suite_extended_theta_range_passes():
