@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .intervals import DEPTH_CAP, Bits, BitsLike, as_bits, descend, separation_depth
+from .intervals import Bits, BitsLike, as_bits, descend, separation_depth
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 
 
@@ -216,13 +216,9 @@ def build_r(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> Piecewis
     R, N = B.shape
     if N < 1:
         raise ValueError("need at least one bit")
-    if sched.backend == "binary64" and N > DEPTH_CAP:
-        raise ValueError(
-            f"depth {N} exceeds the binary64 cap {DEPTH_CAP}; "
-            "build with an extended-precision schedule"
-        )
-    one = 1.0 if sched.backend == "binary64" else sched._one
-    edge = np.full((R, 1), one, dtype=float if sched.backend == "binary64" else object)
+    sched.check_depth(N)
+    one = sched.one
+    edge = np.full((R, 1), one, dtype=sched.dtype)
 
     with sched.context():
         # lift chain A_i(x) = a_i x + c_i, accumulated level by level
@@ -265,7 +261,7 @@ def eval_r(bits: BitsLike, x, sched: AngleSchedule = DEFAULT_SCHEDULE):
     """
     bits = as_bits(bits)
     N = len(bits)
-    x = np.array(x, dtype=float if sched.backend == "binary64" else object)
+    x = np.array(x, dtype=sched.dtype)
     with np.errstate(invalid="ignore"):  # NaN compares False in object arrays too
         left = x < 0
         inner = ~(left | (x > 1))

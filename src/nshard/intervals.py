@@ -25,10 +25,6 @@ from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 Bits = Tuple[int, ...]
 BitsLike = Union[str, Sequence[int], Iterable[int]]
 
-# Beyond this depth, absolute endpoints in binary64 sit under the rounding
-# noise of values near 1/2; deeper prefixes need the extended backend.
-DEPTH_CAP = 24
-
 
 def as_bits(bits: BitsLike) -> Bits:
     """Normalize "0110", [0,1,1,0], etc. to a tuple of 0/1 ints; an (R, N)
@@ -105,13 +101,9 @@ def interval(
     last, so no catastrophic cancellation occurs).
     """
     bits = as_bits(bits)
-    if sched.backend == "binary64" and len(bits) > DEPTH_CAP:
-        raise ValueError(
-            f"prefix depth {len(bits)} exceeds the binary64 cap {DEPTH_CAP}; "
-            "use an extended-precision schedule"
-        )
+    sched.check_depth(len(bits))
     with sched.context():
-        lo, hi = (0.0, 1.0) if sched.backend == "binary64" else (sched._one * 0, sched._one)
+        lo, hi = sched.one * 0, sched.one
         for j in range(len(bits) - 1, -1, -1):
             m = phi(base_level + j, bits[j], sched)
             lo, hi = m(lo), m(hi)
@@ -140,7 +132,7 @@ def descend(x, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE):
     """
     bits = as_bits(bits)
     stacked = isinstance(bits, np.ndarray)
-    u = np.array(x, dtype=float if sched.backend == "binary64" else object)
+    u = np.array(x, dtype=sched.dtype)
     if stacked and u.shape[:1] != bits.shape[:1]:
         raise ValueError(f"{len(bits)} bit strings need points of shape ({len(bits)}, M), got {u.shape}")
     depth = np.zeros(u.shape, dtype=int)

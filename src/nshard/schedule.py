@@ -24,32 +24,38 @@ import math
 import threading
 
 
+# Beyond this depth, absolute interval endpoints in binary64 sit under the
+# rounding noise of values near 1/2; deeper prefixes need the extended backend.
+DEPTH_CAP = 24
+
+
 class AngleSchedule:
-    """Lazily evaluated, memoized schedule.
+    """Lazily evaluated, memoized schedule, and the one owner of its number type.
 
     backend="binary64" computes in IEEE doubles; backend="extended" computes
     with mpmath at ``dps`` significant digits (used as a reference path in
-    tests and for constructions deeper than the binary64 depth cap).
+    tests and for constructions deeper than the binary64 depth cap).  Callers
+    compute on the schedule's numbers through its kit, fixed by the backend:
+    ``math`` (the ``math`` or ``mpmath`` module), ``dtype`` (``float`` or
+    ``object``, for numpy arrays), ``one`` and ``check_depth(n)``.  Every
+    extended operation runs under ``context()``.
     Immutable after construction and safe to share across threads.
     """
 
     def __init__(self, backend: str = "binary64", dps: int = 50):
-        if backend not in ("binary64", "extended"):
+        if backend == "binary64":
+            self.math, self.dtype, self.one, self._cap = math, float, 1.0, DEPTH_CAP
+        elif backend == "extended":
+            import mpmath
+
+            self.math, self.dtype, self.one, self._cap = mpmath, object, mpmath.mpf(1), math.inf
+        else:
             raise ValueError(f"unknown backend {backend!r}")
         self.backend = backend
         self.dps = dps
-        if backend == "binary64":
-            self._atan1 = math.atan(1.0)
-            self._atan8 = math.atan(8.0)
-            self._one = 1.0
-        else:
-            import mpmath
-
-            self._mp = mpmath
-            with mpmath.workdps(dps):
-                self._atan1 = mpmath.atan(mpmath.mpf(1))
-                self._atan8 = mpmath.atan(mpmath.mpf(8))
-                self._one = mpmath.mpf(1)
+        with self.context():
+            self._atan1 = self.math.atan(self.one)
+            self._atan8 = self.math.atan(8 * self.one)
         self._diff = self._atan8 - self._atan1
         self._lock = threading.Lock()
         self._tan = {}
@@ -64,7 +70,13 @@ class AngleSchedule:
         """
         if self.backend == "binary64":
             return contextlib.nullcontext()
-        return self._mp.workdps(self.dps)
+        return self.math.workdps(self.dps)
+
+    def check_depth(self, n: int) -> None:
+        """Refuse prefixes deeper than this schedule's numbers resolve."""
+        if n > self._cap:
+            raise ValueError(f"depth {n} exceeds the binary64 cap {DEPTH_CAP}; "
+                             "build with an extended-precision schedule")
 
     # -- raw angles ---------------------------------------------------------
 
@@ -79,12 +91,12 @@ class AngleSchedule:
             return self._atan1
         # Closed form of the summed recursion; approaches atan(8) from below.
         with self.context():
-            return self._atan8 - self._diff * self._pow2(1 - i)
+            return self._atan8 - self.math.ldexp(self._diff, 1 - i)
 
     def theta_shift(self, i: int):
         self._check_index(i)
         with self.context():
-            return self._diff * self._pow2(-i)
+            return self.math.ldexp(self._diff, -i)
 
     # -- tangents and cotangents -------------------------------------------
 
@@ -93,13 +105,8 @@ class AngleSchedule:
         self._check_index(i)
         t = self._tan.get(i)
         if t is None:
-            if i == 1:
-                t = self._one
-            elif self.backend == "binary64":
-                t = math.tan(self.theta_base(i))
-            else:
-                with self._mp.workdps(self.dps):
-                    t = self._mp.tan(self.theta_base(i))
+            with self.context():
+                t = self.one if i == 1 else self.math.tan(self.theta_base(i))
             with self._lock:
                 self._tan[i] = t
         return t
@@ -121,10 +128,7 @@ class AngleSchedule:
                 # tan(a+s) - tan(a) = tan(s) * (1 + tan(a) tan(a+s)); the
                 # product form keeps delta positive at large i where t2 - t1
                 # underflows.
-                if self.backend == "binary64":
-                    ts = math.tan(self.theta_shift(i))
-                else:
-                    ts = self._mp.tan(self.theta_shift(i))
+                ts = self.math.tan(self.theta_shift(i))
                 d = ts * (1 + t1 * t2) / (2 * t2 + t1) / 2
             with self._lock:
                 self._delta[i] = d
@@ -138,7 +142,7 @@ class AngleSchedule:
             with self.context():
                 t1 = self.tan_base(i)
                 t2 = self.tan_base(i + 1)
-                e = 1 - (3 * self._one / 2) / (2 * t2 + t1)
+                e = 1 - (3 * self.one / 2) / (2 * t2 + t1)
             with self._lock:
                 self._eps[i] = e
         return e
@@ -148,17 +152,12 @@ class AngleSchedule:
         if n < 0:
             raise ValueError("n must be >= 0")
         with self.context():
-            p = self._one
+            p = self.one
             for j in range(1, n + 1):
                 p = p * self.delta(j)
         return p
 
     # -- helpers -------------------------------------------------------------
-
-    def _pow2(self, e: int):
-        if self.backend == "binary64":
-            return 2.0 ** e
-        return self._mp.mpf(2) ** e
 
     @staticmethod
     def _check_index(i) -> None:

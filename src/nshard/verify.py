@@ -30,6 +30,7 @@ from .oracles import ahead, lockstep
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 
 SAMPLE_BLOCK_BYTES = 1 << 20  # the invariant suite draws and checks its samples in row blocks of about this size
+FLOW_HALT_NORM = 1e-3  # the subgradient flow stalls at a subgradient norm below this
 
 
 def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
@@ -271,15 +272,13 @@ class FlowResult:
     steps: int
 
 
-def subgradient_flow(
-    fn, x0, delta: float, eta: Optional[float] = None, halt_threshold: float = 1e-3, drop: Optional[float] = None
-) -> FlowResult:
+def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, drop: Optional[float] = None) -> FlowResult:
     """Forward-Euler integration of dx/dt = -g(x)/||g(x)|| for arc length delta.
 
     g is the minimal-norm subgradient returned by fn.value_and_subgrad.  The
     step is re-queried every iteration, which handles sliding along valleys
     without event detection.  Halts with status "stalled" if a subgradient
-    norm below halt_threshold is encountered (on a hard instance with value
+    norm below FLOW_HALT_NORM is encountered (on a hard instance with value
     at least 1 inside the ball this cannot happen).  With ``drop`` set, the
     flow stops early, with status "ok", at the first queried point whose
     value is below f(x0) - drop; the endpoint is then that point.  Every
@@ -304,7 +303,7 @@ def subgradient_flow(
     taken = 0
     for _ in range(steps):
         gn = math.sqrt(g.dot(g))
-        if gn < halt_threshold:
+        if gn < FLOW_HALT_NORM:
             status = "stalled"
             break
         x = x - eta * (g / gn)
@@ -491,8 +490,7 @@ def invariant_suite(
     # schedule ranges, against atan 1 and atan 8 at the schedule's own
     # precision (a binary64 atan 8 lies below extended thetas from i = 54 on)
     with sched.context():
-        atan = math.atan if sched.backend == "binary64" else sched._mp.atan
-        atan1, atan8 = atan(1.0), atan(8.0)
+        atan1, atan8 = sched.math.atan(1.0), sched.math.atan(8.0)
     thetas = [sched.theta_base(i) for i in range(1, 61)]
     rep.add(
         "schedule-theta-range",

@@ -264,7 +264,7 @@ def reference_build_r(bits, sched=DEFAULT_SCHEDULE) -> PiecewiseAffine1D:
     """Piece table of r_b with each prefix's interval composed on its own."""
     bits = as_bits(bits)
     N = len(bits)
-    one = 1.0 if sched.backend == "binary64" else sched._one
+    one = sched.one
     with sched.context():
         a, c = one, one * 0
         level_values = [one]

@@ -303,6 +303,19 @@ def test_build_replay_bit_identical(tmp_path):
     assert file_hashes(out) == first
 
 
+def test_build_depth_cap_boundary(tmp_path, capsys):
+    # desk mode builds N = k + 1 levels; binary64 resolves N = 24 and refuses 25
+    ok, refused = tmp_path / "ok", tmp_path / "refused"
+    ok.mkdir()
+    refused.mkdir()
+    assert main(["build", "--mode", "desk", "--k", "23", "--out", str(ok)]) == 0
+    assert "N=24" in capsys.readouterr().out
+    assert main(["build", "--mode", "desk", "--k", "24", "--out", str(refused)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: depth 25 exceeds the binary64 cap 24; build with an extended-precision schedule\n"
+    assert os.listdir(refused) == []
+
+
 def test_run_non_finite_iterate_exits_2_with_one_line(tmp_path, capsys):
     # eta = 1e308 sends the second pgd iterate so far out that its leading
     # norm overflows; the run stops there instead of writing inf or NaN

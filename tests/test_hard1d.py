@@ -203,6 +203,15 @@ def test_depth_cap_and_extended_build():
     assert float(table(0.0)) == 1.0
 
 
+def test_build_r_depth_cap_boundary_and_message():
+    message = r"^depth 25 exceeds the binary64 cap 24; build with an extended-precision schedule$"
+    assert build_r("1" * 24).piece_count == 2 * 24 + 4
+    assert build_r(np.ones((2, 24), dtype=int)).breakpoints.shape == (2, 2 * 24 + 3)
+    for bits in ("1" * 25, np.ones((2, 25), dtype=int)):
+        with pytest.raises(ValueError, match=message):
+            build_r(bits)
+
+
 def test_extended_and_binary64_agree():
     ext = AngleSchedule("extended", dps=40)
     rng = np.random.default_rng(8)

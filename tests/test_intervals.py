@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nshard.intervals import (
-    DEPTH_CAP,
     as_bits,
     bits_to_str,
     interval,
@@ -14,7 +13,7 @@ from nshard.intervals import (
     separation_depth,
     separation_margins,
 )
-from nshard.schedule import AngleSchedule, DEFAULT_SCHEDULE
+from nshard.schedule import DEPTH_CAP, AngleSchedule, DEFAULT_SCHEDULE
 
 # mpmath references at 50 digits, frozen.
 REF_I0 = (0.29473724702586063, 0.39736862351293031)
@@ -129,6 +128,17 @@ def test_depth_cap_enforced():
     iv = interval("01" * 13, ext)
     assert 0 < float(iv.lo) <= float(iv.hi) < 1
     assert float(iv.width) > 0
+
+
+DEPTH_CAP_MESSAGE = r"^depth 25 exceeds the binary64 cap 24; build with an extended-precision schedule$"
+
+
+def test_depth_cap_boundary_and_message():
+    assert DEPTH_CAP == 24
+    iv = interval("01" * 12)  # depth 24 is accepted, though binary64 rounds its width to 0
+    assert 0 < iv.lo <= iv.hi < 1
+    with pytest.raises(ValueError, match=DEPTH_CAP_MESSAGE):
+        interval("0" + "01" * 12)
 
 
 def test_locate_at_half_is_zero():

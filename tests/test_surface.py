@@ -5,6 +5,10 @@ the quick tour and the names that its inline code calls, such as
 ``AngleSchedule("extended", dps=...)``.  Every exported name has one of these
 users, and every name they import from ``nshard`` is exported.  Demo 03,
 which the demo tests do not run, is covered here.
+
+The schedule owns the number type: outside ``schedule.py`` no module
+compares a ``backend`` or reads a schedule's private attributes; they use
+its kit (``math``, ``dtype``, ``one``, ``check_depth``, ``context``).
 """
 
 import ast
@@ -48,3 +52,30 @@ def test_every_name_a_user_imports_is_exported():
 def test_every_export_has_a_user():
     readme_calls = set(re.findall(r"`([A-Za-z_]\w*)\(", README))
     assert exported() <= user_imports() | readme_calls
+
+
+def schedule_type_tests(source: str) -> list:
+    """Comparisons that involve a ``.backend`` and reads of ``sched._x``, as source text."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Attribute) and o.attr == "backend" for o in operands):
+                found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__"):
+            owner = node.value.attr if isinstance(node.value, ast.Attribute) else getattr(node.value, "id", "")
+            if "sched" in owner:
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_only_the_schedule_branches_on_its_number_type():
+    modules = sorted((ROOT / "src" / "nshard").glob("*.py"))
+    assert ROOT / "src" / "nshard" / "schedule.py" in modules
+    found = {p.name: schedule_type_tests(p.read_text()) for p in modules if p.name != "schedule.py"}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_schedule_type_tests_sees_both_kinds():
+    source = 'a = sched.backend == "binary64"\nb = self.sched._one\nc = sched.one\nd = sched.__class__'
+    assert schedule_type_tests(source) == ["sched.backend == 'binary64'", "self.sched._one"]
