@@ -56,7 +56,7 @@ class AngleSchedule:
         with self.context():
             self._atan1 = self.math.atan(self.one)
             self._atan8 = self.math.atan(8 * self.one)
-        self._diff = self._atan8 - self._atan1
+            self._diff = self._atan8 - self._atan1
         self._lock = threading.Lock()
         self._tan = {}
         self._delta = {}

@@ -509,18 +509,15 @@ def invariant_suite(
 
     # interval combinatorics in the local frame of the common prefix: a child there depends on (k, bit) alone
     depth = p.interval_depth
-    worst_nest = np.inf
-    for k in range(1, depth + 1):
-        for bit in (0, 1):
-            child = interval((bit,), sched, base_level=k)
-            worst_nest = min(worst_nest, child.lo - 0.0, 1.0 - child.hi)
+    worst_nest = worst_gap = np.inf
+    with sched.context():  # the gaps are differences of the schedule's numbers
+        for k in range(1, depth + 1):
+            for bit in (0, 1):
+                child = interval((bit,), sched, base_level=k)
+                worst_nest = min(worst_nest, child.lo - 0.0, 1.0 - child.hi)
+            # disjointness at the first differing level: bands around 1/2 separated by 2 delta
+            worst_gap = min(worst_gap, phi(k, 1, sched).image()[0] - phi(k, 0, sched).image()[1])
     rep.add("interval-nesting", worst_nest > 1e-12, worst_nest, 1e-12, 1e-12, f"depth <= {depth}, local frames")
-    worst_gap = np.inf
-    for k in range(1, depth + 1):
-        # disjointness at the first differing level: bands around 1/2 separated by 2 delta
-        m0 = phi(k, 0, sched)
-        m1 = phi(k, 1, sched)
-        worst_gap = min(worst_gap, m1.image()[0] - m0.image()[1])
     rep.add("interval-disjointness", worst_gap > 1e-12, worst_gap, 1e-12, 1e-12, "local band gap 2*delta")
 
     log2_inv_rho = 256.0

@@ -1,6 +1,7 @@
 import math
 import threading
 
+import mpmath
 import pytest
 
 from nshard.schedule import AngleSchedule, DEFAULT_SCHEDULE
@@ -105,6 +106,23 @@ def test_extended_backend_agrees_with_binary64():
         assert float(ext.delta(i)) == pytest.approx(s.delta(i), rel=1e-13)
         assert float(ext.epsilon(i)) == pytest.approx(s.epsilon(i), rel=1e-13)
         assert float(ext.theta_base(i)) == pytest.approx(s.theta_base(i), rel=1e-14)
+
+
+def test_extended_backend_is_accurate_to_dps():
+    # reference straight from the defining recursion at 200 digits: the
+    # extended schedule at 50 digits must agree to 45 of them, which a
+    # schedule that rounds any step to binary64 (about 16 digits) misses
+    ext = AngleSchedule("extended", dps=50)
+    with mpmath.workdps(200):
+        atan1, atan8 = mpmath.atan(1), mpmath.atan(8)
+        tan_base = [mpmath.tan(atan8 - (atan8 - atan1) / 2 ** (i - 1)) for i in range(1, 42)]
+        for i in range(1, 41):
+            t1, t2 = tan_base[i - 1], tan_base[i]
+            want = {"theta_shift": (atan8 - atan1) / 2**i, "delta": (t2 - t1) / (2 * t2 + t1) / 2,
+                    "epsilon": 1 - mpmath.mpf(3) / 2 / (2 * t2 + t1)}
+            for name, value in want.items():
+                got = getattr(ext, name)(i)
+                assert float(abs(got - value) / abs(value)) <= 1e-45, (name, i)
 
 
 def test_unknown_backend_rejected():
