@@ -24,8 +24,9 @@ import math
 import threading
 
 
-# Beyond this depth, absolute interval endpoints in binary64 sit under the
-# rounding noise of values near 1/2; deeper prefixes need the extended backend.
+# The deepest binary64 prefix that interval and build_r accept; deeper ones
+# need the extended backend.  Absolute endpoints already collapse (lo == hi)
+# from depth 10 on, where widths fall under one ulp of values near 1/2.
 DEPTH_CAP = 24
 
 

@@ -306,7 +306,7 @@ def test_build_replay_bit_identical(tmp_path):
 
 
 def test_build_depth_cap_boundary(tmp_path, capsys):
-    # desk mode builds N = k + 1 levels; binary64 resolves N = 24 and refuses 25
+    # desk mode builds N = k + 1 levels; binary64 accepts N = 24 and refuses 25
     ok, refused = tmp_path / "ok", tmp_path / "refused"
     ok.mkdir()
     refused.mkdir()

@@ -130,14 +130,12 @@ def test_depth_cap_enforced():
     assert float(iv.width) > 0
 
 
-DEPTH_CAP_MESSAGE = r"^depth 25 exceeds the binary64 cap 24; build with an extended-precision schedule$"
-
-
 def test_depth_cap_boundary_and_message():
+    message = r"^depth 25 exceeds the binary64 cap 24; build with an extended-precision schedule$"
     assert DEPTH_CAP == 24
     iv = interval("01" * 12)  # depth 24 is accepted, though binary64 rounds its width to 0
     assert 0 < iv.lo <= iv.hi < 1
-    with pytest.raises(ValueError, match=DEPTH_CAP_MESSAGE):
+    with pytest.raises(ValueError, match=message):
         interval("0" + "01" * 12)
 
 
