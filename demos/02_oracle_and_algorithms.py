@@ -31,8 +31,8 @@ def main():
     print(f"\n== running the zoo (T={T}) ==")
     for name in ("sgd", "pgd", "random", "grid"):
         traj = run(make_algorithm(name), inst, np.zeros(D), T, seed=SEED)
-        proc = progress_process(traj)
-        print(f"  {name:6s}: min f={traj.values.min():.6f}  final depth={proc.final}  "
+        depth = progress_process(traj.points[:, -1], inst.bits)[-1]
+        print(f"  {name:6s}: min f={traj.values.min():.6f}  final depth={depth}  "
               f"min ||g||={traj.subgrad_norms.min():.4f}")
 
     print("\n== local decrease certificates (pgd iterates, delta=0.5) ==")

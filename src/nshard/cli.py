@@ -181,7 +181,7 @@ def cmd_run(cfg: RunConfig) -> int:
     algo = _algorithm(cfg)
     algo_ss, cert_ss = np.random.SeedSequence(cfg.seed).spawn(4)[2:]
     traj = run(algo, inst, np.zeros(inst.d), cfg.T, seed=int(algo_ss.generate_state(1)[0]))
-    proc = progress_process(traj)
+    Z = progress_process(traj.points[:, -1], inst.bits)
     certified, witness_vals = [], []
     cert_seed = int(cert_ss.generate_state(1)[0])
     for t in range(traj.T):
@@ -197,7 +197,7 @@ def cmd_run(cfg: RunConfig) -> int:
         os.path.join(out, "summary.csv"),
         extra_columns={
             "f_ge_1": [int(v >= 1.0) for v in traj.values],
-            "depth": [int(z) for z in proc.Z[1:]],
+            "depth": [int(z) for z in Z[1:]],
             "certified": certified,
             "witness_value": witness_vals,
         },
@@ -205,7 +205,7 @@ def cmd_run(cfg: RunConfig) -> int:
     _write_config(cfg, params, os.path.join(out, "config.json"))
     n_cert = sum(1 for c in certified if c == 1)
     print(f"ran {cfg.algo} for T={cfg.T}: min f={traj.values.min():.6g} "
-          f"final depth={proc.final} certified={n_cert}/{traj.T}")
+          f"final depth={Z[-1]} certified={n_cert}/{traj.T}")
     return 0
 
 

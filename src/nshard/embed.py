@@ -70,11 +70,9 @@ class SubgradientSet:
 
     The set is { t * (base + lam e_d + u) } with lam in [ed_lo, ed_hi], u a
     vector of norm <= ball_radius supported on the first d-1 coordinates, and
-    t in [0,1] when includes_zero else t = 1.  ``case`` records which branch
-    of the pointwise analysis produced it.
+    t in [0,1] when includes_zero else t = 1.
     """
 
-    case: str
     dim: int
     base: np.ndarray
     ed_lo: float
@@ -157,13 +155,11 @@ class HardInstance:
     # -- scalar pass and its views ----------------------------------------------
 
     def _pass(self, x):
-        """One point up to the kinks: (x, pn, h, psi, g, lo, hi, z, nz).
+        """One point up to the kinks: (pn, h, psi, g, lo, hi).
 
-        x as a contiguous float array, pn = ||x_{1:d-1}||, psi = h - cap, g the
-        gradient of the smooth parts (leading part zero at pn = 0), [lo, hi]
-        the valley slopes, z = x - x_star + w and nz = ||z|| (None without a
-        cap).  Raises ValueError where x_d or pn is not finite (an overflowing
-        norm included).
+        pn = ||x_{1:d-1}||, psi = h - cap, g the gradient of the smooth parts
+        (leading part zero at pn = 0) and [lo, hi] the valley slopes.  Raises
+        ValueError where x_d or pn is not finite (an overflowing norm included).
         """
         # contiguous, so that p.dot(p) takes the same BLAS path as np.linalg.norm
         x = np.ascontiguousarray(x, dtype=float)
@@ -178,7 +174,7 @@ class HardInstance:
         if pn > 0.0:
             g[:-1] = p / (32.0 * pn)
         if not self.has_cap:
-            return x, pn, h, h, g, lo, hi, None, None
+            return pn, h, h, g, lo, hi
         z = (x - self.x_star) + self.w
         nz = math.sqrt(z.dot(z))
         cap = 0.0
@@ -193,10 +189,10 @@ class HardInstance:
             else:
                 cap, s = q / 4.0 - mu / 8.0, 0.25
             g -= s * (wu - z / (2.0 * nz))
-        return x, pn, h, h - cap, g, lo, hi, z, nz
+        return pn, h, h - cap, g, lo, hi
 
     def eval_h(self, x) -> float:
-        return self._pass(x)[2]
+        return self._pass(x)[1]
 
     def eval_f(self, x) -> float:
         return self._oracle(x)[0]
@@ -223,7 +219,7 @@ class HardInstance:
             reject_rows(np.isfinite(pn) & np.isfinite(xd), lambda r: "oracle query at a non-finite point: "
                         f"x_d={float(xd[r])!r}, ||x_(1:d-1)||={float(pn[r])!r}")
             return self._kernel(X, grad=True, pn=pn)[:2]
-        _, pn, _, psi, g, lo, hi, _, _ = self._pass(x)
+        pn, _, psi, g, lo, hi = self._pass(x)
         if psi <= 0.0:  # zero region or max boundary: 0 is a subgradient
             return 0.0, np.zeros(self.d)
         if pn == 0.0:  # norm kink: project the leading part onto the 1/32 ball
@@ -235,39 +231,17 @@ class HardInstance:
         return psi, g
 
     def subgrad(self, x) -> SubgradientSet:
-        """Clarke subdifferential with its pointwise case label.
+        """Clarke subdifferential at x: the zero set where psi < 0, else the smooth
+        gradient with the valley interval, the 1/32 ball at the norm kink and, on
+        the max boundary psi = 0, the scaling to the origin.
 
-        Every point is classified; the cap contribution is a plain gradient
-        (the ramp composition is continuously differentiable, including at
-        the anchor x_star - w where its gradient vanishes).
+        The cap contributes a plain gradient (the ramp composition is continuously
+        differentiable, including at the anchor x_star - w where its gradient vanishes).
         """
-        x, pn, _, psi, g, lo, hi, z, nz = self._pass(x)
-        d = self.d
-        ball = NORM_WEIGHT if pn == 0.0 else 0.0
-        if not self.has_cap:
-            return SubgradientSet("no_cap", d, g, lo, hi, ball)
+        pn, _, psi, g, lo, hi = self._pass(x)
         if psi < 0.0:
-            return SubgradientSet("zero_region", d, np.zeros(d), 0.0, 0.0, 0.0)
-        if psi == 0.0:
-            return SubgradientSet("max_boundary", d, g, lo, hi, ball, includes_zero=True)
-        y = x - self.x_star
-        if not np.any(y):
-            case = "at_minimizer"
-        elif nz == 0.0:
-            case = "at_cap_anchor"
-        elif y[-1] != 0.0:
-            case = "off_slice"
-        else:
-            align = float(self.w_unit.dot(z)) / nz
-            if align < 0.5:
-                case = "slice_cap_off"
-            elif align > 0.5 + self.mu / nz:
-                case = "slice_cap_linear"
-            elif nz <= 10.0 * self.mu:
-                case = "slice_cap_band_near"
-            else:
-                case = "slice_cap_band_far"
-        return SubgradientSet(case, d, g, lo, hi, ball)
+            return SubgradientSet(self.d, np.zeros(self.d), 0.0, 0.0)
+        return SubgradientSet(self.d, g, lo, hi, NORM_WEIGHT if pn == 0.0 else 0.0, includes_zero=psi == 0.0)
 
     # -- row kernel and its views -------------------------------------------------
 

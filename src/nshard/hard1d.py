@@ -80,9 +80,7 @@ class PiecewiseAffine1D:
     # -- scalar evaluation ----------------------------------------------------
 
     def __call__(self, x):
-        j = bisect.bisect_right(self.breakpoints, x)
-        a = j - 1 if j > 0 else 0
-        return self.values[a] + self.slopes[j] * (x - self.breakpoints[a])
+        return self.value_and_subdiff(x)[0]
 
     def value_and_subdiff(self, x):
         """(value, lo, hi) at x from one table lookup: self(x) and the slope interval [lo, hi],

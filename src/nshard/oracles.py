@@ -154,11 +154,8 @@ def make_algorithm(name: str, **params):
 
 @dataclass
 class Trajectory:
-    algorithm: str
-    seed: int
     points: np.ndarray  # (T, d)
     responses: List[OracleResponse]
-    instance: object
 
     @property
     def T(self) -> int:
@@ -304,10 +301,4 @@ def run(algorithm, instance, x0=None, T: int = 1, seed: int = 0) -> Trajectory:
     for _, X, values, G in lockstep(algorithm, [instance], x0[None], T, np.random.default_rng(seed)):
         points.append(X[0])
         responses.append(OracleResponse(float(values[0]), G[0]))
-    return Trajectory(
-        algorithm=getattr(algorithm, "name", type(algorithm).__name__),
-        seed=seed,
-        points=np.stack(points),
-        responses=responses,
-        instance=instance,
-    )
+    return Trajectory(np.stack(points), responses)

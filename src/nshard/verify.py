@@ -51,26 +51,14 @@ def wilson_interval(successes: int, n: int) -> Tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProgressProcess:
-    """Deepest nested-interval prefix entered by time t; Z[0] = 0."""
-
-    Z: np.ndarray
-
-    @property
-    def jumps(self) -> np.ndarray:
-        return np.diff(self.Z)
-
-    @property
-    def final(self) -> int:
-        return int(self.Z[-1])
-
-
-def progress_process(trajectory, sched: AngleSchedule = DEFAULT_SCHEDULE) -> ProgressProcess:
-    """Z_t from a trajectory: the last coordinate of each iterate located on its instance's bits."""
-    Z = np.zeros(trajectory.T + 1, dtype=int)
-    Z[1:] = np.maximum.accumulate(locate(trajectory.points[:, -1], trajectory.instance.bits, sched))
-    return ProgressProcess(Z)
+def progress_process(x_last, bits, sched: AngleSchedule = DEFAULT_SCHEDULE) -> np.ndarray:
+    """Z_t, the deepest nested-interval prefix entered by time t, with Z[0] = 0: from the (T,)
+    last coordinates of one run's iterates on its bits, or row by row from the (R, T) ones
+    of R runs on (R, N) stacked bits."""
+    depths = locate(x_last, bits, sched)
+    Z = np.zeros(depths.shape[:-1] + (depths.shape[-1] + 1,), dtype=int)
+    Z[..., 1:] = np.maximum.accumulate(depths, axis=-1)
+    return Z
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +111,8 @@ def mc_hitting(
     Each run draws a fresh bit string, builds the shifted 1D hard function (one stacked
     instance for all runs), takes T oracle steps from 0 (in lockstep, one stacked query
     per step), and records whether any iterate came within rho of the minimizer and how
-    deep the progress process got (one stacked ``locate``).  Estimates come with Wilson
-    intervals and are compared to the analytic bounds 16 T / sqrt(log2(1/rho)),
+    deep the progress process got (one stacked ``progress_process``).  Estimates come
+    with Wilson intervals and are compared to the analytic bounds 16 T / sqrt(log2(1/rho)),
     min(1, 4T/k) and, for jumps of m = 1..6 levels in one step, 2^-(m-1); bounds that
     exceed 1 are flagged vacuous rather than failed.  rho is 2^-log2_inv_rho, taken as 0
     from log2_inv_rho = 1060 on.
@@ -146,9 +134,7 @@ def mc_hitting(
     for t, X, _, _ in lockstep(algorithm, inst, np.zeros((n_runs, 1)), T, algo_rng):
         x_last[:, t] = X[:, -1]
     hits = int(np.count_nonzero(np.any(np.abs(x_last - inst.x_star[:, None]) <= rho, axis=1)))
-    # the progress process of each run, Z[:, 0] = 0
-    Z = np.zeros((n_runs, T + 1), dtype=int)
-    Z[:, 1:] = np.maximum.accumulate(locate(x_last, bits, sched), axis=1)
+    Z = progress_process(x_last, bits, sched)
     deep = int(np.count_nonzero(Z[:, -1] >= k))
     jumps = np.diff(Z, axis=1)
     jump_trials = jumps.size
@@ -272,14 +258,14 @@ class FlowResult:
     steps: int
 
 
-def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, drop: Optional[float] = None) -> FlowResult:
+def subgradient_flow(fn, x0, delta: float, drop: Optional[float] = None) -> FlowResult:
     """Forward-Euler integration of dx/dt = -g(x)/||g(x)|| for arc length delta.
 
     g is the minimal-norm subgradient returned by fn.value_and_subgrad.  The
-    step is re-queried every iteration, which handles sliding along valleys
-    without event detection.  Halts with status "stalled" if a subgradient
-    norm below FLOW_HALT_NORM is encountered (on a hard instance with value
-    at least 1 inside the ball this cannot happen).  With ``drop`` set, the
+    arc takes 1000 steps of delta/1000, each re-queried, which handles sliding
+    along valleys without event detection.  Halts with status "stalled" if a
+    subgradient norm below FLOW_HALT_NORM is encountered (on a hard instance
+    with value at least 1 inside the ball this cannot happen).  With ``drop`` set, the
     flow stops early, with status "ok", at the first queried point whose
     value is below f(x0) - drop; the endpoint is then that point.  Every
     point is queried once: the start and end values are the first and last
@@ -287,10 +273,7 @@ def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, drop: Op
     """
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
-    if eta is None:
-        eta = delta / 1000.0
-    if eta > delta / 100.0:
-        raise ValueError("eta must be at most delta/100")
+    eta = delta / 1000.0
     # x is rebound by every step and never written to, so points need no copies
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     f0, g = fn.value_and_subgrad(x)
@@ -298,10 +281,9 @@ def subgradient_flow(fn, x0, delta: float, eta: Optional[float] = None, drop: Op
     stop = -math.inf if drop is None else f0 - drop
     best_point, best_value = x, f0
     v = f0
-    steps = int(round(delta / eta))
     status = "ok"
     taken = 0
-    for _ in range(steps):
+    for _ in range(1000):
         gn = math.sqrt(g.dot(g))
         if gn < FLOW_HALT_NORM:
             status = "stalled"
@@ -654,16 +636,16 @@ def _fd_gap(inst, x, V, h: float = 1e-6) -> float:
 
     Along v the step is at most half the distance to the nearest valley
     breakpoint, so that a point near a kink is not differenced across it; a
-    point within 1e-9 of one (a kink point) keeps the step h.
+    point within 1e-9 of one (a kink point) keeps the step h.  x and the forward
+    points are one ``eval_f_batch`` call.
     """
     s = inst.subgrad(x)
-    f0 = inst.eval_f(x)
     to_kink = float(np.min(np.abs(np.asarray(inst.hbar.breakpoints) - x[-1])))
+    U = V / np.sqrt(row_dots(V, V))[:, None]
+    dist = to_kink / np.abs(U[:, -1])
+    steps = np.where(dist > 1e-9, np.minimum(h, dist / 2), h)
+    f = inst.eval_f_batch(np.vstack([x, x + steps[:, None] * U]))
     worst = 0.0
-    for v in V:
-        v = v / np.linalg.norm(v)
-        dist = to_kink / abs(v[-1])
-        step = min(h, dist / 2) if dist > 1e-9 else h
-        fd = (inst.eval_f(x + step * v) - f0) / step
-        worst = max(worst, abs(fd - s.support(v)))
+    for u, step, fu in zip(U, steps, f[1:]):
+        worst = max(worst, abs((fu - f[0]) / step - s.support(u)))
     return worst

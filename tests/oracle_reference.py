@@ -5,10 +5,11 @@
 * ``generators``: a finite generating set of a structured subdifferential,
   for feeding ``min_norm_point``.
 * ``reference_h``, ``gap``, ``reference_subgrad`` and ``min_norm``: h, the
-  cap gap, the structured subdifferential and its minimal-norm element, each
-  computed on its own through ``np.linalg.norm``, the table's ``__call__``
-  and the slope interval of ``value_and_subdiff``, and the vectorized
-  ``cap_value`` / ``cap_slope``.
+  cap gap, the structured subdifferential with its case label and its
+  minimal-norm element, each computed on its own through ``np.linalg.norm``,
+  the table's ``__call__`` and the slope interval of ``value_and_subdiff``,
+  and the vectorized ``cap_value`` / ``cap_slope``.  ``assert_same_set``
+  compares ``subgrad`` with ``reference_subgrad`` field by field.
 * ``composed_value`` / ``composed_subgrad`` / ``composed_1d``: the oracle
   assembled from those parts, which the one-pass ``value_and_subgrad`` (and
   ``subgrad``, which shares its pass) must reproduce bit for bit.
@@ -42,6 +43,7 @@
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,7 +161,21 @@ def gap(inst, y) -> float:
     return float(inst.w_unit @ z) - 0.5 * float(np.linalg.norm(z))
 
 
-def reference_subgrad(inst, x) -> SubgradientSet:
+@dataclass
+class LabelledSet(SubgradientSet):
+    """A SubgradientSet with the branch of the pointwise analysis that produced it."""
+
+    case: str = ""
+
+
+def assert_same_set(s, ref):
+    """s equals the reference set ref in every field but the label, signs of zeros included."""
+    assert s.base.tobytes() == ref.base.tobytes()
+    for name in ("dim", "ed_lo", "ed_hi", "ball_radius", "includes_zero"):
+        assert getattr(s, name) == getattr(ref, name), name
+
+
+def reference_subgrad(inst, x) -> LabelledSet:
     """Clarke subdifferential with its case label, computed from scratch."""
     x = np.asarray(x, dtype=float)
     d = inst.d
@@ -176,7 +192,7 @@ def reference_subgrad(inst, x) -> SubgradientSet:
         ball = NORM_WEIGHT
 
     if not inst.has_cap:
-        return SubgradientSet("no_cap", d, base, lo, hi, ball)
+        return LabelledSet(d, base, lo, hi, ball, case="no_cap")
 
     y = x - inst.x_star
     z = y + inst.w
@@ -191,9 +207,9 @@ def reference_subgrad(inst, x) -> SubgradientSet:
     h = NORM_WEIGHT * pn + float(inst.hbar(float(x[-1])))
     psi = h - cap_value(q, inst.mu)
     if psi < 0.0:
-        return SubgradientSet("zero_region", d, np.zeros(d), 0.0, 0.0, 0.0)
+        return LabelledSet(d, np.zeros(d), 0.0, 0.0, case="zero_region")
     if psi == 0.0:
-        return SubgradientSet("max_boundary", d, base, lo, hi, ball, includes_zero=True)
+        return LabelledSet(d, base, lo, hi, ball, includes_zero=True, case="max_boundary")
 
     if not np.any(y):
         case = "at_minimizer"
@@ -211,7 +227,7 @@ def reference_subgrad(inst, x) -> SubgradientSet:
             case = "slice_cap_band_near"
         else:
             case = "slice_cap_band_far"
-    return SubgradientSet(case, d, base, lo, hi, ball)
+    return LabelledSet(d, base, lo, hi, ball, case=case)
 
 
 def min_norm(s) -> np.ndarray:
@@ -355,7 +371,7 @@ def row_run(algorithm, inst, x0, T, rng) -> Trajectory:
     for _, X, values, G in lockstep(algorithm, [inst], np.atleast_1d(x0)[None], T, rng):
         points.append(X[0])
         responses.append(OracleResponse(float(values[0]), G[0]))
-    return Trajectory(algorithm.name, 0, np.stack(points), responses, inst)
+    return Trajectory(np.stack(points), responses)
 
 
 def reference_mc_hitting(algorithm, T, k, N, n_runs, log2_inv_rho, seed=0, sched=DEFAULT_SCHEDULE) -> HittingReport:
@@ -374,10 +390,10 @@ def reference_mc_hitting(algorithm, T, k, N, n_runs, log2_inv_rho, seed=0, sched
         dists = np.abs(traj.points[:, -1] - inst.x_star)
         if np.any(dists <= rho):
             hits += 1
-        proc = progress_process(traj, sched)
-        if proc.final >= k:
+        Z = progress_process(traj.points[:, -1], bits, sched)
+        if Z[-1] >= k:
             deep += 1
-        jumps = proc.jumps
+        jumps = np.diff(Z)
         jump_trials += len(jumps)
         for m in range(1, 7):
             jump_counts[m] += int(np.count_nonzero(jumps >= m))
@@ -447,7 +463,7 @@ def max_boundary_ties(inst, want=2, span=4000):
         for _ in range(span):
             s = np.nextafter(s, direction)
             x = ray(s)
-            if inst.subgrad(x).case == "max_boundary":
+            if reference_subgrad(inst, x).case == "max_boundary":
                 ties.append(x)
                 if len(ties) >= want:
                     return ties

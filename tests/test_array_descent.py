@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nshard.hard1d import build_1d_instance, eval_r
+from nshard.hard1d import eval_r
 from nshard.intervals import descend, interval, locate
-from nshard.oracles import Trajectory, query
 from nshard.schedule import DEFAULT_SCHEDULE, AngleSchedule
 from nshard.verify import progress_process
 from oracle_reference import reference_descend, reference_eval_r
@@ -128,11 +127,8 @@ def test_progress_process_is_running_max_of_reference_locate(bits, seed):
     rng = np.random.default_rng(seed)
     xs = _points(bits, rng)
     xs = rng.permutation(xs[np.isfinite(xs)])
-    inst = build_1d_instance(bits)
-    pts = xs[:, None]
-    traj = Trajectory(algorithm="manual", seed=0, points=pts, responses=[query(inst, p) for p in pts], instance=inst)
     want = np.maximum.accumulate([0] + [reference_descend(float(x), bits)[0] for x in xs])
-    assert np.array_equal(progress_process(traj).Z, want)
+    assert np.array_equal(progress_process(xs, bits), want)
 
 
 @st.composite

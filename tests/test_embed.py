@@ -11,7 +11,15 @@ from nshard.embed import (
     choose_w_mu,
     save_instance,
 )
-from oracle_reference import check_instance_record, gap, generators, min_norm, min_norm_point
+from oracle_reference import (
+    assert_same_set,
+    check_instance_record,
+    gap,
+    generators,
+    min_norm,
+    min_norm_point,
+    reference_subgrad,
+)
 
 RHO = 1e-3
 BITS = "010"
@@ -268,8 +276,9 @@ CASE_MIN_NORMS = {
 def test_case_classification_and_bounds(inst):
     for name in list(CASE_MIN_NORMS) + ["zero_region"]:
         x = case_point(inst, name)
-        s = inst.subgrad(x)
-        assert s.case == name, f"{name}: got {s.case}"
+        s, ref = inst.subgrad(x), reference_subgrad(inst, x)
+        assert ref.case == name, f"{name}: got {ref.case}"
+        assert_same_set(s, ref)
         if name == "zero_region":
             assert inst.eval_f(x) == 0.0
             assert np.linalg.norm(min_norm(s)) == 0.0
@@ -337,15 +346,15 @@ def test_zero_region_boundary_bracket(inst):
             lo = mid
         else:
             hi = mid
-    inside = inst.subgrad(ray(lo))
-    outside = inst.subgrad(ray(hi))
+    inside = reference_subgrad(inst, ray(lo))
+    outside = reference_subgrad(inst, ray(hi))
     assert inside.case != "zero_region"
     assert outside.case in ("zero_region", "max_boundary")
     assert inst.eval_f(ray(lo)) < 1e-10
 
 
 def test_max_boundary_tie_branch():
-    s = SubgradientSet("max_boundary", 3, np.array([0.2, 0.0, -0.1]), -0.5, 0.5, 0.0, includes_zero=True)
+    s = SubgradientSet(3, np.array([0.2, 0.0, -0.1]), -0.5, 0.5, 0.0, includes_zero=True)
     assert np.all(min_norm(s) == 0.0)
     v = np.array([1.0, 0.0, 0.0])
     assert s.support(v) == pytest.approx(max(0.0, 0.2 + 0.0))
@@ -503,13 +512,13 @@ def test_min_subgrad_matches_min_norm(inst):
 
 def test_subgradient_set_clipping():
     base = np.array([0.01, 0.0, -0.3])
-    s = SubgradientSet("test", 3, base, -0.5, 0.5, 0.0)
+    s = SubgradientSet(3, base, -0.5, 0.5, 0.0)
     g = min_norm(s)
     assert g[-1] == 0.0  # interval absorbs the last component
     assert g[:2] == pytest.approx(base[:2])
-    s2 = SubgradientSet("test", 3, base, 0.4, 0.5, 0.0)
+    s2 = SubgradientSet(3, base, 0.4, 0.5, 0.0)
     assert min_norm(s2)[-1] == pytest.approx(-0.3 + 0.4)
-    s3 = SubgradientSet("test", 3, np.array([0.01, 0.0, 0.0]), 0.0, 0.0, 1.0 / 32.0)
+    s3 = SubgradientSet(3, np.array([0.01, 0.0, 0.0]), 0.0, 0.0, 1.0 / 32.0)
     assert np.linalg.norm(min_norm(s3)) == 0.0  # ball absorbs the small base
 
 
