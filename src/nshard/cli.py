@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +60,7 @@ class RunConfig:
 
 TYPES = typing.get_type_hints(RunConfig)
 KEYS = [f.name for f in fields(RunConfig) if f.name != "mutate"]
+_schedule = functools.cache(AngleSchedule)  # one schedule per precision, its caches kept across commands
 CHOICES = {
     "mode": ["theory", "desk"],
     "algo": ["sgd", "pgd", "random", "grid"],
@@ -103,7 +104,7 @@ def _params(cfg: RunConfig):
 def _instance(cfg: RunConfig):
     """Instance derived from the root seed: spawn order is (bits, cap)."""
     params = _params(cfg)
-    sched = AngleSchedule(cfg.precision)
+    sched = _schedule(cfg.precision)
     bits_ss, w_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     bits = random_bits(params.N, np.random.default_rng(bits_ss))
     if cfg.mode == "theory":
@@ -126,11 +127,9 @@ def _algorithm(cfg: RunConfig):
 
 
 def _write_config(cfg: RunConfig, params, path) -> None:
-    payload = asdict(cfg)
-    payload.update({"log2_inv_rho": params.log2_inv_rho, "resolved_k": params.k, "resolved_N": params.N})
+    payload = {**vars(cfg), "log2_inv_rho": params.log2_inv_rho, "resolved_k": params.k, "resolved_N": params.N}
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def cmd_build(cfg: RunConfig) -> int:
@@ -164,7 +163,7 @@ def _write_slices(inst, path, n: int = 2001) -> None:
 def cmd_check(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     report = invariant_suite(seed=cfg.seed, mutate="slope" if cfg.mutate else None,
-                             sched=AngleSchedule(cfg.precision))
+                             sched=_schedule(cfg.precision))
     report.write_csv(os.path.join(out, "report.csv"))
     report.write_jsonl(os.path.join(out, "report.jsonl"))
     print(report.summary())
@@ -181,7 +180,7 @@ def cmd_run(cfg: RunConfig) -> int:
     algo = _algorithm(cfg)
     algo_ss, cert_ss = np.random.SeedSequence(cfg.seed).spawn(4)[2:]
     traj = run(algo, inst, np.zeros(inst.d), cfg.T, seed=int(algo_ss.generate_state(1)[0]))
-    Z = progress_process(traj.points[:, -1], inst.bits)
+    Z = progress_process(traj.points[:, -1], inst.bits, _schedule(cfg.precision))
     certified, witness_vals = [], []
     cert_seed = int(cert_ss.generate_state(1)[0])
     for t in range(traj.T):
@@ -222,7 +221,7 @@ def cmd_mc(cfg: RunConfig) -> int:
         n_runs=cfg.runs,
         seed=int(hit_ss.generate_state(1)[0]),
         log2_inv_rho=params.log2_inv_rho,
-        sched=AngleSchedule(cfg.precision),
+        sched=_schedule(cfg.precision),
     )
     conc = concentration_check(
         d=cfg.d,
@@ -231,7 +230,7 @@ def cmd_mc(cfg: RunConfig) -> int:
         seed=int(conc_ss.generate_state(1)[0]),
         algorithm=algo,
         N=params.N,
-        sched=AngleSchedule(cfg.precision),
+        sched=_schedule(cfg.precision),
     )
     rows = hit.rows() + conc.rows()
     with open(os.path.join(out, "mc_report.csv"), "w", newline="") as fh:

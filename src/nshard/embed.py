@@ -13,15 +13,15 @@ leaving f equal to h everywhere the cone misses; w is orthogonal to the last
 axis with ||w|| = 1000 mu, so the subdifferential keeps a certified minimum
 norm (at least 1/50) wherever f is positive.
 
-Each point is evaluated by one scalar pass up to the kinks; the oracle
-(value and minimal-norm subgradient) and the structured subdifferential are
-views of it.  Stacks of rows go through one row kernel, in cache-sized blocks,
-whose rows equal the scalar oracle's bit for bit; the value batch, the
-minimal-subgradient-norm batch and the stacked oracle are views of it.  The subdifferential's
-structure is a smooth base vector, a slope interval along the last axis (the
-valley kink), an optional radius-1/32 ball in the leading coordinates (the
-norm kink at x_{1:d-1} = 0), and an optional scaling segment to the origin
-(the max kink); its support function is exact.
+Each point is evaluated by one scalar pass up to the kinks; the oracle (value
+and minimal-norm subgradient) and the structured subdifferential are views of
+it.  Stacks of rows go through one row kernel, in cache-sized blocks, whose rows
+equal the scalar oracle's bit for bit; the value, subgradient-norm and stacked
+oracle batches are views of it.  In both the cap adds no term where its slope is
+0.  The subdifferential's structure is a smooth base vector, a slope interval
+along the last axis (the valley kink), an optional radius-1/32 ball in the
+leading coordinates (the norm kink at x_{1:d-1} = 0), and an optional scaling
+segment to the origin (the max kink); its support function is exact.
 """
 
 from __future__ import annotations
@@ -157,9 +157,10 @@ class HardInstance:
     def _pass(self, x):
         """One point up to the kinks: (pn, h, psi, g, lo, hi).
 
-        pn = ||x_{1:d-1}||, psi = h - cap, g the gradient of the smooth parts
-        (leading part zero at pn = 0) and [lo, hi] the valley slopes.  Raises
-        ValueError where x_d or pn is not finite (an overflowing norm included).
+        pn = ||x_{1:d-1}||, psi = h - cap, g the gradient of the smooth parts and [lo, hi]
+        the valley slopes.  The leading gradient is x / (32 pn) with its last entry 0 (all 0
+        at pn = 0); the cap adds no term where its slope is 0, so outside the cap cone g is
+        that alone, signed zeros included.  Raises ValueError where x_d or pn is not finite.
         """
         # contiguous, so that p.dot(p) takes the same BLAS path as np.linalg.norm
         x = np.ascontiguousarray(x, dtype=float)
@@ -170,25 +171,24 @@ class HardInstance:
             raise ValueError(f"oracle query at a non-finite point: x_d={xd!r}, ||x_(1:d-1)||={pn!r}")
         hv, lo, hi = self.hbar.value_and_subdiff(xd)
         h = NORM_WEIGHT * pn + hv
-        g = np.zeros(self.d)
-        if pn > 0.0:
-            g[:-1] = p / (32.0 * pn)
-        if not self.has_cap:
+        if pn > 0.0:  # the last entry is set before the division, which x_d then cannot overflow
+            g = x.copy()
+            g[-1] = 0.0
+            g /= 32.0 * pn
+        else:
+            g = np.zeros(self.d)
+        if self.w is None:
             return pn, h, h, g, lo, hi
-        z = (x - self.x_star) + self.w
+        z = x - self.x_star
+        z += self.w
         nz = math.sqrt(z.dot(z))
-        cap = 0.0
-        if nz > 0.0:  # at the anchor the ramp and its gradient vanish
-            wu = self.w_unit
-            q = float(wu.dot(z)) - 0.5 * nz
-            mu = self.mu
-            if q <= 0.0:
-                s = 0.0
-            elif q <= mu:
-                cap, s = q * q / (8.0 * mu), q / (4.0 * mu)
-            else:
-                cap, s = q / 4.0 - mu / 8.0, 0.25
-            g -= s * (wu - z / (2.0 * nz))
+        q = float(self.w_unit.dot(z)) - 0.5 * nz if nz > 0.0 else 0.0  # the ramp vanishes at the anchor
+        if q <= 0.0:
+            return pn, h, h, g, lo, hi
+        mu = self.mu
+        cap, s = (q * q / (8.0 * mu), q / (4.0 * mu)) if q <= mu else (q / 4.0 - mu / 8.0, 0.25)
+        if s > 0.0:  # q / (4 mu) may underflow
+            g -= s * (self.w_unit - z / (2.0 * nz))
         return pn, h, h - cap, g, lo, hi
 
     def eval_h(self, x) -> float:
@@ -249,7 +249,9 @@ class HardInstance:
 
     def _kernel(self, X, grad=False, norms=False, pn=None):
         """``_oracle`` at each row of X (row r on instance r if stacked), bit for bit in both
-        precisions, as both read the one binary64 table that ``build_hbar`` rounds.
+        precisions, as both read the one binary64 table that ``build_hbar`` rounds.  As in
+        ``_pass``, the cap adds no term where its slope is 0; a block with no positive slope
+        skips the cap gradient.
 
         Returns (f, G, n): the values, the minimal-norm subgradients if ``grad`` and
         their norms if ``norms``.  Norms and dot products are ``row_dots``; ``pn`` are the
@@ -281,11 +283,11 @@ class HardInstance:
             flat = pnb == 0.0  # the norm kink (or a leading part whose squared norm underflows)
             np.divide(Xb, (32.0 * np.where(flat, 1.0, pnb))[:, None], out=Gb)
             Gb[flat, :-1] = Gb[:, -1] = 0.0
-            if self.has_cap:  # Gb -= s * (w_unit - Z / (2 nz)) where the ramp is on
+            if self.has_cap and (slope := cap_slope(q, self.mu)).any():  # Gb -= s * (w_unit - Z / (2 nz))
                 np.divide(Z, (2.0 * np.where(ramp, nz, 1.0))[:, None], out=Z)
                 np.subtract(self.w_unit, Z, out=Z)
-                Z *= cap_slope(q, self.mu)[:, None]
-                Z[~ramp] = 0.0
+                Z *= slope[:, None]
+                Z[slope == 0.0] = 0.0
                 Gb -= Z
             if flat.any():  # project the leading part onto the 1/32 ball
                 gp = Gb[flat, :-1]

@@ -274,23 +274,22 @@ def subgradient_flow(fn, x0, delta: float, drop: Optional[float] = None) -> Flow
     if not 0 < delta <= 1:
         raise ValueError("delta must be in (0, 1]")
     eta = delta / 1000.0
+    query = fn.value_and_subgrad  # bound once; every call is still one query
     # x is rebound by every step and never written to, so points need no copies
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    f0, g = fn.value_and_subgrad(x)
+    f0, g = query(x)
     # the same expression as the certificate's target, so both are one float
     stop = -math.inf if drop is None else f0 - drop
-    best_point, best_value = x, f0
-    v = f0
-    status = "ok"
-    taken = 0
-    for _ in range(1000):
+    best_point, best_value, v = x, f0, f0
+    status, taken = "ok", 0
+    while taken < 1000:
         gn = math.sqrt(g.dot(g))
         if gn < FLOW_HALT_NORM:
             status = "stalled"
             break
         x = x - eta * (g / gn)
         taken += 1
-        v, g = fn.value_and_subgrad(x)
+        v, g = query(x)
         if v < best_value:
             best_point, best_value = x, v
         if v < stop:

@@ -30,10 +30,12 @@
   in the last bit).
 * ``max_boundary_ties``: float points where h equals the cap exactly, the
   max boundary that no drawn point reaches.
-* ``reference_local_decrease_certificate``: the certificate that runs the
-  flow over its whole arc and keeps the arc's best point, then the ball
-  samples; the certificate whose flow stops at its first witness must agree
-  with it on ``ok`` everywhere.
+* ``full_arc_flows`` / ``reference_local_decrease_certificates``: the
+  subgradient flow over its whole arc from many points at once, one row
+  kernel call per Euler step, which must give ``subgradient_flow``'s result
+  row for row; and the certificates that keep each arc's best point, then
+  draw the ball samples, with which the certificate whose flow stops at its
+  first witness must agree on ``ok`` everywhere.
 * ``reference_embedded_checks``: the invariant suite's embedded and kink
   sections with each sample array drawn in one call and checked whole, and
   each direction of a forward difference drawn on its own, which the suite's
@@ -53,12 +55,13 @@ from nshard.intervals import as_bits, interval, random_bits
 from nshard.oracles import OracleResponse, PerturbedGD, Trajectory, lockstep
 from nshard.schedule import DEFAULT_SCHEDULE
 from nshard.verify import (
+    FLOW_HALT_NORM,
     CertificateReport,
     CertResult,
     ConcentrationReport,
+    FlowResult,
     HittingReport,
     progress_process,
-    subgradient_flow,
     wilson_interval,
 )
 
@@ -200,7 +203,8 @@ def reference_subgrad(inst, x) -> LabelledSet:
     if nz > 0.0:
         q = float(inst.w_unit @ z) - 0.5 * nz
         s = cap_slope(q, inst.mu)
-        base -= s * (inst.w_unit - z / (2.0 * nz))
+        if s > 0.0:  # the cap adds no term where its slope is 0
+            base -= s * (inst.w_unit - z / (2.0 * nz))
     else:
         q = 0.0  # ramp gradient vanishes at the anchor
 
@@ -470,32 +474,54 @@ def max_boundary_ties(inst, want=2, span=4000):
     return ties
 
 
-def reference_local_decrease_certificate(instance, x, delta, c=0.01, seed=0) -> CertResult:
-    """``local_decrease_certificate`` with the flow run over its whole arc."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    flow = subgradient_flow(instance, x, delta)
-    f_x = flow.start_value
-    target = f_x - delta * c
-    best_point, best_value = flow.best_point, flow.best_value
-    if best_value >= target:
-        rng = np.random.default_rng(seed)
-        d = x.shape[0]
-        U = rng.standard_normal((1000, d))
-        U /= np.linalg.norm(U, axis=1, keepdims=True)
-        R = delta * rng.uniform(size=1000) ** (1.0 / d)
-        pts = x[None, :] + R[:, None] * U
-        vals = instance.eval_f_batch(pts)
-        j = int(np.argmin(vals))
-        if vals[j] < best_value:
-            best_point, best_value = pts[j], float(vals[j])
-    return CertResult(
-        ok=bool(best_value < target),
-        witness=best_point,
-        witness_value=float(best_value),
-        start_value=f_x,
-        target=target,
-        flow_status=flow.status,
-    )
+def full_arc_flows(inst, X0, deltas) -> list:
+    """``subgradient_flow(inst, X0[r], deltas[r])`` over its whole arc for every row r, all rows in
+    one ``_kernel(X, grad=True)`` call per Euler step; a row stops moving once it stalls.  Norms are
+    ``row_dots`` and the step is the flow's own expression, so each row is the scalar flow's
+    FlowResult bit for bit."""
+    X = np.array(X0, dtype=float)
+    eta = np.asarray(deltas, dtype=float)[:, None] / 1000.0
+    f, G, _ = inst._kernel(X, grad=True)
+    start, best_value, best_point = f.copy(), f.copy(), X.copy()
+    steps = np.zeros(len(X), dtype=int)
+    live = np.ones(len(X), dtype=bool)
+    for _ in range(1000):
+        gn = np.sqrt(row_dots(G, G))
+        live &= gn >= FLOW_HALT_NORM
+        if not live.any():
+            break
+        X[live] = X[live] - eta[live] * (G[live] / gn[live, None])
+        steps += live
+        f, G, _ = inst._kernel(X, grad=True)
+        better = live & (f < best_value)
+        best_value[better], best_point[better] = f[better], X[better]
+    return [FlowResult(endpoint=X[r], start_value=float(start[r]), end_value=float(f[r]),
+                       decrease=float(start[r] - f[r]), status="ok" if live[r] else "stalled",
+                       best_point=best_point[r], best_value=float(best_value[r]), steps=int(steps[r]))
+            for r in range(len(X))]
+
+
+def reference_local_decrease_certificates(inst, X, deltas, c, seeds) -> list:
+    """``local_decrease_certificate`` at each row of X with its delta and seed, the flow run over its
+    whole arc (``full_arc_flows``) before the ball samples."""
+    out = []
+    for x, delta, seed, flow in zip(X, deltas, seeds, full_arc_flows(inst, X, deltas)):
+        target = flow.start_value - delta * c
+        best_point, best_value = flow.best_point, flow.best_value
+        if best_value >= target:
+            rng = np.random.default_rng(seed)
+            d = x.shape[0]
+            U = rng.standard_normal((1000, d))
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            R = delta * rng.uniform(size=1000) ** (1.0 / d)
+            pts = x[None, :] + R[:, None] * U
+            vals = inst.eval_f_batch(pts)
+            j = int(np.argmin(vals))
+            if vals[j] < best_value:
+                best_point, best_value = pts[j], float(vals[j])
+        out.append(CertResult(ok=bool(best_value < target), witness=best_point, witness_value=float(best_value),
+                              start_value=flow.start_value, target=target, flow_status=flow.status))
+    return out
 
 
 def _reference_fd_gap(inst, x, n_dirs, rng, h=1e-6) -> float:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import os
 import warnings
@@ -8,8 +9,11 @@ import numpy as np
 import pytest
 from oracle_reference import check_instance_record
 
-from nshard import cli
+from nshard import cli, verify
 from nshard.cli import main
+from nshard.intervals import locate
+from nshard.oracles import OracleResponse, Trajectory
+from nshard.schedule import AngleSchedule
 
 
 def file_hashes(directory):
@@ -464,3 +468,69 @@ def test_mc_rejects_bad_algorithm_flags_before_running(tmp_path, capsys, monkeyp
                  "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.iterdir())
+
+
+def _sched_of(fn, args, kwargs):
+    return inspect.signature(fn).bind(*args, **kwargs).arguments.get("sched")
+
+
+def test_commands_share_one_schedule_per_precision(tmp_path, monkeypatch):
+    seen = []
+    for name in ("build_h", "build_instance", "progress_process", "mc_hitting", "concentration_check"):
+        def spy(*args, _fn=getattr(cli, name), **kwargs):
+            seen.append(_sched_of(_fn, args, kwargs))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    # the suite's own work is covered elsewhere; here only its schedule counts
+    monkeypatch.setattr(cli, "invariant_suite", lambda **kw: seen.append(kw["sched"]) or verify.CertificateReport())
+    commands = [["build", "--mode", "desk", "--d", "4", "--k", "3"], ["build", "--mode", "theory", "--T", "1"],
+                ["run", "--mode", "desk", "--d", "4", "--k", "3", "--T", "3"], ["check"],
+                ["mc", "--mode", "desk", "--k", "3", "--T", "3", "--d", "4", "--runs", "100"]]
+    for precision in ("binary64", "extended"):
+        del seen[:]
+        for args in commands:
+            assert main(args + ["--precision", precision, "--out", str(tmp_path)]) == 0
+        assert len(seen) == 7 and {id(s) for s in seen} == {id(cli._schedule(precision))}
+        assert seen[0].backend == precision
+    assert cli._schedule("binary64") is not cli._schedule("extended")
+
+
+@pytest.mark.parametrize("precision", ["binary64", "extended"])
+def test_build_and_run_bytes_equal_those_on_a_cold_schedule(tmp_path, monkeypatch, precision):
+    commands = {"build": ["build", "--mode", "desk", "--d", "6", "--k", "3", "--seed", "1"],
+                "run": ["run", "--mode", "desk", "--d", "6", "--k", "3", "--T", "10", "--seed", "1"]}
+
+    def hashes():
+        out = {}
+        for name, args in commands.items():
+            (tmp_path / name).mkdir(exist_ok=True)
+            assert main(args + ["--precision", precision, "--out", str(tmp_path / name)]) == 0
+            out[name] = file_hashes(tmp_path / name)
+        return out
+
+    hashes()  # warm the shared schedule
+    warm = hashes()
+    monkeypatch.setattr(cli, "_schedule", lambda p: AngleSchedule(p))  # a new one, caches empty, per call
+    assert hashes() == warm
+
+
+def test_run_locates_depths_on_its_own_schedule(tmp_path, monkeypatch):
+    # the binary64 and extended schedules put this point at depths 9 and 8 of these bits
+    bits, x_d = (1, 1, 0, 0, 1, 0, 1, 0, 0), 0.6648212396741423
+    monkeypatch.setattr(cli, "random_bits", lambda n, rng: bits)
+
+    def at_split(algo, inst, x0, T, seed):
+        x = np.zeros(inst.d)
+        x[-1] = x_d
+        return Trajectory(x[None], [OracleResponse(*inst.value_and_subgrad(x))])
+
+    monkeypatch.setattr(cli, "run", at_split)
+    depths = {}
+    for precision in ("binary64", "extended"):
+        out = tmp_path / precision
+        out.mkdir()
+        assert main(["run", "--mode", "desk", "--k", "8", "--d", "4", "--T", "1", "--delta", "0",
+                     "--precision", precision, "--out", str(out)]) == 0
+        depths[precision] = int(next(csv.DictReader((out / "summary.csv").open()))["depth"])
+        assert depths[precision] == locate(np.array([x_d]), bits, AngleSchedule(precision))[0]
+    assert depths == {"binary64": 9, "extended": 8}

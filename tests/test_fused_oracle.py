@@ -147,6 +147,44 @@ def test_batch_rows_keep_the_signed_zeros_where_the_ramp_vanishes():
     _assert_batch_rows_equal_scalar(inst, x[None, :])
 
 
+def test_flat_ramp_adds_no_cap_term_in_either_path():
+    # the cap adds no term where its slope is 0: a -0.0 leading coordinate keeps its sign outside
+    # the cap cone and at the anchor, in the scalar pass and the row kernel alike
+    inst = build_instance(6, "0110", rho=0.25, seed=3)
+    inst = dataclasses.replace(inst, w=np.where(np.arange(6) == 2, 0.0, inst.w), _w_unit=None)  # w_2 = 0
+    wu, anchor = inst.w_unit, inst.x_star - inst.w
+    across = np.ones(inst.d)
+    across[-1] = 0.0
+    across -= (across @ wu) * wu
+    across /= np.linalg.norm(across)
+    flat, flips = [], 0
+    for i in range(inst.d - 1):
+        for x in (inst.x_star - 3.0 * wu, inst.x_star + across):  # behind the anchor, across the cone
+            x = x.copy()
+            x[i] = -0.0
+            z = x - inst.x_star + inst.w
+            v = wu - z / (2.0 * np.linalg.norm(z))
+            flips += not np.signbit(x[i] - 0.0 * v[i])  # the term would turn this -0.0 into +0.0
+            flat.append(x)
+    at_anchor = anchor.copy()
+    at_anchor[2] = -0.0
+    assert np.linalg.norm(at_anchor - inst.x_star + inst.w) == 0.0
+    flat.append(at_anchor)
+    assert flips > 0
+    for x in flat:
+        assert gap(inst, x - inst.x_star) <= 0.0
+        g = inst.min_subgrad(x)
+        assert all(np.signbit(g[i]) for i in range(inst.d - 1) if np.signbit(x[i]))
+    # inside the cone, on the quadratic piece (q <= mu) and the affine one (q > mu)
+    v = np.zeros(inst.d)
+    v[2] = 1.0
+    band = [anchor + r * (c * wu + np.sqrt(1.0 - c * c) * v)
+            for r, c in ((inst.mu * 10.0, 0.5 + 0.05), (inst.mu * 1000.0, 0.5 + 0.0005), (2.0, 0.9))]
+    gaps = [gap(inst, x - inst.x_star) for x in band]
+    assert 0.0 < gaps[0] <= inst.mu and 0.0 < gaps[1] <= inst.mu < gaps[2]
+    _assert_batch_rows_equal_scalar(inst, np.array(flat + band))
+
+
 def test_engineered_points_hit_every_branch():
     """The point kinds above reach the zero region, the cap band and both kinks;
     ``max_boundary_ties`` reaches the max boundary."""

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle_reference import reference_local_decrease_certificate
+from oracle_reference import full_arc_flows, reference_local_decrease_certificates
 
 from nshard import cli, hard1d, verify
 from nshard.embed import SubgradientSet, build_instance
@@ -245,23 +245,51 @@ def _cli_trajectory(tmp_path, rho, algo, seed, T):
 UNCERTIFIED = {(1e-3, 4): 1}
 
 
+def _grid_rows(tmp_path, rho, seed):
+    """The grid's (iterate, delta, seed) rows of one case: 3 algorithms, T = 20, 3 deltas."""
+    X, deltas, seeds = [], [], []
+    for algo in ("pgd", "sgd", "random"):
+        for t, x in enumerate(_cli_trajectory(tmp_path, rho, algo, seed, T=20)):
+            for delta in (0.1, 0.5, 1.0):
+                X.append(x)
+                deltas.append(delta)
+                seeds.append(t)
+    return np.array(X), deltas, seeds
+
+
 @pytest.mark.parametrize("rho", [1e-3, 0.25])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_certificate_agrees_with_full_arc_reference(tmp_path, rho, seed):
     inst, _ = cli._instance(cli.RunConfig(mode="desk", d=10, k=4, rho=rho, seed=seed))
+    X, deltas, seeds = _grid_rows(tmp_path, rho, seed)
+    refs = reference_local_decrease_certificates(inst, X, deltas, inst.c, seeds)
     uncertified = 0
-    for algo in ("pgd", "sgd", "random"):
-        for t, x in enumerate(_cli_trajectory(tmp_path, rho, algo, seed, T=20)):
-            for delta in (0.1, 0.5, 1.0):
-                cert = local_decrease_certificate(inst, x, delta, inst.c, seed=t)
-                ref = reference_local_decrease_certificate(inst, x, delta, inst.c, seed=t)
-                assert cert.ok == ref.ok
-                assert cert.target == ref.target == cert.start_value - delta * inst.c
-                assert np.linalg.norm(cert.witness - x) <= delta * (1 + 1e-9)
-                if cert.ok:
-                    assert cert.witness_value < cert.target
-                uncertified += not cert.ok
+    for x, delta, t, ref in zip(X, deltas, seeds, refs):
+        cert = local_decrease_certificate(inst, x, delta, inst.c, seed=t)
+        assert cert.ok == ref.ok
+        assert cert.target == ref.target == cert.start_value - delta * inst.c
+        assert np.linalg.norm(cert.witness - x) <= delta * (1 + 1e-9)
+        if cert.ok:
+            assert cert.witness_value < cert.target
+        uncertified += not cert.ok
     assert uncertified == UNCERTIFIED.get((rho, seed), 0)
+
+
+@pytest.mark.parametrize("rho, seed", [(1e-3, 4), (0.25, 2)])
+def test_full_arc_flows_equal_the_scalar_flow(tmp_path, rho, seed):
+    # every 7th row of a grid case, the uncertified one included; a zero-region start stalls at once
+    inst, _ = cli._instance(cli.RunConfig(mode="desk", d=10, k=4, rho=rho, seed=seed))
+    X, deltas, _ = _grid_rows(tmp_path, rho, seed)
+    rows = list(range(0, len(X), 7)) + [3 * 20 + 3 * 17 + 2]  # sgd, t = 17, delta 1
+    X = np.vstack([X[rows], inst.x_star - inst.w + 20.0 * inst.w_unit])
+    deltas = [deltas[r] for r in rows] + [1.0]
+    flows = full_arc_flows(inst, X, deltas)
+    assert {f.status for f in flows} == {"ok", "stalled"}
+    for x, delta, flow in zip(X, deltas, flows):
+        ref = subgradient_flow(inst, x, delta)
+        assert (flow.best_value, flow.steps, flow.status) == (ref.best_value, ref.steps, ref.status)
+        assert np.array_equal(flow.best_point, ref.best_point) and np.array_equal(flow.endpoint, ref.endpoint)
+        assert (flow.start_value, flow.end_value) == (ref.start_value, ref.end_value)
 
 
 def test_certificate_false_on_zero_plateau():
