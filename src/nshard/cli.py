@@ -10,7 +10,6 @@ Data files carry no timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import os
@@ -21,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .embed import build_h, build_instance, save_instance
-from .hard1d import schedule_params, write_profile_csv
+from .hard1d import schedule_params, write_profile_csv, write_records, write_table
 from .intervals import bits_to_str, random_bits
 from .oracles import make_algorithm, run
 from .schedule import AngleSchedule
@@ -151,13 +150,8 @@ def _write_slices(inst, path, n: int = 2001) -> None:
     last[:, -1] = xs
     first = np.tile(inst.x_star, (n, 1))
     first[:, 0] = xs
-    f_last = inst.eval_f_batch(last)
-    f_first = inst.eval_f_batch(first)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["coord", "f_along_last_axis", "f_along_first_axis"])
-        for x, a, b in zip(xs, f_last, f_first):
-            w.writerow([repr(float(x)), repr(float(a)), repr(float(b))])
+    write_table(path, ["coord", "f_along_last_axis", "f_along_first_axis"],
+                zip(xs, inst.eval_f_batch(last), inst.eval_f_batch(first)))
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -181,30 +175,23 @@ def cmd_run(cfg: RunConfig) -> int:
     algo_ss, cert_ss = np.random.SeedSequence(cfg.seed).spawn(4)[2:]
     traj = run(algo, inst, np.zeros(inst.d), cfg.T, seed=int(algo_ss.generate_state(1)[0]))
     Z = progress_process(traj.points[:, -1], inst.bits, _schedule(cfg.precision))
-    certified, witness_vals = [], []
     cert_seed = int(cert_ss.generate_state(1)[0])
-    for t in range(traj.T):
-        if cfg.delta > 0:
-            cert = local_decrease_certificate(inst, traj.points[t], cfg.delta, inst.c, seed=cert_seed + t)
-            certified.append(int(cert.ok))
-            witness_vals.append(cert.witness_value)
-        else:
-            certified.append(-1)
-            witness_vals.append(float("nan"))
-    traj.write_jsonl(os.path.join(out, "trajectory.jsonl"))
-    traj.write_summary_csv(
-        os.path.join(out, "summary.csv"),
-        extra_columns={
-            "f_ge_1": [int(v >= 1.0) for v in traj.values],
-            "depth": [int(z) for z in Z[1:]],
-            "certified": certified,
-            "witness_value": witness_vals,
-        },
-    )
+    if cfg.delta > 0:
+        certs = [local_decrease_certificate(inst, x, cfg.delta, inst.c, seed=cert_seed + t)
+                 for t, x in enumerate(traj.points)]
+        certified, witness_vals = [int(c.ok) for c in certs], [c.witness_value for c in certs]
+    else:  # certificates off
+        certified, witness_vals = [-1] * traj.T, [float("nan")] * traj.T
+    steps, norms = range(1, traj.T + 1), traj.subgrad_norms
+    write_records(os.path.join(out, "trajectory.jsonl"),
+                  [{"t": t, "x": x, "f": f, "subgrad_norm": n}
+                   for t, x, f, n in zip(steps, traj.points.tolist(), traj.values.tolist(), norms.tolist())])
+    write_table(os.path.join(out, "summary.csv"),
+                ["t", "f", "subgrad_norm", "f_ge_1", "depth", "certified", "witness_value"],
+                zip(steps, traj.values, norms, traj.values >= 1.0, Z[1:], certified, witness_vals))
     _write_config(cfg, params, os.path.join(out, "config.json"))
-    n_cert = sum(1 for c in certified if c == 1)
     print(f"ran {cfg.algo} for T={cfg.T}: min f={traj.values.min():.6g} "
-          f"final depth={Z[-1]} certified={n_cert}/{traj.T}")
+          f"final depth={Z[-1]} certified={certified.count(1)}/{traj.T}")
     return 0
 
 
@@ -233,15 +220,9 @@ def cmd_mc(cfg: RunConfig) -> int:
         sched=_schedule(cfg.precision),
     )
     rows = hit.rows() + conc.rows()
-    with open(os.path.join(out, "mc_report.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["check", "estimate", "wilson_lo", "wilson_hi", "bound", "vacuous"])
-        for r in rows:
-            w.writerow([r["check"], repr(r["estimate"]), repr(r["wilson_lo"]),
-                        repr(r["wilson_hi"]), repr(r["bound"]), int(r["vacuous"])])
-    with open(os.path.join(out, "mc_report.jsonl"), "w") as fh:
-        for r in rows:
-            fh.write(json.dumps(r, sort_keys=True) + "\n")
+    columns = ["check", "estimate", "wilson_lo", "wilson_hi", "bound", "vacuous"]
+    write_table(os.path.join(out, "mc_report.csv"), columns, [[r[c] for c in columns] for r in rows])
+    write_records(os.path.join(out, "mc_report.jsonl"), [dict(sorted(r.items())) for r in rows])
     _write_config(cfg, params, os.path.join(out, "config.json"))
     for r in rows:
         flag = " (vacuous bound)" if r["vacuous"] else ""

@@ -218,7 +218,7 @@ class HardInstance:
             pn, xd = np.sqrt(row_dots(X[:, :-1], X[:, :-1])), X[:, -1]
             reject_rows(np.isfinite(pn) & np.isfinite(xd), lambda r: "oracle query at a non-finite point: "
                         f"x_d={float(xd[r])!r}, ||x_(1:d-1)||={float(pn[r])!r}")
-            return self._kernel(X, grad=True, pn=pn)[:2]
+            return self._kernel(X, grad=True, pn=pn)
         pn, _, psi, g, lo, hi = self._pass(x)
         if psi <= 0.0:  # zero region or max boundary: 0 is a subgradient
             return 0.0, np.zeros(self.d)
@@ -247,23 +247,22 @@ class HardInstance:
 
     BLOCK_BYTES = 256 * 1024  # rows go in blocks of about this many bytes, so temporaries stay in L2
 
-    def _kernel(self, X, grad=False, norms=False, pn=None):
+    def _kernel(self, X, grad=False, pn=None):
         """``_oracle`` at each row of X (row r on instance r if stacked), bit for bit in both
         precisions, as both read the one binary64 table that ``build_hbar`` rounds.  As in
         ``_pass``, the cap adds no term where its slope is 0; a block with no positive slope
         skips the cap gradient.
 
-        Returns (f, G, n): the values, the minimal-norm subgradients if ``grad`` and
-        their norms if ``norms``.  Norms and dot products are ``row_dots``; ``pn`` are the
-        leading norms if the caller has them.  Non-finite rows are not rejected.
+        Returns (f, G): the values and, if ``grad``, the minimal-norm subgradients.  Norms and
+        dot products are ``row_dots``; ``pn`` are the leading norms if the caller has them.
+        Non-finite rows are not rejected.
         """
         X = np.ascontiguousarray(X, dtype=float)
         R, d = X.shape
         hv, lo, hi = self.hbar.value_and_subdiff_batch(X[:, -1])
-        f, G, n = np.empty(R), np.empty((R, d)) if grad else None, np.empty(R) if norms else None
+        f, G = np.empty(R), np.empty((R, d)) if grad else None
         step = max(1, self.BLOCK_BYTES // (8 * d))
         Zbuf = np.empty((min(step, R), d)) if self.has_cap else None
-        Gbuf = np.empty((min(step, R), d)) if norms and not grad else None
         for a in range(0, R, step):
             rows = slice(a, a + step)
             Xb = X[rows]
@@ -277,11 +276,11 @@ class HardInstance:
                 q = np.where(ramp, row_dots(Z, self.w_unit) - 0.5 * nz, 0.0)
                 psi -= cap_value(q, self.mu)
             f[rows] = np.where(psi <= 0.0, 0.0, psi)
-            if not (grad or norms):
+            if not grad:
                 continue
-            Gb = G[rows] if grad else Gbuf[:len(Xb)]
+            Gb = G[rows]
             flat = pnb == 0.0  # the norm kink (or a leading part whose squared norm underflows)
-            np.divide(Xb, (32.0 * np.where(flat, 1.0, pnb))[:, None], out=Gb)
+            np.divide(Xb[:, :-1], (32.0 * np.where(flat, 1.0, pnb))[:, None], out=Gb[:, :-1])  # x_d may overflow it
             Gb[flat, :-1] = Gb[:, -1] = 0.0
             if self.has_cap and (slope := cap_slope(q, self.mu)).any():  # Gb -= s * (w_unit - Z / (2 nz))
                 np.divide(Z, (2.0 * np.where(ramp, nz, 1.0))[:, None], out=Z)
@@ -296,9 +295,7 @@ class HardInstance:
                                          gp * (1.0 - NORM_WEIGHT / np.maximum(gn, NORM_WEIGHT))[:, None])
             Gb[:, -1] += np.clip(-Gb[:, -1], lo[rows], hi[rows])  # = min(max(-gd, lo), hi), as no slope is 0
             Gb[psi <= 0.0] = 0.0
-            if norms:
-                n[rows] = np.sqrt(row_dots(Gb, Gb))
-        return f, G, n
+        return f, G
 
     def eval_f_batch(self, X: np.ndarray) -> np.ndarray:
         """f at each row of X, equal to ``eval_f`` row by row."""
@@ -307,8 +304,8 @@ class HardInstance:
     def min_subgrad_norm_batch(self, X: np.ndarray):
         """(f, ||min_subgrad||) at each row of X, equal to ``eval_f`` and ``np.linalg.norm(min_subgrad)``
         row by row, also at the norm kink, the cap anchor and in the zero region."""
-        f, _, n = self._kernel(X, norms=True)
-        return f, n
+        f, G = self._kernel(X, grad=True)
+        return f, np.sqrt(row_dots(G, G))
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:

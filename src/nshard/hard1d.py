@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
@@ -381,15 +382,32 @@ def build_1d_instance(bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -
 
 
 # ---------------------------------------------------------------------------
-# profile dumps
+# output tables
 # ---------------------------------------------------------------------------
+
+
+def _cell(c):
+    """A float (np.float64 included) as its round-tripping repr, a flag as 0 or 1, anything else as str."""
+    if isinstance(c, (bool, np.bool_)):
+        return int(c)
+    return repr(float(c)) if isinstance(c, float) else str(c)
+
+
+def write_table(path, header, rows) -> None:
+    """A CSV file of header and rows, every cell by one rule (see ``_cell``)."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([_cell(c) for c in row] for row in rows)
+
+
+def write_records(path, records) -> None:
+    """A JSON-lines file, one ``json.dumps`` of each record, keys in the record's order."""
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(r) + "\n" for r in records)
 
 
 def write_profile_csv(path, pwa: PiecewiseAffine1D):
     """Value and slope interval of a table at 3001 points of [-1, 2], one CSV row each."""
     xs = np.linspace(-1.0, 2.0, 3001)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x", "value", "lo_slope", "hi_slope"])
-        for row in zip(xs, *pwa.value_and_subdiff_batch(xs)):
-            w.writerow([repr(float(c)) for c in row])
+    write_table(path, ["x", "value", "lo_slope", "hi_slope"], zip(xs, *pwa.value_and_subdiff_batch(xs)))

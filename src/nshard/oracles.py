@@ -13,14 +13,12 @@ bit string, the cap vector, the minimizer, or another run's iterates or instance
 from __future__ import annotations
 
 import contextlib
-import csv
-import json
 import math
 import os
 import queue
 import threading
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,41 +152,17 @@ def make_algorithm(name: str, **params):
 
 @dataclass
 class Trajectory:
-    points: np.ndarray  # (T, d)
-    responses: List[OracleResponse]
+    points: np.ndarray  # (T, d) iterates
+    values: np.ndarray  # (T,) oracle values there
+    subgrads: np.ndarray  # (T, d) minimal-norm subgradients there
 
     @property
     def T(self) -> int:
-        return len(self.responses)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([r.value for r in self.responses])
+        return len(self.values)
 
     @property
     def subgrad_norms(self) -> np.ndarray:
-        return np.array([float(np.linalg.norm(r.subgrad)) for r in self.responses])
-
-    def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
-            for t, (x, r) in enumerate(zip(self.points, self.responses), start=1):
-                rec = {
-                    "t": t,
-                    "x": [float(v) for v in np.atleast_1d(x)],
-                    "f": r.value,
-                    "subgrad_norm": float(np.linalg.norm(r.subgrad)),
-                }
-                fh.write(json.dumps(rec) + "\n")
-
-    def write_summary_csv(self, path, extra_columns: Optional[dict] = None) -> None:
-        extra = extra_columns or {}
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "f", "subgrad_norm"] + list(extra))
-            for t in range(self.T):
-                row = [t + 1, repr(self.responses[t].value), repr(float(np.linalg.norm(self.responses[t].subgrad)))]
-                row += [repr(col[t]) if isinstance(col[t], float) else col[t] for col in extra.values()]
-                w.writerow(row)
+        return np.sqrt(row_dots(self.subgrads, self.subgrads))  # each row's norm as np.linalg.norm takes it
 
 
 DRAW_AHEAD = 4096  # numbers in one step's draw from which lockstep makes it on a worker thread
@@ -297,8 +271,8 @@ def run(algorithm, instance, x0=None, T: int = 1, seed: int = 0) -> Trajectory:
     if x0 is None:
         x0 = np.zeros(instance.d)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    points, responses = [], []
-    for _, X, values, G in lockstep(algorithm, [instance], x0[None], T, np.random.default_rng(seed)):
-        points.append(X[0])
-        responses.append(OracleResponse(float(values[0]), G[0]))
-    return Trajectory(np.stack(points), responses)
+    shape = (max(T, 0), len(x0))  # lockstep refuses a T below 1 with its own message
+    traj = Trajectory(np.empty(shape), np.empty(shape[0]), np.empty(shape))
+    for t, X, values, G in lockstep(algorithm, [instance], x0[None], T, np.random.default_rng(seed)):
+        traj.points[t], traj.values[t], traj.subgrads[t] = X[0], values[0], G[0]
+    return traj

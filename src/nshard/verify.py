@@ -391,22 +391,12 @@ class CertificateReport:
         return [c for c in self.checks if not c.passed]
 
     def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["check", "passed", "measured", "bound", "tol", "detail"])
-            for c in self.checks:
-                w.writerow([c.name, int(c.passed), repr(c.measured), repr(c.bound), repr(c.tol), c.detail])
+        hard1d.write_table(path, ["check", "passed", "measured", "bound", "tol", "detail"],
+                           [(c.name, c.passed, c.measured, c.bound, c.tol, c.detail) for c in self.checks])
 
     def write_jsonl(self, path) -> None:
-        import json
-
-        with open(path, "w") as fh:
-            for c in self.checks:
-                row = {"check": c.name, "passed": c.passed, "measured": c.measured, "bound": c.bound,
-                       "tol": c.tol, "detail": c.detail}
-                fh.write(json.dumps(row) + "\n")
+        hard1d.write_records(path, [{"check": c.name, "passed": c.passed, "measured": c.measured, "bound": c.bound,
+                                     "tol": c.tol, "detail": c.detail} for c in self.checks])
 
     def summary(self) -> str:
         lines = []

@@ -52,7 +52,7 @@ import numpy as np
 from nshard.embed import NORM_WEIGHT, SubgradientSet, build_h, build_instance, cap_slope, cap_value, row_dots
 from nshard.hard1d import PiecewiseAffine1D, build_1d_instance
 from nshard.intervals import as_bits, interval, random_bits
-from nshard.oracles import OracleResponse, PerturbedGD, Trajectory, lockstep
+from nshard.oracles import PerturbedGD, Trajectory, lockstep
 from nshard.schedule import DEFAULT_SCHEDULE
 from nshard.verify import (
     FLOW_HALT_NORM,
@@ -371,11 +371,11 @@ class RowOf:
 
 def row_run(algorithm, inst, x0, T, rng) -> Trajectory:
     """``run`` from x0, drawing from rng (a ``RowOf``) instead of a seed."""
-    points, responses = [], []
-    for _, X, values, G in lockstep(algorithm, [inst], np.atleast_1d(x0)[None], T, rng):
-        points.append(X[0])
-        responses.append(OracleResponse(float(values[0]), G[0]))
-    return Trajectory(np.stack(points), responses)
+    x0 = np.atleast_1d(x0)
+    traj = Trajectory(np.empty((T, len(x0))), np.empty(T), np.empty((T, len(x0))))
+    for t, X, values, G in lockstep(algorithm, [inst], x0[None], T, rng):
+        traj.points[t], traj.values[t], traj.subgrads[t] = X[0], values[0], G[0]
+    return traj
 
 
 def reference_mc_hitting(algorithm, T, k, N, n_runs, log2_inv_rho, seed=0, sched=DEFAULT_SCHEDULE) -> HittingReport:
@@ -481,7 +481,7 @@ def full_arc_flows(inst, X0, deltas) -> list:
     FlowResult bit for bit."""
     X = np.array(X0, dtype=float)
     eta = np.asarray(deltas, dtype=float)[:, None] / 1000.0
-    f, G, _ = inst._kernel(X, grad=True)
+    f, G = inst._kernel(X, grad=True)
     start, best_value, best_point = f.copy(), f.copy(), X.copy()
     steps = np.zeros(len(X), dtype=int)
     live = np.ones(len(X), dtype=bool)
@@ -492,7 +492,7 @@ def full_arc_flows(inst, X0, deltas) -> list:
             break
         X[live] = X[live] - eta[live] * (G[live] / gn[live, None])
         steps += live
-        f, G, _ = inst._kernel(X, grad=True)
+        f, G = inst._kernel(X, grad=True)
         better = live & (f < best_value)
         best_value[better], best_point[better] = f[better], X[better]
     return [FlowResult(endpoint=X[r], start_value=float(start[r]), end_value=float(f[r]),

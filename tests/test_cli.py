@@ -12,7 +12,7 @@ from oracle_reference import check_instance_record
 from nshard import cli, verify
 from nshard.cli import main
 from nshard.intervals import locate
-from nshard.oracles import OracleResponse, Trajectory
+from nshard.oracles import Trajectory
 from nshard.schedule import AngleSchedule
 
 
@@ -522,7 +522,8 @@ def test_run_locates_depths_on_its_own_schedule(tmp_path, monkeypatch):
     def at_split(algo, inst, x0, T, seed):
         x = np.zeros(inst.d)
         x[-1] = x_d
-        return Trajectory(x[None], [OracleResponse(*inst.value_and_subgrad(x))])
+        f, g = inst.value_and_subgrad(x)
+        return Trajectory(x[None], np.array([f]), g[None])
 
     monkeypatch.setattr(cli, "run", at_split)
     depths = {}

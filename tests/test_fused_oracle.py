@@ -14,6 +14,7 @@ row on the same points, in both precisions: both read the binary64 table.
 """
 
 import dataclasses
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -145,6 +146,15 @@ def test_batch_rows_keep_the_signed_zeros_where_the_ramp_vanishes():
     g = inst.min_subgrad(x)
     assert np.signbit(g[1])
     _assert_batch_rows_equal_scalar(inst, x[None, :])
+
+
+def test_leading_gradient_leaves_x_d_out_of_its_division():
+    # pn ~ 1.4e-161, so x_d / (32 pn) would overflow; both paths zero the last entry instead
+    inst = build_instance(4, "01", rho=1e-3, seed=1)
+    x = np.array([1e-161, 1e-161, 0.0, 1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_batch_rows_equal_scalar(inst, x[None, :])
 
 
 def test_flat_ramp_adds_no_cap_term_in_either_path():

@@ -15,6 +15,7 @@ from nshard.hard1d import (
     eval_r,
     schedule_params,
     write_profile_csv,
+    write_table,
 )
 from nshard.intervals import interval, random_bits
 from nshard.schedule import AngleSchedule, DEFAULT_SCHEDULE
@@ -291,6 +292,19 @@ def test_profile_csv_roundtrip(tmp_path):
     path2 = tmp_path / "profile2.csv"
     write_profile_csv(path2, hbar)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_table_cell_rule(tmp_path):
+    floats = [-0.0, math.nan, math.inf, 0.1 + 0.2, 1e-310]
+    path = tmp_path / "cells.csv"
+    write_table(path, ["a", "b"], [[x, np.float64(x)] for x in floats] +
+                [[True, np.True_], [False, np.False_], [np.int64(3), "a,b c"]])
+    rows = list(csv.reader(path.open()))
+    assert rows[0] == ["a", "b"]
+    for x, (a, b) in zip(floats, rows[1:]):
+        assert a == b == repr(x)  # a float round-trips through float(cell), -0.0 with its sign
+        assert np.float64(float(a)).tobytes() == np.float64(x).tobytes()
+    assert rows[6:] == [["1", "1"], ["0", "0"], ["3", "a,b c"]]
 
 
 def test_profile_rows_match_eval(tmp_path):

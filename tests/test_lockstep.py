@@ -80,8 +80,8 @@ def test_lockstep_rows_equal_one_row_runs(name, d):
         traj = row_run(ALGOS[name](), insts[r], X0[r], T, RowOf(ZeroFirstDraw(SEED), 5, r))
         for t, X, values, G in steps:
             assert X[r].tobytes() == traj.points[t].tobytes(), (r, t)
-            assert values[r:r + 1].tobytes() == np.float64(traj.responses[t].value).tobytes(), (r, t)
-            assert G[r].tobytes() == traj.responses[t].subgrad.tobytes(), (r, t)
+            assert values[r:r + 1].tobytes() == traj.values[t:t + 1].tobytes(), (r, t)
+            assert G[r].tobytes() == traj.subgrads[t].tobytes(), (r, t)
     if name == "random":
         # the zero draw was redrawn: one extra call in the first proposal
         assert rng.normal_calls == T

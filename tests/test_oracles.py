@@ -6,7 +6,7 @@ import pytest
 from test_lockstep import ALGOS, SEED, ZeroFirstDraw, _rows, default_rng
 
 from nshard.embed import build_h, build_instance
-from nshard.hard1d import build_1d_instance
+from nshard.hard1d import build_1d_instance, write_records, write_table
 from nshard.oracles import (
     ALGORITHMS,
     GridSearch,
@@ -106,7 +106,7 @@ def test_run_single_step(inst):
     traj = run(algo, inst, np.zeros(4), 1, seed=3)
     assert traj.T == 1
     assert np.array_equal(traj.points[0], np.zeros(4))
-    assert traj.responses[0].value == inst.eval_f(np.zeros(4))
+    assert traj.values[0] == inst.eval_f(np.zeros(4))
 
 
 def test_run_seed_replay_bit_identical(inst):
@@ -115,7 +115,8 @@ def test_run_seed_replay_bit_identical(inst):
         a = run(algo, inst, np.zeros(4), 12, seed=9)
         b = run(make_algorithm(name), inst, np.zeros(4), 12, seed=9)
         assert np.array_equal(a.points, b.points)
-        assert all(x.value == y.value for x, y in zip(a.responses, b.responses))
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.subgrads.tobytes() == b.subgrads.tobytes()
 
 
 def test_run_rejects_bad_T(inst):
@@ -178,34 +179,40 @@ def test_algorithms_structurally_local(inst):
 
 def test_trajectory_writers(tmp_path, inst):
     traj = run(PerturbedGD(), inst, np.zeros(4), 8, seed=4)
+    steps = range(1, traj.T + 1)
+    records = [{"t": t, "x": x, "f": f} for t, x, f in zip(steps, traj.points.tolist(), traj.values.tolist())]
     jp = tmp_path / "traj.jsonl"
-    traj.write_jsonl(jp)
+    write_records(jp, records)
     recs = [json.loads(line) for line in jp.read_text().splitlines()]
     assert len(recs) == 8
     assert recs[0]["t"] == 1
     assert recs[0]["x"] == [0.0, 0.0, 0.0, 0.0]
-    assert recs[3]["f"] == traj.responses[3].value
+    assert recs[3]["f"] == traj.values[3]
+    assert list(recs[3]) == ["t", "x", "f"]  # the record's own key order
     cp = tmp_path / "summary.csv"
-    traj.write_summary_csv(cp, extra_columns={"flag": [int(v >= 1) for v in traj.values]})
+    write_table(cp, ["t", "f", "subgrad_norm", "flag"], zip(steps, traj.values, traj.subgrad_norms, traj.values >= 1))
     lines = cp.read_text().splitlines()
     assert lines[0] == "t,f,subgrad_norm,flag"
     assert len(lines) == 9
+    assert lines[4] == f"4,{float(traj.values[3])!r},{float(traj.subgrad_norms[3])!r},{int(traj.values[3] >= 1)}"
     # deterministic bytes
     jp2 = tmp_path / "traj2.jsonl"
-    traj.write_jsonl(jp2)
+    write_records(jp2, records)
     assert jp.read_bytes() == jp2.read_bytes()
 
 
 def test_trajectory_values_and_norms(inst):
     traj = run(SubgradientDescent(), inst, np.zeros(4), 6, seed=8)
     assert traj.values.shape == (6,)
+    assert traj.subgrads.shape == (6, 4)
     assert traj.subgrad_norms.shape == (6,)
     assert traj.values[0] == inst.eval_f(np.zeros(4))
-    # responses stay consistent with re-querying the instance
+    # the arrays stay consistent with re-querying the instance
     for t in (0, 2, 5):
         again = query(inst, traj.points[t])
-        assert again.value == traj.responses[t].value
-        assert np.array_equal(again.subgrad, traj.responses[t].subgrad)
+        assert again.value == traj.values[t]
+        assert np.array_equal(again.subgrad, traj.subgrads[t])
+        assert traj.subgrad_norms[t] == np.linalg.norm(traj.subgrads[t])
 
 
 def test_run_default_start_is_origin(inst):

@@ -9,6 +9,9 @@ which the demo tests do not run, is covered here.
 The schedule owns the number type: outside ``schedule.py`` no module
 compares a ``backend`` or reads a schedule's private attributes; they use
 its kit (``math``, ``dtype``, ``one``, ``check_depth``, ``context``).
+
+Every output table goes through ``hard1d.write_table``: no other module
+imports ``csv``.
 """
 
 import ast
@@ -79,3 +82,25 @@ def test_only_the_schedule_branches_on_its_number_type():
 def test_schedule_type_tests_sees_both_kinds():
     source = 'a = sched.backend == "binary64"\nb = self.sched._one\nc = sched.one\nd = sched.__class__'
     assert schedule_type_tests(source) == ["sched.backend == 'binary64'", "self.sched._one"]
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules that ``import`` and ``from ... import`` take, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_hard1d_writes_csv():
+    modules = sorted((ROOT / "src" / "nshard").glob("*.py"))
+    assert "csv" in imported_modules((ROOT / "src" / "nshard" / "hard1d.py").read_text())
+    assert [p.name for p in modules if p.name != "hard1d.py" and "csv" in imported_modules(p.read_text())] == []
+
+
+def test_imported_modules_sees_nested_imports():
+    source = "import csv.x\ndef f():\n    from json import dumps\nfrom . import hard1d"
+    assert imported_modules(source) == {"csv", "json"}
