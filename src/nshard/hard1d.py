@@ -12,7 +12,7 @@ function hbar with minimum value exactly 2.
 Two redundant representations are kept deliberately: an explicit piece table
 (breakpoints, values, slopes) for structural checks, and a recursive descent
 evaluator that works in local coordinates and stays accurate at depth.  Tests
-cross-validate them.
+cross-validate them.  The module also writes every CSV and JSON-lines output.
 """
 
 from __future__ import annotations

@@ -299,7 +299,7 @@ def test_table_cell_rule(tmp_path):
     path = tmp_path / "cells.csv"
     write_table(path, ["a", "b"], [[x, np.float64(x)] for x in floats] +
                 [[True, np.True_], [False, np.False_], [np.int64(3), "a,b c"]])
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["a", "b"]
     for x, (a, b) in zip(floats, rows[1:]):
         assert a == b == repr(x)  # a float round-trips through float(cell), -0.0 with its sign
