@@ -100,11 +100,10 @@ def _params(cfg: RunConfig):
     return schedule_params(mode="desk", k=cfg.k, rho=cfg.rho)
 
 
-def _instance(cfg: RunConfig):
-    """Instance derived from the root seed: spawn order is (bits, cap)."""
+def _instance(cfg: RunConfig, bits_ss, w_ss):
+    """Instance from the first two children of the root seed's spawn, (bits, cap)."""
     params = _params(cfg)
     sched = _schedule(cfg.precision)
-    bits_ss, w_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     bits = random_bits(params.N, np.random.default_rng(bits_ss))
     if cfg.mode == "theory":
         # rho exists only in log space here; the cap cannot be represented.
@@ -133,7 +132,7 @@ def _write_config(cfg: RunConfig, params, path) -> None:
 
 def cmd_build(cfg: RunConfig) -> int:
     out = _require_out(cfg)
-    inst, params = _instance(cfg)
+    inst, params = _instance(cfg, *np.random.SeedSequence(cfg.seed).spawn(2))
     save_instance(inst, os.path.join(out, "instance.txt"))
     write_profile_csv(os.path.join(out, "hbar_profile.csv"), inst.hbar)
     _write_slices(inst, os.path.join(out, "f_slices.csv"))
@@ -170,14 +169,14 @@ def cmd_run(cfg: RunConfig) -> int:
         raise ValueError(f"--delta must be non-negative (0 turns certificates off), got {cfg.delta!r}")
     if cfg.delta > 1:  # the certificates take delta in (0, 1]; refuse it before the run
         raise ValueError(f"--delta must be at most 1, got {cfg.delta!r}")
-    inst, params = _instance(cfg)
+    bits_ss, w_ss, algo_ss, cert_ss = np.random.SeedSequence(cfg.seed).spawn(4)
+    inst, params = _instance(cfg, bits_ss, w_ss)
     algo = _algorithm(cfg)
-    algo_ss, cert_ss = np.random.SeedSequence(cfg.seed).spawn(4)[2:]
     traj = run(algo, inst, np.zeros(inst.d), cfg.T, seed=int(algo_ss.generate_state(1)[0]))
     Z = progress_process(traj.points[:, -1], inst.bits, _schedule(cfg.precision))
     cert_seed = int(cert_ss.generate_state(1)[0])
     if cfg.delta > 0:
-        certs = [local_decrease_certificate(inst, x, cfg.delta, inst.c, seed=cert_seed + t)
+        certs = [local_decrease_certificate(inst, x, cfg.delta, seed=cert_seed + t)
                  for t, x in enumerate(traj.points)]
         certified, witness_vals = [int(c.ok) for c in certs], [c.witness_value for c in certs]
     else:  # certificates off

@@ -11,7 +11,9 @@ zero for nonpositive arguments, quadratic on (0, mu], and affine with slope
 1/4 beyond.  The cap carves the global minimum region out of the cone while
 leaving f equal to h everywhere the cone misses; w is orthogonal to the last
 axis with ||w|| = 1000 mu, so the subdifferential keeps a certified minimum
-norm (at least 1/50) wherever f is positive.
+norm (at least 1/50) wherever f is positive.  The axis w_unit and the offset
+shift = w - x_star are derived once; x + shift is (x - x_star) + w bit for bit,
+as x_star is 0 off the last axis, w is 0 on it and x_d - x_star_d is not -0.0.
 
 Each point is evaluated by one scalar pass up to the kinks; the oracle (value
 and minimal-norm subgradient) and the structured subdifferential are views of
@@ -27,7 +29,7 @@ segment to the origin (the max kink); its support function is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -136,21 +138,14 @@ class HardInstance:
     x_star: np.ndarray
     w: Optional[np.ndarray] = None
     mu: Optional[float] = None
-    c: float = STATIONARITY_C
     seed: Optional[int] = None
     precision: str = "binary64"
-    _w_unit: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     __eq__ = eq_fields
 
-    @property
-    def has_cap(self) -> bool:
-        return self.w is not None
-
-    @property
-    def w_unit(self) -> np.ndarray:
-        if self._w_unit is None:
-            self._w_unit = self.w / np.linalg.norm(self.w)
-        return self._w_unit
+    def __post_init__(self):  # the cap's geometry, derived once
+        self.has_cap = self.w is not None
+        self.w_unit = self.w / np.linalg.norm(self.w) if self.has_cap else None
+        self.shift = self.w - self.x_star if self.has_cap else None  # x + shift is (x - x_star) + w
 
     # -- scalar pass and its views ----------------------------------------------
 
@@ -160,7 +155,8 @@ class HardInstance:
         pn = ||x_{1:d-1}||, psi = h - cap, g the gradient of the smooth parts and [lo, hi]
         the valley slopes.  The leading gradient is x / (32 pn) with its last entry 0 (all 0
         at pn = 0); the cap adds no term where its slope is 0, so outside the cap cone g is
-        that alone, signed zeros included.  Raises ValueError where x_d or pn is not finite.
+        that alone, signed zeros included.  The cap's offset z = x + shift is (x - x_star) + w
+        bit for bit.  Raises ValueError where x_d or pn is not finite.
         """
         # contiguous, so that p.dot(p) takes the same BLAS path as np.linalg.norm
         x = np.ascontiguousarray(x, dtype=float)
@@ -177,10 +173,9 @@ class HardInstance:
             g /= 32.0 * pn
         else:
             g = np.zeros(self.d)
-        if self.w is None:
+        if not self.has_cap:
             return pn, h, h, g, lo, hi
-        z = x - self.x_star
-        z += self.w
+        z = x + self.shift
         nz = math.sqrt(z.dot(z))
         q = float(self.w_unit.dot(z)) - 0.5 * nz if nz > 0.0 else 0.0  # the ramp vanishes at the anchor
         if q <= 0.0:
@@ -251,7 +246,7 @@ class HardInstance:
         """``_oracle`` at each row of X (row r on instance r if stacked), bit for bit in both
         precisions, as both read the one binary64 table that ``build_hbar`` rounds.  As in
         ``_pass``, the cap adds no term where its slope is 0; a block with no positive slope
-        skips the cap gradient.
+        skips the cap gradient, and the cap's offset is one addition, Z = X + shift.
 
         Returns (f, G): the values and, if ``grad``, the minimal-norm subgradients.  Norms and
         dot products are ``row_dots``; ``pn`` are the leading norms if the caller has them.
@@ -269,8 +264,7 @@ class HardInstance:
             pnb = np.sqrt(row_dots(Xb[:, :-1], Xb[:, :-1])) if pn is None else pn[rows]
             psi = NORM_WEIGHT * pnb + hv[rows]
             if self.has_cap:
-                Z = np.subtract(Xb, self.x_star, out=Zbuf[:len(Xb)])
-                Z += self.w
+                Z = np.add(Xb, self.shift, out=Zbuf[:len(Xb)])
                 nz = np.sqrt(row_dots(Z, Z))
                 ramp = nz > 0.0  # at the anchor the ramp and its gradient vanish
                 q = np.where(ramp, row_dots(Z, self.w_unit) - 0.5 * nz, 0.0)
@@ -357,7 +351,7 @@ def save_instance(inst: HardInstance, path) -> None:
         f"bits = {bits_to_str(inst.bits)}",
         f"precision = {inst.precision}",
         f"seed = {inst.seed if inst.seed is not None else 'none'}",
-        f"c = {inst.c!r}",
+        f"c = {STATIONARITY_C!r}",
         f"mu = {inst.mu!r}" if inst.mu is not None else "mu = none",
         "w = " + (" ".join(repr(float(v)) for v in inst.w) if inst.w is not None else "none"),
     ]

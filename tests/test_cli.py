@@ -36,7 +36,8 @@ def test_build_desk(tmp_path):
     assert cfg["resolved_k"] == 4
     assert cfg["resolved_N"] == 5
     # config.json and the seed replay the instance that instance.txt records
-    inst, _ = cli._instance(cli.RunConfig(**{k: cfg[k] for k in cli.KEYS}))
+    inst, _ = cli._instance(cli.RunConfig(**{k: cfg[k] for k in cli.KEYS}),
+                            *np.random.SeedSequence(cfg["seed"]).spawn(2))
     rec = check_instance_record(out / "instance.txt", inst)
     assert (rec["d"], rec["mu"], len(rec["bits"])) == ("6", repr(1e-3 / 99000.0), 5)
 
@@ -50,7 +51,8 @@ def test_build_theory_is_cap_free(tmp_path):
     cfg = json.loads((out / "config.json").read_text())
     assert cfg["log2_inv_rho"] == 256.0
     assert cfg["resolved_k"] == 4
-    inst, _ = cli._instance(cli.RunConfig(**{k: cfg[k] for k in cli.KEYS}))
+    inst, _ = cli._instance(cli.RunConfig(**{k: cfg[k] for k in cli.KEYS}),
+                            *np.random.SeedSequence(cfg["seed"]).spawn(2))
     rec = check_instance_record(out / "instance.txt", inst)
     assert (rec["mu"], rec["w"], len(rec["bits"])) == ("none", "none", 5)
 

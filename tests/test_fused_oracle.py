@@ -141,7 +141,7 @@ def test_batch_rows_keep_the_signed_zeros_where_the_ramp_vanishes():
     # ||z|| underflows to 0 at a point whose leading part holds a -0.0: the scalar
     # pass skips the ramp there, so the -0.0 of the gradient must stay
     inst = build_instance(3, "01", rho=1e-3, seed=1)
-    inst = dataclasses.replace(inst, w=np.array([1e-3, -1e-170, 0.0]), _w_unit=None)
+    inst = dataclasses.replace(inst, w=np.array([1e-3, -1e-170, 0.0]))
     x = np.array([-1e-3, -0.0, inst.x_star[-1]])
     g = inst.min_subgrad(x)
     assert np.signbit(g[1])
@@ -161,7 +161,7 @@ def test_flat_ramp_adds_no_cap_term_in_either_path():
     # the cap adds no term where its slope is 0: a -0.0 leading coordinate keeps its sign outside
     # the cap cone and at the anchor, in the scalar pass and the row kernel alike
     inst = build_instance(6, "0110", rho=0.25, seed=3)
-    inst = dataclasses.replace(inst, w=np.where(np.arange(6) == 2, 0.0, inst.w), _w_unit=None)  # w_2 = 0
+    inst = dataclasses.replace(inst, w=np.where(np.arange(6) == 2, 0.0, inst.w))  # w_2 = 0
     wu, anchor = inst.w_unit, inst.x_star - inst.w
     across = np.ones(inst.d)
     across[-1] = 0.0
@@ -193,6 +193,29 @@ def test_flat_ramp_adds_no_cap_term_in_either_path():
     gaps = [gap(inst, x - inst.x_star) for x in band]
     assert 0.0 < gaps[0] <= inst.mu and 0.0 < gaps[1] <= inst.mu < gaps[2]
     _assert_batch_rows_equal_scalar(inst, np.array(flat + band))
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 60])
+def test_cap_offset_is_one_addition(d):
+    # x + shift is (x - x_star) + w bit for bit, as x_star is 0 off the last axis, w is 0 on it and
+    # x_d - x_star_d is never -0.0; the rows hold signed zeros, x_d = x_star_d, points on the cone
+    # axis, subnormal and 1e300-sized entries, and the row kernel equals the scalar oracle on them
+    inst = build_instance(d, "0110", rho=0.25, seed=d)
+    rng = np.random.default_rng(d)
+    mid = inst.x_star[-1]
+    signed = rng.choice([0.0, -0.0], size=(8, d))
+    signed[:, -1] = [mid, mid, 0.0, -0.0, 1.0, -2.0, 5e-324, -1e300]
+    axis = inst.x_star - inst.w + np.array([0.0, 1e-3 * inst.mu, inst.mu, 0.5, 20.0])[:, None] * inst.w_unit
+    tiny = rng.choice([5e-324, -5e-324, 2.5e-310, -0.0], size=(6, d))
+    tiny[::2, -1] = mid
+    huge = rng.uniform(-3.0, 3.0, size=(4, d))
+    huge[:, -1] = [1e300, -1e300, mid, mid]
+    huge[2:, 0] = [1e300, -1e300]  # the leading norm overflows: no oracle point, the offset still holds
+    X = np.vstack([rng.uniform(-3.0, 3.0, size=(8, d)), signed, axis, tiny, huge])
+    assert np.signbit(X[8:16, :-1]).any() and not np.signbit(X[8:16, :-1]).all()
+    assert (X + inst.shift).tobytes() == ((X - inst.x_star) + inst.w).tobytes()
+    with np.errstate(over="ignore"):  # ||z|| overflows at x_d = +-1e300, so the ramp is off there
+        _assert_batch_rows_equal_scalar(inst, X[:-2])
 
 
 def test_engineered_points_hit_every_branch():

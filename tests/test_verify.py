@@ -6,7 +6,7 @@ import pytest
 from oracle_reference import full_arc_flows, reference_local_decrease_certificates
 
 from nshard import cli, hard1d, verify
-from nshard.embed import SubgradientSet, build_instance
+from nshard.embed import STATIONARITY_C, SubgradientSet, build_instance
 from nshard.hard1d import build_1d_instance, build_r
 from nshard.oracles import PerturbedGD, RandomSearch, run
 from nshard.schedule import AngleSchedule
@@ -226,9 +226,9 @@ def test_certificate_on_hard_instance():
     for delta in (0.1, 0.5, 1.0):
         for t in range(traj.T):
             if traj.values[t] >= 1.0:
-                cert = local_decrease_certificate(inst, traj.points[t], delta, inst.c, seed=7)
+                cert = local_decrease_certificate(inst, traj.points[t], delta, seed=7)
                 assert cert.ok
-                assert cert.witness_value < cert.start_value - delta * inst.c
+                assert cert.witness_value < cert.start_value - delta * STATIONARITY_C
                 assert np.linalg.norm(cert.witness - traj.points[t]) <= delta * (1 + 1e-9)
 
 
@@ -260,14 +260,15 @@ def _grid_rows(tmp_path, rho, seed):
 @pytest.mark.parametrize("rho", [1e-3, 0.25])
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_certificate_agrees_with_full_arc_reference(tmp_path, rho, seed):
-    inst, _ = cli._instance(cli.RunConfig(mode="desk", d=10, k=4, rho=rho, seed=seed))
+    inst, _ = cli._instance(cli.RunConfig(mode="desk", d=10, k=4, rho=rho, seed=seed),
+                           *np.random.SeedSequence(seed).spawn(2))
     X, deltas, seeds = _grid_rows(tmp_path, rho, seed)
-    refs = reference_local_decrease_certificates(inst, X, deltas, inst.c, seeds)
+    refs = reference_local_decrease_certificates(inst, X, deltas, STATIONARITY_C, seeds)
     uncertified = 0
     for x, delta, t, ref in zip(X, deltas, seeds, refs):
-        cert = local_decrease_certificate(inst, x, delta, inst.c, seed=t)
+        cert = local_decrease_certificate(inst, x, delta, seed=t)
         assert cert.ok == ref.ok
-        assert cert.target == ref.target == cert.start_value - delta * inst.c
+        assert cert.target == ref.target == cert.start_value - delta * STATIONARITY_C
         assert np.linalg.norm(cert.witness - x) <= delta * (1 + 1e-9)
         if cert.ok:
             assert cert.witness_value < cert.target
@@ -278,7 +279,8 @@ def test_certificate_agrees_with_full_arc_reference(tmp_path, rho, seed):
 @pytest.mark.parametrize("rho, seed", [(1e-3, 4), (0.25, 2)])
 def test_full_arc_flows_equal_the_scalar_flow(tmp_path, rho, seed):
     # every 7th row of a grid case, the uncertified one included; a zero-region start stalls at once
-    inst, _ = cli._instance(cli.RunConfig(mode="desk", d=10, k=4, rho=rho, seed=seed))
+    inst, _ = cli._instance(cli.RunConfig(mode="desk", d=10, k=4, rho=rho, seed=seed),
+                           *np.random.SeedSequence(seed).spawn(2))
     X, deltas, _ = _grid_rows(tmp_path, rho, seed)
     rows = list(range(0, len(X), 7)) + [3 * 20 + 3 * 17 + 2]  # sgd, t = 17, delta 1
     X = np.vstack([X[rows], inst.x_star - inst.w + 20.0 * inst.w_unit])
@@ -296,7 +298,7 @@ def test_certificate_false_on_zero_plateau():
     inst = build_instance(5, "0101", rho=1e-3, seed=5)
     x = inst.x_star + 40.0 * inst.w_unit - inst.w
     assert inst.eval_f(x) == 0.0
-    cert = local_decrease_certificate(inst, x, 1.0, inst.c, seed=8)
+    cert = local_decrease_certificate(inst, x, 1.0, seed=8)
     assert not cert.ok
 
 
