@@ -14,6 +14,7 @@ axis with ||w|| = 1000 mu, so the subdifferential keeps a certified minimum
 norm (at least 1/50) wherever f is positive.  The axis w_unit and the offset
 shift = w - x_star are derived once; x + shift is (x - x_star) + w bit for bit,
 as x_star is 0 off the last axis, w is 0 on it and x_d - x_star_d is not -0.0.
+The cone misses |x_d - x_mid| >= 4 ||x_{1:d-1}|| + 4 ||w||: no cap norm warns there.
 
 Each point is evaluated by one scalar pass up to the kinks; the oracle (value
 and minimal-norm subgradient) and the structured subdifferential are views of
@@ -146,6 +147,8 @@ class HardInstance:
         self.has_cap = self.w is not None
         self.w_unit = self.w / np.linalg.norm(self.w) if self.has_cap else None
         self.shift = self.w - self.x_star if self.has_cap else None  # x + shift is (x - x_star) + w
+        self.x_mid = float(self.x_star[-1]) if self.has_cap else None  # off the cone: |x_d - x_mid| >= 4 pn + cone_pad
+        self.cone_pad = 4.0 * float(np.linalg.norm(self.w)) if self.has_cap else None
 
     # -- scalar pass and its views ----------------------------------------------
 
@@ -156,7 +159,8 @@ class HardInstance:
         the valley slopes.  The leading gradient is x / (32 pn) with its last entry 0 (all 0
         at pn = 0); the cap adds no term where its slope is 0, so outside the cap cone g is
         that alone, signed zeros included.  The cap's offset z = x + shift is (x - x_star) + w
-        bit for bit.  Raises ValueError where x_d or pn is not finite.
+        bit for bit, not formed where |x_d - x_mid| >= 4 pn + 4 ||w||, as there the gap is at most
+        pn + ||w|| - |z_d| / 2 <= -||z|| / 5 < 0, even rounded.  Raises ValueError where x_d or pn is not finite.
         """
         # contiguous, so that p.dot(p) takes the same BLAS path as np.linalg.norm
         x = np.ascontiguousarray(x, dtype=float)
@@ -173,7 +177,7 @@ class HardInstance:
             g /= 32.0 * pn
         else:
             g = np.zeros(self.d)
-        if not self.has_cap:
+        if not self.has_cap or abs(xd - self.x_mid) >= 4.0 * pn + self.cone_pad:
             return pn, h, h, g, lo, hi
         z = x + self.shift
         nz = math.sqrt(z.dot(z))
@@ -265,10 +269,12 @@ class HardInstance:
             psi = NORM_WEIGHT * pnb + hv[rows]
             if self.has_cap:
                 Z = np.add(Xb, self.shift, out=Zbuf[:len(Xb)])
-                nz = np.sqrt(row_dots(Z, Z))
-                ramp = nz > 0.0  # at the anchor the ramp and its gradient vanish
-                q = np.where(ramp, row_dots(Z, self.w_unit) - 0.5 * nz, 0.0)
-                psi -= cap_value(q, self.mu)
+                with np.errstate(over="ignore"):  # far out ||z|| and the ramp's unused branches overflow, as q < 0
+                    nz = np.sqrt(row_dots(Z, Z))
+                    ramp = nz > 0.0  # at the anchor the ramp and its gradient vanish
+                    q = np.where(ramp, row_dots(Z, self.w_unit) - 0.5 * nz, 0.0)
+                    cap, slope = cap_value(q, self.mu), cap_slope(q, self.mu) if grad else None
+                psi -= cap
             f[rows] = np.where(psi <= 0.0, 0.0, psi)
             if not grad:
                 continue
@@ -276,7 +282,7 @@ class HardInstance:
             flat = pnb == 0.0  # the norm kink (or a leading part whose squared norm underflows)
             np.divide(Xb[:, :-1], (32.0 * np.where(flat, 1.0, pnb))[:, None], out=Gb[:, :-1])  # x_d may overflow it
             Gb[flat, :-1] = Gb[:, -1] = 0.0
-            if self.has_cap and (slope := cap_slope(q, self.mu)).any():  # Gb -= s * (w_unit - Z / (2 nz))
+            if self.has_cap and slope.any():  # Gb -= s * (w_unit - Z / (2 nz))
                 np.divide(Z, (2.0 * np.where(ramp, nz, 1.0))[:, None], out=Z)
                 np.subtract(self.w_unit, Z, out=Z)
                 Z *= slope[:, None]

@@ -16,6 +16,7 @@ Three kinds of artifact live here:
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -448,8 +449,8 @@ def invariant_suite(
 
     ``mutate="slope"`` injects a slope fault into one 1D table to demonstrate
     that the suite detects broken convexity; the ``hbar`` rows stay on the clean table.  The
-    embedded section checks the row blocks of ``_samples`` as they arrive, drawn one block ahead
-    through ``ahead``; its reductions are maxima and minima, so its rows equal whole-array draws'.
+    embedded section checks and drops the row blocks of ``_samples`` (the pairs redraw X from a copy of the stream),
+    drawn one block ahead through ``ahead``; its reductions are maxima and minima, so its rows equal whole-array draws'.
     """
     if mutate not in (None, "slope"):
         raise ValueError(f"unknown mutation {mutate!r}")
@@ -552,19 +553,15 @@ def invariant_suite(
     cap_inactive_ok = True
     with contextlib.closing(ahead(_samples(rng, p))) as samples:  # closing joins the worker: rng is free again
         for d in p.dims:
-            bits, cap_seed = next(samples)
+            bits, cap_seed, x_rng = next(samples)
             inst = build_instance(d, bits, rho=p.rho, seed=cap_seed, sched=sched)
-            X, fx = [], []
-            for _ in _row_blocks(p.lipschitz_pairs, d):
-                Xb = next(samples)
-                Xb /= np.maximum(1.0, np.sqrt(row_dots(Xb, Xb))[:, None] / 3.0)
-                X.append(Xb)
-                fx.append(inst.eval_f_batch(Xb))
-                min_f = min(min_f, float(np.min(fx[-1])))
-            for Xb, fxb in zip(X, fx):
+            fx = [inst.eval_f_batch(next(samples)) for _ in _row_blocks(p.lipschitz_pairs, d)]
+            min_f = min([min_f] + [float(np.min(fxb)) for fxb in fx])
+            for fxb in fx:
+                D = _lipschitz_points(x_rng, len(fxb), d)  # X's block again, redrawn from the copy
                 Yb = next(samples)
-                Yb += Xb  # Y = X + noise, as IEEE addition commutes
-                D = Xb - Yb
+                Yb += D  # Y = X + noise, as IEEE addition commutes
+                D -= Yb
                 dist = np.sqrt(row_dots(D, D))
                 ok = dist > 0
                 worst_lip = max(worst_lip, float(np.max(np.abs(fxb - inst.eval_f_batch(Yb))[ok] / dist[ok], initial=0)))
@@ -604,15 +601,21 @@ def _row_blocks(n: int, d: int) -> List[int]:
 
 
 def _samples(rng, p: SuiteParams):
-    """The embedded section's draws in stream order: per dimension the bits and cap seed, X, the pairs'
-    noise and S in ``_row_blocks`` (which a Generator fills as one call), and the fd points."""
+    """The embedded section's draws in stream order: per dimension the bits, the cap seed, a copy of rng to redraw X
+    with, X, the pairs' noise and S in ``_row_blocks`` (which a Generator fills as one call), and the fd points."""
     for d in p.dims:
-        yield random_bits(5, rng), int(rng.integers(2**32))
-        yield from (rng.uniform(-3.0, 3.0, size=(n, d)) for n in _row_blocks(p.lipschitz_pairs, d))
+        yield random_bits(5, rng), int(rng.integers(2**32)), copy.deepcopy(rng)
+        yield from (_lipschitz_points(rng, n, d) for n in _row_blocks(p.lipschitz_pairs, d))
         yield from (rng.normal(scale=0.5, size=(n, d)) for n in _row_blocks(p.lipschitz_pairs, d))
         yield from (rng.uniform(-3.0, 3.0, size=(n, d)) for n in _row_blocks(p.stationarity_points, d))
         for _ in range(p.fd_points):
             yield rng.uniform(-1.0, 2.0, size=d), rng.standard_normal((p.fd_dirs, d))
+
+
+def _lipschitz_points(rng, n: int, d: int) -> np.ndarray:
+    """n uniform points of [-3, 3]^d, each scaled into the ball of radius 3 if outside it."""
+    X = rng.uniform(-3.0, 3.0, size=(n, d))
+    return np.divide(X, np.maximum(1.0, np.sqrt(row_dots(X, X))[:, None] / 3.0), out=X)
 
 
 def _fd_gap(inst, x, V, h: float = 1e-6) -> float:

@@ -214,8 +214,28 @@ def test_cap_offset_is_one_addition(d):
     X = np.vstack([rng.uniform(-3.0, 3.0, size=(8, d)), signed, axis, tiny, huge])
     assert np.signbit(X[8:16, :-1]).any() and not np.signbit(X[8:16, :-1]).all()
     assert (X + inst.shift).tobytes() == ((X - inst.x_star) + inst.w).tobytes()
-    with np.errstate(over="ignore"):  # ||z|| overflows at x_d = +-1e300, so the ramp is off there
+    with warnings.catch_warnings():  # ||z|| would overflow at x_d = +-1e300, where the ramp is off
+        warnings.simplefilter("error")
         _assert_batch_rows_equal_scalar(inst, X[:-2])
+
+
+@pytest.mark.parametrize("d", [2, 10, 50])
+@pytest.mark.parametrize("rho", [1e-3, 0.25])
+def test_far_out_capped_answers_are_cap_free_and_quiet(d, rho):
+    # the cone misses |x_d - x_mid| >= 4 pn + 4 ||w||: there the capped instance answers as the
+    # cap-free one on the same bits, and neither path warns of the overflow of ||z|| or the ramp
+    capped, free = build_instance(d, "0110", rho=rho, seed=d), build_h(d, "0110")
+    X = np.random.default_rng(d).uniform(-3.0, 3.0, size=(6, d))
+    X[:, -1] = [1e155, -1e155, 1e200, -1e200, 1e300, -1e300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in X:
+            assert [capped.value_and_subgrad(x)[0], capped.eval_h(x)] == [free.value_and_subgrad(x)[0], free.eval_h(x)]
+            assert capped.value_and_subgrad(x)[1].tobytes() == free.value_and_subgrad(x)[1].tobytes()
+            assert_same_set(capped.subgrad(x), free.subgrad(x))
+        assert capped.eval_f_batch(X).tobytes() == free.eval_f_batch(X).tobytes()
+        for a, b in zip(capped.min_subgrad_norm_batch(X), free.min_subgrad_norm_batch(X)):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_engineered_points_hit_every_branch():

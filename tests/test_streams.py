@@ -9,6 +9,7 @@ same bytes.
 
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,3 +105,25 @@ def test_suite_drawing_inline_gives_the_same_bytes(tmp_path, monkeypatch, any_cp
         rep.write_jsonl(tmp_path / f"{name}.jsonl")
     for ext in ("csv", "jsonl"):
         assert (tmp_path / f"ahead.{ext}").read_bytes() == (tmp_path / f"inline.{ext}").read_bytes()
+
+
+@pytest.mark.parametrize("where", ["ahead", "inline"])
+def test_suite_memory_does_not_grow_with_the_pairs(monkeypatch, any_cpu, where):
+    """The pairs' pass redraws X's blocks from a copy of the stream instead of keeping them, so the
+    traced peak of a suite is a few blocks at 4 and at 16 blocks of pairs alike."""
+    if where == "inline":
+        monkeypatch.setattr(oracles, "_other_cpus", lambda: set())
+    rows = SAMPLE_BLOCK_BYTES // (8 * 50)
+
+    def peak(blocks):
+        p = SuiteParams(n_instances=0, separation_draws=0, dims=(50,), lipschitz_pairs=blocks * rows,
+                        stationarity_points=rows)
+        tracemalloc.start()
+        try:
+            assert invariant_suite(seed=blocks, params=p).all_passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(4), peak(16)
+    assert large - small < 2 * SAMPLE_BLOCK_BYTES, (small, large)
