@@ -556,8 +556,8 @@ def invariant_suite(
             bits, cap_seed, x_rng = next(samples)
             inst = build_instance(d, bits, rho=p.rho, seed=cap_seed, sched=sched)
             fx = [inst.eval_f_batch(next(samples)) for _ in _row_blocks(p.lipschitz_pairs, d)]
-            min_f = min([min_f] + [float(np.min(fxb)) for fxb in fx])
             for fxb in fx:
+                min_f = min(min_f, float(np.min(fxb)))
                 D = _lipschitz_points(x_rng, len(fxb), d)  # X's block again, redrawn from the copy
                 Yb = next(samples)
                 Yb += D  # Y = X + noise, as IEEE addition commutes

@@ -230,8 +230,8 @@ def test_far_out_capped_answers_are_cap_free_and_quiet(d, rho):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in X:
-            assert [capped.value_and_subgrad(x)[0], capped.eval_h(x)] == [free.value_and_subgrad(x)[0], free.eval_h(x)]
-            assert capped.value_and_subgrad(x)[1].tobytes() == free.value_and_subgrad(x)[1].tobytes()
+            (vc, gc), (vf, gf) = capped.value_and_subgrad(x), free.value_and_subgrad(x)
+            assert (vc, capped.eval_h(x), gc.tobytes()) == (vf, free.eval_h(x), gf.tobytes())
             assert_same_set(capped.subgrad(x), free.subgrad(x))
         assert capped.eval_f_batch(X).tobytes() == free.eval_f_batch(X).tobytes()
         for a, b in zip(capped.min_subgrad_norm_batch(X), free.min_subgrad_norm_batch(X)):

@@ -109,8 +109,8 @@ def test_suite_drawing_inline_gives_the_same_bytes(tmp_path, monkeypatch, any_cp
 
 @pytest.mark.parametrize("where", ["ahead", "inline"])
 def test_suite_memory_does_not_grow_with_the_pairs(monkeypatch, any_cpu, where):
-    """The pairs' pass redraws X's blocks from a copy of the stream instead of keeping them, so the
-    traced peak of a suite is a few blocks at 4 and at 16 blocks of pairs alike."""
+    """The pairs' pass redraws X's blocks from a copy of the stream instead of keeping them, so a
+    suite's traced peak barely moves from 4 to 16 blocks of pairs."""
     if where == "inline":
         monkeypatch.setattr(oracles, "_other_cpus", lambda: set())
     rows = SAMPLE_BLOCK_BYTES // (8 * 50)
