@@ -14,7 +14,9 @@ axis with ||w|| = 1000 mu, so the subdifferential keeps a certified minimum
 norm (at least 1/50) wherever f is positive.  The axis w_unit and the offset
 shift = w - x_star are derived once; x + shift is (x - x_star) + w bit for bit,
 as x_star is 0 off the last axis, w is 0 on it and x_d - x_star_d is not -0.0.
-The cone misses |x_d - x_mid| >= 4 ||x_{1:d-1}|| + 4 ||w||: no cap norm warns there.
+As w is orthogonal to e_d, with pn = ||x_{1:d-1}|| and x_mid = x_star_d,
+    gap(x - x_star) <= <w_unit, x> + ||w|| - max(|x_d - x_mid|, pn - ||w||) / 2 <= pn + ||w|| - |x_d - x_mid| / 2:
+the row kernel skips the cap where the middle bound is negative, the scalar pass where |x_d - x_mid| >= 4 pn + 4 ||w||.
 
 Each point is evaluated by one scalar pass up to the kinks; the oracle (value
 and minimal-norm subgradient) and the structured subdifferential are views of
@@ -145,10 +147,11 @@ class HardInstance:
 
     def __post_init__(self):  # the cap's geometry, derived once
         self.has_cap = self.w is not None
-        self.w_unit = self.w / np.linalg.norm(self.w) if self.has_cap else None
+        self.w_norm = float(np.linalg.norm(self.w)) if self.has_cap else None
+        self.w_unit = self.w / self.w_norm if self.has_cap else None
         self.shift = self.w - self.x_star if self.has_cap else None  # x + shift is (x - x_star) + w
         self.x_mid = float(self.x_star[-1]) if self.has_cap else None  # off the cone: |x_d - x_mid| >= 4 pn + cone_pad
-        self.cone_pad = 4.0 * float(np.linalg.norm(self.w)) if self.has_cap else None
+        self.cone_pad = 4.0 * self.w_norm if self.has_cap else None
 
     # -- scalar pass and its views ----------------------------------------------
 
@@ -180,7 +183,8 @@ class HardInstance:
         if not self.has_cap or abs(xd - self.x_mid) >= 4.0 * pn + self.cone_pad:
             return pn, h, h, g, lo, hi
         z = x + self.shift
-        nz = math.sqrt(z.dot(z))
+        with np.errstate(over="ignore"):  # ||z|| may overflow where pn does not; then q = -inf
+            nz = math.sqrt(z.dot(z))
         q = float(self.w_unit.dot(z)) - 0.5 * nz if nz > 0.0 else 0.0  # the ramp vanishes at the anchor
         if q <= 0.0:
             return pn, h, h, g, lo, hi
@@ -247,34 +251,40 @@ class HardInstance:
     BLOCK_BYTES = 256 * 1024  # rows go in blocks of about this many bytes, so temporaries stay in L2
 
     def _kernel(self, X, grad=False, pn=None):
-        """``_oracle`` at each row of X (row r on instance r if stacked), bit for bit in both
-        precisions, as both read the one binary64 table that ``build_hbar`` rounds.  As in
-        ``_pass``, the cap adds no term where its slope is 0; a block with no positive slope
-        skips the cap gradient, and the cap's offset is one addition, Z = X + shift.
+        """``_oracle`` at each row of X (row r on instance r if stacked), bit for bit in both precisions, as both
+        read the one binary64 table that ``build_hbar`` rounds.  As in ``_pass``, the cap adds no term where its slope
+        is 0, and its offset is one addition, Z = X + shift.  The cap is computed only on the rows its cone may reach:
+        as w is orthogonal to e_d, the gap q = <w_unit, z> - ||z|| / 2 is at most reach = <w_unit, x> + ||w||
+        - max(|x_d - x_mid|, pn - ||w||) / 2, one gemv per block.  Rounding moves reach and q by about (d + 4) u M
+        each, u = 2^-53 and M = 1 + ||w|| + |x_d - x_mid| + pn, far below the margin (1e-9 + 1e-15 d) M; so where
+        reach < -margin the rounded q is negative too, and the cap and its slope would be 0 bit for bit.  NaN and
+        inf rows fail that test and take the full path.
 
-        Returns (f, G): the values and, if ``grad``, the minimal-norm subgradients.  Norms and
-        dot products are ``row_dots``; ``pn`` are the leading norms if the caller has them.
-        Non-finite rows are not rejected.
+        Returns (f, G): the values and, if ``grad``, the minimal-norm subgradients.  Norms and dot products are
+        ``row_dots``; ``pn`` are the leading norms if the caller has them.  Non-finite rows are not rejected.
         """
         X = np.ascontiguousarray(X, dtype=float)
         R, d = X.shape
         hv, lo, hi = self.hbar.value_and_subdiff_batch(X[:, -1])
         f, G = np.empty(R), np.empty((R, d)) if grad else None
         step = max(1, self.BLOCK_BYTES // (8 * d))
-        Zbuf = np.empty((min(step, R), d)) if self.has_cap else None
         for a in range(0, R, step):
             rows = slice(a, a + step)
             Xb = X[rows]
             pnb = np.sqrt(row_dots(Xb[:, :-1], Xb[:, :-1])) if pn is None else pn[rows]
             psi = NORM_WEIGHT * pnb + hv[rows]
             if self.has_cap:
-                Z = np.add(Xb, self.shift, out=Zbuf[:len(Xb)])
                 with np.errstate(over="ignore"):  # far out ||z|| and the ramp's unused branches overflow, as q < 0
-                    nz = np.sqrt(row_dots(Z, Z))
-                    ramp = nz > 0.0  # at the anchor the ramp and its gradient vanish
-                    q = np.where(ramp, row_dots(Z, self.w_unit) - 0.5 * nz, 0.0)
-                    cap, slope = cap_value(q, self.mu), cap_slope(q, self.mu) if grad else None
-                psi -= cap
+                    off = np.abs(Xb[:, -1] - self.x_mid)
+                    reach = Xb @ self.w_unit + self.w_norm - 0.5 * np.maximum(off, pnb - self.w_norm)
+                    near = np.flatnonzero(~(reach < -(1e-9 + 1e-15 * d) * (1.0 + self.w_norm + off + pnb)))
+                    if len(near):  # the rows the cone may reach
+                        Z = Xb[near] + self.shift
+                        nz = np.sqrt(row_dots(Z, Z))
+                        ramp = nz > 0.0  # at the anchor the ramp and its gradient vanish
+                        q = np.where(ramp, row_dots(Z, self.w_unit) - 0.5 * nz, 0.0)
+                        psi[near] -= cap_value(q, self.mu)
+                        slope = cap_slope(q, self.mu) if grad else None
             f[rows] = np.where(psi <= 0.0, 0.0, psi)
             if not grad:
                 continue
@@ -282,12 +292,12 @@ class HardInstance:
             flat = pnb == 0.0  # the norm kink (or a leading part whose squared norm underflows)
             np.divide(Xb[:, :-1], (32.0 * np.where(flat, 1.0, pnb))[:, None], out=Gb[:, :-1])  # x_d may overflow it
             Gb[flat, :-1] = Gb[:, -1] = 0.0
-            if self.has_cap and slope.any():  # Gb -= s * (w_unit - Z / (2 nz))
+            if self.has_cap and len(near) and slope.any():  # Gb -= s * (w_unit - Z / (2 nz)) on the near rows
                 np.divide(Z, (2.0 * np.where(ramp, nz, 1.0))[:, None], out=Z)
                 np.subtract(self.w_unit, Z, out=Z)
                 Z *= slope[:, None]
                 Z[slope == 0.0] = 0.0
-                Gb -= Z
+                Gb[near] -= Z
             if flat.any():  # project the leading part onto the 1/32 ball
                 gp = Gb[flat, :-1]
                 gn = np.sqrt(row_dots(gp, gp))

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nshard import embed
 from nshard.embed import HardInstance, build_h, build_instance
 from nshard.hard1d import build_1d_instance
 from nshard.schedule import DEFAULT_SCHEDULE, AngleSchedule
@@ -236,6 +237,80 @@ def test_far_out_capped_answers_are_cap_free_and_quiet(d, rho):
         assert capped.eval_f_batch(X).tobytes() == free.eval_f_batch(X).tobytes()
         for a, b in zip(capped.min_subgrad_norm_batch(X), free.min_subgrad_norm_batch(X)):
             assert a.tobytes() == b.tobytes()
+
+
+def test_scalar_oracle_is_quiet_where_only_the_cap_norm_overflows():
+    # pn is finite but ||x + shift|| overflows, so the scalar pass gets past its far-out return; q is -inf there
+    inst = build_instance(4, "01", rho=1e-3, seed=1)
+    X = np.array([[1e154, 0.0, 0.0, 2e154], [1e154, 0.0, 0.0, -2e154], [-1e154, 5e153, 0.0, 3e154]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_batch_rows_equal_scalar(inst, X)
+
+
+def _cone_edge_rows(inst, rng):
+    """Rows where the cone filter decides: reach within +-1e-9 of 0, the cone's surface, the anchor and the
+    cone axis on both sides of it, +-0.0 entries and x_d = +-1e300."""
+    d, wu, anchor, wn = inst.d, inst.w_unit, inst.x_star - inst.w, inst.w_norm
+    rows = [anchor, inst.x_star]
+    rows += [anchor + t * wu for t in (-1.0, -1e-3, -1e-9, -1e-12, 1e-12, 1e-9, inst.mu, 0.5, 20.0)]
+    for t in (-1e-9, -3e-10, -1e-11, 0.0, 1e-11, 3e-10, 1e-9):  # reach = t, through x_d
+        x = rng.uniform(-3.0, 3.0, size=d)
+        x[-1] = 0.0
+        x -= (x @ wu - rng.uniform(1.0, 2.0) * np.linalg.norm(x)) * wu  # lean toward w, so |x_d - x_mid| decides
+        x[-1] = inst.x_mid + rng.choice([-2.0, 2.0]) * (x @ wu + wn - t)
+        rows.append(x)
+    for _ in range(6):  # the cone's surface, q = 0: 60 degrees off the axis at the anchor
+        v = rng.normal(size=d)
+        if d > 2 and rng.uniform() < 0.5:
+            v[-1] = 0.0
+        v -= (v @ wu) * wu
+        v /= np.linalg.norm(v)
+        r = inst.mu * 10.0 ** rng.uniform(-3.0, 6.0)
+        rows.append(anchor + r * (0.5 * wu + np.sqrt(0.75) * v))
+    X = np.array(rows)
+    signed = X[rng.permutation(len(X))[:6]].copy()
+    signed[rng.uniform(size=signed.shape) < 0.5] = -0.0
+    far = rng.uniform(-3.0, 3.0, size=(4, d))
+    far[:, -1] = [1e300, -1e300, 1e300, -1e300]
+    far[2:, :-1] = 0.0
+    return np.vstack([X, signed, far])
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 60])
+@pytest.mark.parametrize("rho", [1e-3, 0.25])
+def test_cone_filter_keeps_every_row_bit_for_bit(d, rho):
+    """The row kernel skips the cap where its cone provably misses; row by row it still equals the scalar oracle,
+    quietly, at the filter's edge and on every block size from 1 to 16 rows."""
+    inst = build_instance(d, "0110", rho=rho, seed=d)
+    rng = np.random.default_rng(d)
+    X = _cone_edge_rows(inst, rng)
+    pn, off = np.linalg.norm(X[:, :-1], axis=1), np.abs(X[:, -1] - inst.x_mid)
+    reach = X @ inst.w_unit + inst.w_norm - 0.5 * np.maximum(off, pn - inst.w_norm)  # the kernel's bound on the gap
+    assert np.sum(np.abs(reach) <= 1e-9) >= 7 and np.any(reach < -1e-6) and np.any(reach > 1e-6)
+    X = np.vstack([X, rng.uniform(-3.0, 3.0, size=(20, d))])[rng.permutation(len(X) + 20)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in (1, 2, 5, 16):
+            with patch.object(HardInstance, "BLOCK_BYTES", 8 * d * block):
+                _assert_batch_rows_equal_scalar(inst, X)
+        bad = X.copy()
+        bad[3] = np.nan
+        f = inst.eval_f_batch(bad)
+    assert np.isnan(f[3]) and f[np.arange(len(X)) != 3].tobytes() == np.delete(inst.eval_f_batch(X), 3).tobytes()
+
+
+def test_cone_filter_skips_the_cap_off_the_cone():
+    # at d = 50 the cone holds a tiny share of directions: no uniform point of [-3, 3]^d reaches the cap code
+    inst = build_instance(50, "01101", rho=1e-3, seed=1)
+    X = np.random.default_rng(1).uniform(-3.0, 3.0, size=(20000, 50))
+    axis = inst.x_star - inst.w + np.array([0.5, 2.0])[:, None] * inst.w_unit
+    with patch("nshard.embed.cap_value", side_effect=embed.cap_value) as cap:
+        f, _ = inst.min_subgrad_norm_batch(X)
+        assert inst.eval_f_batch(X).tobytes() == f.tobytes()
+        assert cap.call_count == 0
+        inst.eval_f_batch(axis)  # the patch does see the cone
+        assert cap.call_count == 1
 
 
 def test_engineered_points_hit_every_branch():

@@ -381,6 +381,28 @@ NEAR_KINK = dict(seed=401775898, params=SuiteParams(lipschitz_pairs=20000, stati
                                                     dims=(2, 10, 50)))
 
 
+@pytest.mark.parametrize("k", [0, 1, 7, 20000])
+@pytest.mark.parametrize("buffered", [False, True], ids=["no-uint32", "uint32"])
+def test_skip_sits_where_uniform_draws_leave_the_stream(k, buffered):
+    # the pairs' noise is drawn from this Generator while rng still draws X's k uniform doubles
+    rng = np.random.default_rng(k)
+    if buffered:
+        rng.integers(2**32)  # the second half of a 64-bit draw stays buffered
+    state = rng.bit_generator.state
+    assert state["has_uint32"] == int(buffered)
+    skipped = verify._skip(rng, k)
+    assert rng.bit_generator.state == state
+    drawn = np.random.default_rng()
+    drawn.bit_generator.state = state
+    drawn.uniform(-3.0, 3.0, size=k)
+    got, want = skipped.bit_generator.state, drawn.bit_generator.state
+    assert (got["has_uint32"], got["uinteger"]) == (want["has_uint32"], want["uinteger"]) == (
+        state["has_uint32"], state["uinteger"])
+    assert got == want
+    assert skipped.normal(scale=0.5, size=(3, 5)).tobytes() == drawn.normal(scale=0.5, size=(3, 5)).tobytes()
+    assert skipped.integers(2**32) == drawn.integers(2**32)
+
+
 def test_directional_derivative_steps_short_of_a_near_breakpoint():
     rep = invariant_suite(**NEAR_KINK)
     assert rep.all_passed, rep.summary()
