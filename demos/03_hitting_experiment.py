@@ -34,9 +34,9 @@ def _print_row(row):
 
 def main():
     for algo in (RandomSearch(radius=1.0), PerturbedGD()):
-        rep = mc_hitting(algo, T=T, k=K, N=N, n_runs=RUNS, seed=1, log2_inv_rho=float((4 * K) ** 2))
+        rows = mc_hitting(algo, T=T, k=K, N=N, n_runs=RUNS, seed=1, log2_inv_rho=float((4 * K) ** 2))
         print(f"== {algo.name}: T={T}, k={K}, N={N}, {RUNS} runs ==")
-        for row in rep.rows():
+        for row in rows:
             _print_row(row)
         print()
 
@@ -45,10 +45,10 @@ def main():
     start = time.perf_counter()
     for algo in (RandomSearch(radius=1.0), PerturbedGD()):
         for steps in DEEP_TS:
-            rep = mc_hitting(algo, T=steps, k=DEEP_K, N=DEEP_N, n_runs=DEEP_RUNS, seed=2,
-                             log2_inv_rho=FINEST_LOG2_INV_RHO)
+            rows = mc_hitting(algo, T=steps, k=DEEP_K, N=DEEP_N, n_runs=DEEP_RUNS, seed=2,
+                              log2_inv_rho=FINEST_LOG2_INV_RHO)
             print(f"-- {algo.name}, T={steps}")
-            for row in rep.rows()[:2]:
+            for row in rows[:2]:
                 _print_row(row)
     print(f"({time.perf_counter() - start:.1f} s)")
 

@@ -209,7 +209,7 @@ def cmd_mc(cfg: RunConfig) -> int:
         log2_inv_rho=params.log2_inv_rho,
         sched=_schedule(cfg.precision),
     )
-    conc = concentration_check(
+    conc, _ = concentration_check(
         d=cfg.d,
         T=cfg.T,
         n_runs=cfg.runs,
@@ -218,7 +218,7 @@ def cmd_mc(cfg: RunConfig) -> int:
         N=params.N,
         sched=_schedule(cfg.precision),
     )
-    rows = hit.rows() + conc.rows()
+    rows = hit + [conc]
     columns = ["check", "estimate", "wilson_lo", "wilson_hi", "bound", "vacuous"]
     write_table(os.path.join(out, "mc_report.csv"), columns, [[r[c] for c in columns] for r in rows])
     write_records(os.path.join(out, "mc_report.jsonl"), [dict(sorted(r.items())) for r in rows])

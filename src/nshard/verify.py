@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from . import hard1d
 from .embed import STATIONARITY_C, build_h, build_instance, row_dots
 from .hard1d import build_1d_instance, build_r, eval_r
 from .intervals import interval, locate, phi, random_bits, separation_margins
-from .oracles import ahead, lockstep
+from .oracles import PerturbedGD, ahead, lockstep
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 
 SAMPLE_BLOCK_BYTES = 1 << 20  # the invariant suite draws and checks its samples in row blocks of about this size
@@ -66,34 +66,15 @@ def progress_process(x_last, bits, sched: AngleSchedule = DEFAULT_SCHEDULE) -> n
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HittingReport:
-    T: int
-    k: int
-    N: int
-    n_runs: int
-    log2_inv_rho: float
-    hit_freq: float
-    hit_wilson: Tuple[float, float]
-    hit_bound: float
-    hit_vacuous: bool
-    deep_freq: float
-    deep_wilson: Tuple[float, float]
-    deep_bound: float
-    deep_vacuous: bool
-    jump_stats: Dict[int, dict]  # m -> {freq, se, bound, n}
+def _row(check: str, estimate: float, lo: float, hi: float, bound: float) -> dict:
+    """One record of ``nshard mc``; a bound of at least 1 holds for any frequency and is flagged vacuous."""
+    return {"check": check, "estimate": estimate, "wilson_lo": lo, "wilson_hi": hi, "bound": bound,
+            "vacuous": bound >= 1.0}
 
-    def rows(self):
-        def row(check, estimate, lo, hi, bound, vacuous):
-            return {"check": check, "estimate": estimate, "wilson_lo": lo, "wilson_hi": hi, "bound": bound,
-                    "vacuous": vacuous}
 
-        out = [row("hit_within_rho", self.hit_freq, *self.hit_wilson, self.hit_bound, self.hit_vacuous),
-               row(f"depth_ge_{self.k}", self.deep_freq, *self.deep_wilson, self.deep_bound, self.deep_vacuous)]
-        for m, st in sorted(self.jump_stats.items()):
-            out.append(row(f"jump_ge_{m}", st["freq"], max(0.0, st["freq"] - 3 * st["se"]),
-                           min(1.0, st["freq"] + 3 * st["se"]), st["bound"], st["bound"] >= 1.0))
-        return out
+def _wilson_row(check: str, successes: int, n: int, bound: float) -> dict:
+    """The record of a frequency of successes in n runs, with its Wilson interval."""
+    return _row(check, successes / n, *wilson_interval(successes, n), bound)
 
 
 def mc_hitting(
@@ -105,17 +86,20 @@ def mc_hitting(
     log2_inv_rho: float,
     seed: int = 0,
     sched: AngleSchedule = DEFAULT_SCHEDULE,
-) -> HittingReport:
+) -> List[dict]:
     """Estimate hitting and progress probabilities over fresh random bit draws.
 
     Each run draws a fresh bit string, builds the shifted 1D hard function (one stacked
     instance for all runs), takes T oracle steps from 0 (in lockstep, one stacked query
     per step), and records whether any iterate came within rho of the minimizer and how
-    deep the progress process got (one stacked ``progress_process``).  Estimates come
-    with Wilson intervals and are compared to the analytic bounds 16 T / sqrt(log2(1/rho)),
-    min(1, 4T/k) and, for jumps of m = 1..6 levels in one step, 2^-(m-1); bounds that
-    exceed 1 are flagged vacuous rather than failed.  rho is 2^-log2_inv_rho, taken as 0
-    from log2_inv_rho = 1060 on.
+    deep the progress process got (one stacked ``progress_process``).  rho is
+    2^-log2_inv_rho, taken as 0 from log2_inv_rho = 1060 on.
+
+    Returns the eight rows that ``nshard mc`` writes, keys check, estimate, wilson_lo,
+    wilson_hi, bound and vacuous (bound >= 1, flagged rather than failed):
+    ``hit_within_rho`` against 16 T / sqrt(log2(1/rho)) and ``depth_ge_{k}`` against
+    min(1, 4T/k), each with its 95 % Wilson interval, then ``jump_ge_1`` to ``jump_ge_6``
+    against 2^-(m-1) for a jump of m levels in one step, within freq -/+ 3 standard errors.
 
     The seed spawns one Generator per role, (bits, algorithm), and each role draws for
     all runs at once: the bits in one (n_runs, N) draw, the algorithm's noise or
@@ -137,55 +121,14 @@ def mc_hitting(
     Z = progress_process(x_last, bits, sched)
     deep = int(np.count_nonzero(Z[:, -1] >= k))
     jumps = np.diff(Z, axis=1)
-    jump_trials = jumps.size
 
-    hit_bound = 16.0 * T / math.sqrt(log2_inv_rho)
-    deep_bound = 4.0 * T / k
-    jump_stats = {}
+    rows = [_wilson_row("hit_within_rho", hits, n_runs, 16.0 * T / math.sqrt(log2_inv_rho)),
+            _wilson_row(f"depth_ge_{k}", deep, n_runs, min(1.0, 4.0 * T / k))]
     for m in range(1, 7):
-        freq = int(np.count_nonzero(jumps >= m)) / jump_trials
-        se = math.sqrt(max(freq * (1 - freq), 1.0 / jump_trials) / jump_trials)
-        jump_stats[m] = {"freq": freq, "se": se, "bound": 2.0 ** (-(m - 1)), "n": jump_trials}
-    return HittingReport(
-        T=T,
-        k=k,
-        N=N,
-        n_runs=n_runs,
-        log2_inv_rho=log2_inv_rho,
-        hit_freq=hits / n_runs,
-        hit_wilson=wilson_interval(hits, n_runs),
-        hit_bound=hit_bound,
-        hit_vacuous=hit_bound >= 1.0,
-        deep_freq=deep / n_runs,
-        deep_wilson=wilson_interval(deep, n_runs),
-        deep_bound=min(1.0, deep_bound),
-        deep_vacuous=deep_bound >= 1.0,
-        jump_stats=jump_stats,
-    )
-
-
-@dataclass
-class ConcentrationReport:
-    d: int
-    T: int
-    n_runs: int
-    exceed_freq: float
-    wilson: Tuple[float, float]
-    bound: float
-    vacuous: bool
-    max_alignment: float
-
-    def rows(self):
-        return [
-            {
-                "check": f"alignment_ge_third_d{self.d}",
-                "estimate": self.exceed_freq,
-                "wilson_lo": self.wilson[0],
-                "wilson_hi": self.wilson[1],
-                "bound": self.bound,
-                "vacuous": self.vacuous,
-            }
-        ]
+        freq = int(np.count_nonzero(jumps >= m)) / jumps.size
+        se = math.sqrt(max(freq * (1 - freq), 1.0 / jumps.size) / jumps.size)
+        rows.append(_row(f"jump_ge_{m}", freq, max(0.0, freq - 3 * se), min(1.0, freq + 3 * se), 2.0 ** (-(m - 1))))
+    return rows
 
 
 def concentration_check(
@@ -196,21 +139,22 @@ def concentration_check(
     algorithm=None,
     N: int = 5,
     sched: AngleSchedule = DEFAULT_SCHEDULE,
-) -> ConcentrationReport:
+) -> Tuple[dict, float]:
     """Frequency of a fresh random direction aligning with any iterate.
 
     Runs the algorithm on the cap-free objectives (one stacked instance, one query per
     lockstep step), and measures max_t <u, (x_t - x_star)/||x_t - x_star||> step by step for an
-    independent unit vector u supported on the leading d-1 coordinates.  The
-    exceedance probability of 1/3 is compared against T exp(-d/36); for
-    small d the bound exceeds 1 and is flagged vacuous.  The seed spawns one Generator
-    per role, (bits, algorithm, directions), each drawing for all runs at once, as in
-    ``mc_hitting``; the directions are one (n_runs, d - 1) draw.
+    independent unit vector u supported on the leading d-1 coordinates.  The seed spawns
+    one Generator per role, (bits, algorithm, directions), each drawing for all runs at
+    once, as in ``mc_hitting``; the directions are one (n_runs, d - 1) draw.
+
+    Returns the row that ``nshard mc`` writes, ``alignment_ge_third_d{d}``: the frequency
+    of an alignment of at least 1/3, with its Wilson interval, against T exp(-d/36), which
+    is flagged vacuous for small d where it is at least 1 (keys as in ``mc_hitting``); and
+    the largest alignment over all runs and steps.
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    from .oracles import PerturbedGD
-
     if algorithm is None:
         algorithm = PerturbedGD()
     bits_rng, algo_rng, dir_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
@@ -227,18 +171,7 @@ def concentration_check(
             diffs = X - inst.x_star
             align = np.fmax(align, np.einsum("ij,ij->i", diffs, W) / np.linalg.norm(diffs, axis=1))
     exceed = int(np.count_nonzero(align >= 1.0 / 3.0))
-    max_align = np.max(align)
-    bound = T * math.exp(-d / 36.0)
-    return ConcentrationReport(
-        d=d,
-        T=T,
-        n_runs=n_runs,
-        exceed_freq=exceed / n_runs,
-        wilson=wilson_interval(exceed, n_runs),
-        bound=bound,
-        vacuous=bound >= 1.0,
-        max_alignment=float(max_align),
-    )
+    return _wilson_row(f"alignment_ge_third_d{d}", exceed, n_runs, T * math.exp(-d / 36.0)), float(np.max(align))
 
 
 # ---------------------------------------------------------------------------

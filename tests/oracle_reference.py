@@ -25,9 +25,10 @@
   runs share.
 * ``reference_mc_hitting`` / ``reference_concentration_check``: the
   Monte-Carlo experiments one run after another, run r a ``row_run`` on
-  row r of each role's draws, which the lockstep experiments must reproduce
-  (the alignment to rounding: a row dot differs from a matrix-vector product
-  in the last bit).
+  row r of each role's draws, each ``nshard mc`` row written out here as a
+  dict of its own, which the lockstep experiments must reproduce (the
+  largest alignment to rounding: a row dot differs from a matrix-vector
+  product in the last bit).
 * ``max_boundary_ties``: float points where h equals the cap exactly, the
   max boundary that no drawn point reaches.
 * ``full_arc_flows`` / ``reference_local_decrease_certificates``: the
@@ -59,9 +60,7 @@ from nshard.verify import (
     FLOW_HALT_NORM,
     CertificateReport,
     CertResult,
-    ConcentrationReport,
     FlowResult,
-    HittingReport,
     progress_process,
     wilson_interval,
 )
@@ -379,8 +378,8 @@ def row_run(algorithm, inst, x0, T, rng) -> Trajectory:
     return traj
 
 
-def reference_mc_hitting(algorithm, T, k, N, n_runs, log2_inv_rho, seed=0, sched=DEFAULT_SCHEDULE) -> HittingReport:
-    """``mc_hitting`` with each run's trajectory driven on its own."""
+def reference_mc_hitting(algorithm, T, k, N, n_runs, log2_inv_rho, seed=0, sched=DEFAULT_SCHEDULE):
+    """``mc_hitting``'s rows with each run's trajectory driven on its own."""
     rho = 2.0 ** (-log2_inv_rho) if log2_inv_rho < 1060 else 0.0
     hits = 0
     deep = 0
@@ -405,24 +404,26 @@ def reference_mc_hitting(algorithm, T, k, N, n_runs, log2_inv_rho, seed=0, sched
 
     hit_bound = 16.0 * T / math.sqrt(log2_inv_rho)
     deep_bound = 4.0 * T / k
-    jump_stats = {}
+    hit_lo, hit_hi = wilson_interval(hits, n_runs)
+    deep_lo, deep_hi = wilson_interval(deep, n_runs)
+    rows = [
+        {"check": "hit_within_rho", "estimate": hits / n_runs, "wilson_lo": hit_lo, "wilson_hi": hit_hi,
+         "bound": hit_bound, "vacuous": hit_bound >= 1.0},
+        {"check": f"depth_ge_{k}", "estimate": deep / n_runs, "wilson_lo": deep_lo, "wilson_hi": deep_hi,
+         "bound": min(1.0, deep_bound), "vacuous": deep_bound >= 1.0},
+    ]
     for m in range(1, 7):
         freq = jump_counts[m] / jump_trials
         se = math.sqrt(max(freq * (1 - freq), 1.0 / jump_trials) / jump_trials)
-        jump_stats[m] = {"freq": freq, "se": se, "bound": 2.0 ** (-(m - 1)), "n": jump_trials}
-    return HittingReport(
-        T=T, k=k, N=N, n_runs=n_runs, log2_inv_rho=log2_inv_rho,
-        hit_freq=hits / n_runs, hit_wilson=wilson_interval(hits, n_runs),
-        hit_bound=hit_bound, hit_vacuous=hit_bound >= 1.0,
-        deep_freq=deep / n_runs, deep_wilson=wilson_interval(deep, n_runs),
-        deep_bound=min(1.0, deep_bound), deep_vacuous=deep_bound >= 1.0,
-        jump_stats=jump_stats,
-    )
+        bound = 2.0 ** (-(m - 1))
+        rows.append({"check": f"jump_ge_{m}", "estimate": freq, "wilson_lo": max(0.0, freq - 3 * se),
+                     "wilson_hi": min(1.0, freq + 3 * se), "bound": bound, "vacuous": bound >= 1.0})
+    return rows
 
 
 def reference_concentration_check(d, T, n_runs, seed=0, algorithm=None, N=5,
-                                  sched=DEFAULT_SCHEDULE) -> ConcentrationReport:
-    """``concentration_check`` with each run's trajectory driven on its own."""
+                                  sched=DEFAULT_SCHEDULE):
+    """``concentration_check``'s row and largest alignment with each run's trajectory driven on its own."""
     if algorithm is None:
         algorithm = PerturbedGD()
     exceed = 0
@@ -446,10 +447,10 @@ def reference_concentration_check(d, T, n_runs, seed=0, algorithm=None, N=5,
         if align >= 1.0 / 3.0:
             exceed += 1
     bound = T * math.exp(-d / 36.0)
-    return ConcentrationReport(
-        d=d, T=T, n_runs=n_runs, exceed_freq=exceed / n_runs, wilson=wilson_interval(exceed, n_runs),
-        bound=bound, vacuous=bound >= 1.0, max_alignment=float(max_align),
-    )
+    lo, hi = wilson_interval(exceed, n_runs)
+    row = {"check": f"alignment_ge_third_d{d}", "estimate": exceed / n_runs, "wilson_lo": lo, "wilson_hi": hi,
+           "bound": bound, "vacuous": bound >= 1.0}
+    return row, float(max_align)
 
 
 def max_boundary_ties(inst, want=2, span=4000):

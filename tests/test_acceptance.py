@@ -213,25 +213,26 @@ def test_c07_fd_regularity():
 def test_c08_progress_process_bounds():
     t0 = time.time()
     for algo in (RandomSearch(radius=1.0), PerturbedGD()):
-        rep = mc_hitting(algo, T=50, k=6, N=7, n_runs=2000, seed=8, log2_inv_rho=576.0)
-        for m in range(1, 7):
-            st = rep.jump_stats[m]
-            assert st["freq"] <= st["bound"] + 3 * st["se"], (algo.name, m, st)
+        row = {r["check"]: r for r in mc_hitting(algo, T=50, k=6, N=7, n_runs=2000, seed=8, log2_inv_rho=576.0)}
+        for m in range(1, 7):  # wilson_lo = max(0, freq - 3 se): freq <= bound + 3 se
+            jump = row[f"jump_ge_{m}"]
+            assert jump["wilson_lo"] <= jump["bound"], (algo.name, jump)
         # 4T/k = 33.3 is vacuous; the sharp check is the Wilson upper bound
         # on the depth-6 frequency staying under 1%
-        assert rep.deep_vacuous
-        assert rep.deep_freq <= min(1.0, 4.0 * 50 / 6)
-        assert rep.deep_wilson[1] < 0.01, (algo.name, rep.deep_wilson)
+        deep = row["depth_ge_6"]
+        assert deep["vacuous"]
+        assert deep["estimate"] <= min(1.0, 4.0 * 50 / 6)
+        assert deep["wilson_hi"] < 0.01, (algo.name, deep)
     _finish(8, "progress-process-bounds", t0, 300.0)
 
 
 def test_c09_concentration():
     t0 = time.time()
-    rep = concentration_check(d=500, T=50, n_runs=200, seed=9)
-    assert rep.bound < 1e-4  # 50 exp(-500/36) ~ 5e-5
-    assert rep.exceed_freq == 0.0
-    assert rep.max_alignment < 1.0 / 3.0
-    _finish(9, "concentration", t0, 120.0, f"max alignment {rep.max_alignment:.4f}")
+    row, max_alignment = concentration_check(d=500, T=50, n_runs=200, seed=9)
+    assert row["bound"] < 1e-4  # 50 exp(-500/36) ~ 5e-5
+    assert row["estimate"] == 0.0
+    assert max_alignment < 1.0 / 3.0
+    _finish(9, "concentration", t0, 120.0, f"max alignment {max_alignment:.4f}")
 
 
 def test_c10_local_decrease_certificates():

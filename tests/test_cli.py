@@ -216,6 +216,16 @@ MC_GOLDEN = {
 }
 
 
+# sha256 of mc_report.jsonl of the same commands, recorded beside MC_GOLDEN when the
+# experiments came to return the rows that `nshard mc` writes, from the tree before that change
+MC_JSONL_GOLDEN = {
+    "sgd": "f3399424c444bb81a0536b19bb456ad0bd3159ae5ade24a3fa865f31da85d39e",
+    "pgd": "e0f7c1540bd385b623692bd39af7a8bbee0db0fc9766a5302b519dd110e6535f",
+    "random": "0c2ce4250c4b7a8106ac4fef0573112ff20643ec72775743710fb485f6999b2b",
+    "grid": "0cd9e95654f68336b4e48ff4b2b04f089b3065d1cee0382c5a71416f5edd257f",
+}
+
+
 @pytest.mark.parametrize("algo", sorted(MC_GOLDEN))
 def test_mc_report_matches_golden_digest(tmp_path, algo):
     out = tmp_path / "o"
@@ -223,6 +233,7 @@ def test_mc_report_matches_golden_digest(tmp_path, algo):
     assert main(["mc", "--mode", "desk", "--runs", "100", "--T", "8", "--d", "12",
                  "--algo", algo, "--seed", "0", "--out", str(out)]) == 0
     assert file_hashes(out)["mc_report.csv"] == MC_GOLDEN[algo]
+    assert file_hashes(out)["mc_report.jsonl"] == MC_JSONL_GOLDEN[algo]
 
 
 # sha256 of mc_report.csv in extended precision, re-recorded with MC_GOLDEN

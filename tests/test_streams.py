@@ -17,6 +17,7 @@ from oracle_reference import reference_embedded_checks
 from test_lockstep import _finishes, any_cpu  # noqa: F401 (any_cpu is a fixture)
 
 from nshard import oracles, verify
+from nshard.intervals import random_bits
 from nshard.verify import SAMPLE_BLOCK_BYTES, SuiteParams, invariant_suite
 
 DRAWS = {
@@ -47,15 +48,26 @@ def test_row_blocks_hold_about_sample_block_bytes():
     assert verify._row_blocks(3, SAMPLE_BLOCK_BYTES) == [1, 1, 1]
 
 
-@pytest.mark.parametrize("d", [2, 50])
-@pytest.mark.parametrize("count", ["one row", "block - 1", "block", "block + 1"])
-def test_suite_equals_the_one_call_reference(any_cpu, d, count):
-    """No separation draws and no tables, so the embedded section starts the suite's stream."""
-    rows = SAMPLE_BLOCK_BYTES // (8 * d)
+COUNTS = ["one row", "block - 1", "block", "block + 1"]
+SUITE_CASES = [pytest.param((d,), count, 0, id=f"{count}-{d}") for d in (2, 50) for count in COUNTS]
+# after an odd number of separation draws rng holds a buffered uint32 when ``_skip`` runs, which the
+# other cases never do; the second dimension then reads the 32 bits that the first one's skip kept
+SUITE_CASES.append(pytest.param((2, 50), "block + 1", 1, id="block + 1-2, 50-one separation draw"))
+
+
+@pytest.mark.parametrize("dims, count, separation_draws", SUITE_CASES)
+def test_suite_equals_the_one_call_reference(any_cpu, dims, count, separation_draws):
+    """No tables, so the embedded section follows the separation draws in the suite's stream; a block
+    is counted in rows of the last dimension."""
+    rows = SAMPLE_BLOCK_BYTES // (8 * dims[-1])
     n = {"one row": 1, "block - 1": rows - 1, "block": rows, "block + 1": rows + 1}[count]
-    p = SuiteParams(n_instances=0, separation_draws=0, dims=(d,), lipschitz_pairs=n, stationarity_points=n)
+    p = SuiteParams(n_instances=0, separation_draws=separation_draws, dims=dims, lipschitz_pairs=n,
+                    stationarity_points=n)
     got = {c.name: c for c in invariant_suite(seed=n, params=p).checks}
-    want = reference_embedded_checks(np.random.default_rng(n), p).checks
+    rng = np.random.default_rng(n)
+    for _ in range(separation_draws):
+        random_bits(5, rng)
+    want = reference_embedded_checks(rng, p).checks
     assert len(want) == 6
     for c in want:
         assert (got[c.name].passed, repr(got[c.name].measured)) == (c.passed, repr(c.measured)), c.name

@@ -93,20 +93,24 @@ def test_stacked_progress_process_equals_one_run_calls(monkeypatch, sched):
 
 
 def test_mc_hitting_small():
-    rep = mc_hitting(RandomSearch(radius=1.0), T=20, k=4, N=5, n_runs=200, seed=0, log2_inv_rho=-math.log2(1e-4))
-    assert rep.hit_freq <= 0.05
-    assert rep.deep_freq <= rep.deep_bound + 3 * 0.05
-    for m, st in rep.jump_stats.items():
-        assert st["freq"] <= st["bound"] + 3 * st["se"]
-    assert rep.jump_stats[1]["bound"] == 1.0
-    assert len(rep.rows()) == 2 + 6
+    rows = mc_hitting(RandomSearch(radius=1.0), T=20, k=4, N=5, n_runs=200, seed=0, log2_inv_rho=-math.log2(1e-4))
+    assert [r["check"] for r in rows] == ["hit_within_rho", "depth_ge_4"] + [f"jump_ge_{m}" for m in range(1, 7)]
+    row = {r["check"]: r for r in rows}
+    assert row["hit_within_rho"]["estimate"] <= 0.05
+    assert row["depth_ge_4"]["estimate"] <= row["depth_ge_4"]["bound"] + 3 * 0.05
+    for m in range(1, 7):  # wilson_lo = max(0, freq - 3 se), so this is freq <= bound + 3 se
+        assert row[f"jump_ge_{m}"]["wilson_lo"] <= row[f"jump_ge_{m}"]["bound"]
+    assert row["jump_ge_1"]["bound"] == 1.0
 
 
 def test_mc_hitting_vacuous_flag():
-    # 16 T / sqrt(256) = T: already vacuous at T = 1
-    rep = mc_hitting(RandomSearch(), T=1, k=4, N=5, n_runs=100, seed=1, log2_inv_rho=256.0)
-    assert rep.hit_bound >= 1.0
-    assert rep.hit_vacuous
+    # 16 T / sqrt(256) = T: already vacuous at T = 1; 4T/k is vacuous for k <= 4, and then clamped to 1
+    for k, depth_bound in ((3, 1.0), (4, 1.0), (5, 0.8)):
+        row = {r["check"]: r for r in mc_hitting(RandomSearch(), T=1, k=k, N=5, n_runs=100, seed=1,
+                                                 log2_inv_rho=256.0)}
+        assert row["hit_within_rho"]["bound"] >= 1.0
+        assert row["hit_within_rho"]["vacuous"] is True
+        assert (row[f"depth_ge_{k}"]["bound"], row[f"depth_ge_{k}"]["vacuous"]) == (depth_bound, depth_bound == 1.0)
 
 
 def test_mc_hitting_rejects_small_n():
@@ -129,17 +133,16 @@ def test_concentration_monotone_in_dimension():
 
 
 def test_concentration_check_small():
-    rep = concentration_check(d=120, T=15, n_runs=100, seed=3)
-    assert rep.exceed_freq <= max(rep.bound, 0.02) + 0.05
-    assert not rep.vacuous
-    assert rep.max_alignment < 1.0 / 3.0
-    rows = rep.rows()
-    assert rows[0]["check"].endswith("d120")
+    row, max_alignment = concentration_check(d=120, T=15, n_runs=100, seed=3)
+    assert row["estimate"] <= max(row["bound"], 0.02) + 0.05
+    assert not row["vacuous"]
+    assert max_alignment < 1.0 / 3.0
+    assert row["check"] == "alignment_ge_third_d120"
 
 
 def test_concentration_vacuous_for_small_d():
-    rep = concentration_check(d=2, T=10, n_runs=100, seed=4)
-    assert rep.vacuous
+    row, _ = concentration_check(d=2, T=10, n_runs=100, seed=4)
+    assert row["vacuous"]
 
 
 def test_flow_radial_decrease():
