@@ -31,6 +31,7 @@ segment to the origin (the max kink); its support function is exact.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
@@ -131,8 +132,9 @@ def choose_w_mu(d: int, rho: float, seed: int = 0) -> Tuple[np.ndarray, float]:
 class HardInstance:
     """Immutable d-dimensional instance; evaluation and subgradients are pure.
 
-    Every query is a view of the scalar pass ``_pass`` or the row kernel ``_kernel``.
-    A stacked instance, R cap-free ones with (R, N) ``bits`` and (R, d) ``x_star``, answers through ``_kernel``.
+    Every query is a view of the scalar pass ``_pass`` or, for (R, d) queries but one row of one instance, the row
+    kernel ``_kernel``.  A stack of R instances, with (R, N) ``bits``, answers row r as instance r from per-row
+    fields: (R, d) ``x_star``, ``w``, ``w_unit`` and ``shift``; (R,) ``w_norm``, ``x_mid`` and ``cone_pad``.
     """
 
     d: int
@@ -145,25 +147,26 @@ class HardInstance:
     precision: str = "binary64"
     __eq__ = eq_fields
 
-    def __post_init__(self):  # the cap's geometry, derived once
-        self.has_cap = self.w is not None
-        self.w_norm = float(np.linalg.norm(self.w)) if self.has_cap else None
-        self.w_unit = self.w / self.w_norm if self.has_cap else None
-        self.shift = self.w - self.x_star if self.has_cap else None  # x + shift is (x - x_star) + w
-        self.x_mid = float(self.x_star[-1]) if self.has_cap else None  # off the cone: |x_d - x_mid| >= 4 pn + cone_pad
-        self.cone_pad = 4.0 * self.w_norm if self.has_cap else None
+    def __post_init__(self):  # the cap's geometry, derived once; per row if stacked, by np.linalg.norm's ddot
+        self.has_cap, one = self.w is not None, np.ndim(self.w) == 1
+        self.w_norm = self.w_unit = self.shift = self.x_mid = self.cone_pad = None
+        if self.has_cap:  # x + shift is (x - x_star) + w; off the cone, |x_d - x_mid| >= 4 pn + cone_pad
+            self.w_norm = float(np.linalg.norm(self.w)) if one else np.sqrt(row_dots(self.w, self.w))
+            self.w_unit = self.w / (self.w_norm if one else self.w_norm[:, None])
+            self.shift, self.cone_pad = self.w - self.x_star, 4.0 * self.w_norm
+            self.x_mid = float(self.x_star[-1]) if one else self.x_star[:, -1]
 
     # -- scalar pass and its views ----------------------------------------------
 
     def _pass(self, x):
         """One point up to the kinks: (pn, h, psi, g, lo, hi).
 
-        pn = ||x_{1:d-1}||, psi = h - cap, g the gradient of the smooth parts and [lo, hi]
-        the valley slopes.  The leading gradient is x / (32 pn) with its last entry 0 (all 0
-        at pn = 0); the cap adds no term where its slope is 0, so outside the cap cone g is
-        that alone, signed zeros included.  The cap's offset z = x + shift is (x - x_star) + w
-        bit for bit, not formed where |x_d - x_mid| >= 4 pn + 4 ||w||, as there the gap is at most
-        pn + ||w|| - |z_d| / 2 <= -||z|| / 5 < 0, even rounded.  Raises ValueError where x_d or pn is not finite.
+        pn = ||x_{1:d-1}||, psi = h - cap, g the gradient of the smooth parts and [lo, hi] the valley slopes.
+        The leading gradient is x / (32 pn) with its last entry 0 (all 0 at pn = 0); the cap adds no term where
+        its slope is 0, so outside the cap cone g is that alone, signed zeros included.  The cap's offset
+        z = x + shift is (x - x_star) + w bit for bit, not formed where |x_d - x_mid| >= 4 pn + 4 ||w||, as there
+        the gap is at most pn + ||w|| - |z_d| / 2 <= -||z|| / 5 < 0, even rounded.  Elsewhere ||z|| < 5 pn + 5 ||w||,
+        so ||z||^2 < 2.5e307 cannot overflow where pn + ||w|| < 1e153.  Raises ValueError where x_d or pn is not finite.
         """
         # contiguous, so that p.dot(p) takes the same BLAS path as np.linalg.norm
         x = np.ascontiguousarray(x, dtype=float)
@@ -183,7 +186,7 @@ class HardInstance:
         if not self.has_cap or abs(xd - self.x_mid) >= 4.0 * pn + self.cone_pad:
             return pn, h, h, g, lo, hi
         z = x + self.shift
-        with np.errstate(over="ignore"):  # ||z|| may overflow where pn does not; then q = -inf
+        with np.errstate(over="ignore") if pn + self.w_norm >= 1e153 else contextlib.nullcontext():  # then q = -inf
             nz = math.sqrt(z.dot(z))
         q = float(self.w_unit.dot(z)) - 0.5 * nz if nz > 0.0 else 0.0  # the ramp vanishes at the anchor
         if q <= 0.0:
@@ -216,11 +219,13 @@ class HardInstance:
     def _oracle(self, x):
         """Body of value_and_subgrad; eval_f and min_subgrad call it directly so
         that they are not counted as oracle queries where value_and_subgrad is."""
-        if self.hbar.stacked:
+        if np.asarray(x).ndim == 2:
             X = np.ascontiguousarray(x, dtype=float)
             pn, xd = np.sqrt(row_dots(X[:, :-1], X[:, :-1])), X[:, -1]
             reject_rows(np.isfinite(pn) & np.isfinite(xd), lambda r: "oracle query at a non-finite point: "
                         f"x_d={float(xd[r])!r}, ||x_(1:d-1)||={float(pn[r])!r}")
+            if len(X) == 1 and not self.hbar.stacked:  # one row of one instance is cheaper on the scalar pass
+                return tuple(np.asarray(a)[None] for a in self._oracle(X[0]))
             return self._kernel(X, grad=True, pn=pn)
         pn, _, psi, g, lo, hi = self._pass(x)
         if psi <= 0.0:  # zero region or max boundary: 0 is a subgradient
@@ -251,11 +256,12 @@ class HardInstance:
     BLOCK_BYTES = 256 * 1024  # rows go in blocks of about this many bytes, so temporaries stay in L2
 
     def _kernel(self, X, grad=False, pn=None):
-        """``_oracle`` at each row of X (row r on instance r if stacked), bit for bit in both precisions, as both
-        read the one binary64 table that ``build_hbar`` rounds.  As in ``_pass``, the cap adds no term where its slope
-        is 0, and its offset is one addition, Z = X + shift.  The cap is computed only on the rows its cone may reach:
-        as w is orthogonal to e_d, the gap q = <w_unit, z> - ||z|| / 2 is at most reach = <w_unit, x> + ||w||
-        - max(|x_d - x_mid|, pn - ||w||) / 2, one gemv per block.  Rounding moves reach and q by about (d + 4) u M
+        """``_oracle`` at each row of X (row r on instance r, from its rows of the cap fields, if stacked), bit for bit
+        in both precisions, as both read the one binary64 table that ``build_hbar`` rounds.  As in ``_pass``, the cap
+        adds no term where its slope is 0, and its offset is one addition, Z = X + shift.  The cap is computed only on
+        the rows its cone may reach: as w is orthogonal to e_d, the gap q = <w_unit, z> - ||z|| / 2 is at most
+        reach = <w_unit, x> + ||w|| - max(|x_d - x_mid|, pn - ||w||) / 2, one gemv per block (a stack's row_dots
+        on its rows of w_unit).  Rounding moves reach and q by about (d + 4) u M
         each, u = 2^-53 and M = 1 + ||w|| + |x_d - x_mid| + pn, far below the margin (1e-9 + 1e-15 d) M; so where
         reach < -margin the rounded q is negative too, and the cap and its slope would be 0 bit for bit.  NaN and
         inf rows fail that test and take the full path.
@@ -268,21 +274,25 @@ class HardInstance:
         hv, lo, hi = self.hbar.value_and_subdiff_batch(X[:, -1])
         f, G = np.empty(R), np.empty((R, d)) if grad else None
         step = max(1, self.BLOCK_BYTES // (8 * d))
+        stacked, cap = self.hbar.stacked, (self.x_mid, self.w_norm, self.w_unit, self.shift)
         for a in range(0, R, step):
             rows = slice(a, a + step)
             Xb = X[rows]
             pnb = np.sqrt(row_dots(Xb[:, :-1], Xb[:, :-1])) if pn is None else pn[rows]
             psi = NORM_WEIGHT * pnb + hv[rows]
             if self.has_cap:
+                x_mid, w_norm, w_unit, shift = [c[rows] for c in cap] if stacked else cap
                 with np.errstate(over="ignore"):  # far out ||z|| and the ramp's unused branches overflow, as q < 0
-                    off = np.abs(Xb[:, -1] - self.x_mid)
-                    reach = Xb @ self.w_unit + self.w_norm - 0.5 * np.maximum(off, pnb - self.w_norm)
-                    near = np.flatnonzero(~(reach < -(1e-9 + 1e-15 * d) * (1.0 + self.w_norm + off + pnb)))
+                    off = np.abs(Xb[:, -1] - x_mid)
+                    xw = row_dots(Xb, w_unit) if stacked else Xb @ w_unit  # one gemv per block on one instance
+                    reach = xw + w_norm - 0.5 * np.maximum(off, pnb - w_norm)
+                    near = np.flatnonzero(~(reach < -(1e-9 + 1e-15 * d) * (1.0 + w_norm + off + pnb)))
                     if len(near):  # the rows the cone may reach
-                        Z = Xb[near] + self.shift
+                        w_unit, shift = (w_unit[near], shift[near]) if stacked else (w_unit, shift)
+                        Z = Xb[near] + shift
                         nz = np.sqrt(row_dots(Z, Z))
                         ramp = nz > 0.0  # at the anchor the ramp and its gradient vanish
-                        q = np.where(ramp, row_dots(Z, self.w_unit) - 0.5 * nz, 0.0)
+                        q = np.where(ramp, row_dots(Z, w_unit) - 0.5 * nz, 0.0)
                         psi[near] -= cap_value(q, self.mu)
                         slope = cap_slope(q, self.mu) if grad else None
             f[rows] = np.where(psi <= 0.0, 0.0, psi)
@@ -294,7 +304,7 @@ class HardInstance:
             Gb[flat, :-1] = Gb[:, -1] = 0.0
             if self.has_cap and len(near) and slope.any():  # Gb -= s * (w_unit - Z / (2 nz)) on the near rows
                 np.divide(Z, (2.0 * np.where(ramp, nz, 1.0))[:, None], out=Z)
-                np.subtract(self.w_unit, Z, out=Z)
+                np.subtract(w_unit, Z, out=Z)
                 Z *= slope[:, None]
                 Z[slope == 0.0] = 0.0
                 Gb[near] -= Z
@@ -343,12 +353,13 @@ def build_instance(
     seed: int = 0,
     sched: AngleSchedule = DEFAULT_SCHEDULE,
 ) -> HardInstance:
-    """Full capped instance; the cap vector is drawn from ``seed``."""
-    if np.ndim(bits) == 2:
-        raise ValueError("a stacked instance is cap-free: build it with build_h")
+    """Full capped instance; the cap vector is drawn from ``seed``.  (R, N) bits and a sequence of R seeds
+    stack R of them: row r equals ``build_instance(d, bits[r], rho, seeds[r])``, its cap drawn from seeds[r]."""
     inst = build_h(d, bits, sched)
-    w, mu = choose_w_mu(d, rho, seed)
-    return replace(inst, w=w, mu=mu, seed=seed)
+    if inst.hbar.stacked and np.shape(seed) != (len(inst.bits),):
+        raise ValueError(f"{len(inst.bits)} rows of bits need a sequence of as many cap seeds, got {seed!r}")
+    w, mu = zip(*(choose_w_mu(d, rho, s) for s in (seed if inst.hbar.stacked else [seed])))
+    return replace(inst, w=np.array(w) if inst.hbar.stacked else w[0], mu=mu[0], seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -363,8 +363,8 @@ class OneDimInstance:
 
     def value_and_subgrad(self, x):
         """Value and minimal-norm slope from one table lookup; rejects a non-finite x.
-        A stacked instance answers row r of an (R, 1) x from table r."""
-        if self.pwa.stacked:
+        An (R, 1) x is looked up row by row in one batch, row r in table r if stacked."""
+        if np.asarray(x).ndim == 2:
             x = np.asarray(x, dtype=float)[:, 0]
             reject_rows(np.isfinite(x), lambda r: f"oracle query at a non-finite point x={float(x[r])!r}")
             v, lo, hi = self.pwa.value_and_subdiff_batch(x)

@@ -223,14 +223,14 @@ def _draws(algorithm, rng, R: int, d: int, n: int):
     yield from rest if first is None or R * d < DRAW_AHEAD else ahead(rest)
 
 
-def lockstep(algorithm, instances, X0, T: int, rng):
+def lockstep(algorithm, instance, X0, T: int, rng):
     """Drive R = len(X0) independent runs together, one row per run.
 
     Yields (t, X, values, G) for t = 0..T-1: the (R, d) iterates, their
     oracle values (R,) and minimal-norm subgradients (R, d), the last two
-    fresh at each step; no history is kept.  Row r starts at X0[r] and
-    queries instance r: one stacked instance answers all rows with one
-    ``query`` per step, a list of R instances row by row.  lockstep owns the
+    fresh at each step; no history is kept.  Row r starts at X0[r], and one
+    ``query`` per step answers all rows: row r on instance r of a stacked
+    instance, or every row on one instance.  lockstep owns the
     Generator rng that the runs share while it runs: each proposal gets the
     algorithm's ``draw(rng, R, d)`` for all rows, which never sees the
     iterates, so a worker thread may make step t+1's draw during step t (see
@@ -243,7 +243,6 @@ def lockstep(algorithm, instances, X0, T: int, rng):
         raise ValueError("T must be >= 1")
     X = np.asarray(X0, dtype=float)
     R, d = X.shape
-    stacked = not isinstance(instances, (list, tuple))
     with contextlib.closing(_draws(algorithm, rng, R, d, T - 1)) as draws:  # closing joins the worker
         for t in range(T):
             # an overflow ends in a non-finite point, which the oracle rejects below
@@ -251,28 +250,23 @@ def lockstep(algorithm, instances, X0, T: int, rng):
                 if t > 0:
                     X = np.asarray(algorithm.propose(t, X, response, next(draws)), dtype=float)
                 try:
-                    if stacked:  # the oracle's message names the row
-                        response = query(instances, X)
-                    else:
-                        response = OracleResponse(np.empty(R), np.empty((R, d)))
-                        for r in range(R):
-                            response.value[r], response.subgrad[r] = query(instances[r], X[r])
+                    response = query(instance, X)  # the oracle's message names the row
                 except ValueError as exc:
-                    raise ValueError(f"run stopped at step t={t}: {'' if stacked else f'row {r}: '}{exc}") from exc
+                    raise ValueError(f"run stopped at step t={t}: {exc}") from exc
             yield t, X, response.value, response.subgrad
 
 
 def run(algorithm, instance, x0=None, T: int = 1, seed: int = 0) -> Trajectory:
     """Drive an algorithm for T oracle queries; replayable from the seed.
 
-    One row of ``lockstep``.  x0 defaults to the origin of the instance's
-    space; a rejected point raises as in ``lockstep``.
+    One row of ``lockstep``, which a HardInstance answers by its scalar pass.  x0 defaults to the origin
+    of the instance's space; a rejected point raises as in ``lockstep``.
     """
     if x0 is None:
         x0 = np.zeros(instance.d)
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     shape = (max(T, 0), len(x0))  # lockstep refuses a T below 1 with its own message
     traj = Trajectory(np.empty(shape), np.empty(shape[0]), np.empty(shape))
-    for t, X, values, G in lockstep(algorithm, [instance], x0[None], T, np.random.default_rng(seed)):
+    for t, X, values, G in lockstep(algorithm, instance, x0[None], T, np.random.default_rng(seed)):
         traj.points[t], traj.values[t], traj.subgrads[t] = X[0], values[0], G[0]
     return traj

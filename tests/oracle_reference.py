@@ -373,7 +373,7 @@ def row_run(algorithm, inst, x0, T, rng) -> Trajectory:
     """``run`` from x0, drawing from rng (a ``RowOf``) instead of a seed."""
     x0 = np.atleast_1d(x0)
     traj = Trajectory(np.empty((T, len(x0))), np.empty(T), np.empty((T, len(x0))))
-    for t, X, values, G in lockstep(algorithm, [inst], x0[None], T, rng):
+    for t, X, values, G in lockstep(algorithm, inst, x0[None], T, rng):
         traj.points[t], traj.values[t], traj.subgrads[t] = X[0], values[0], G[0]
     return traj
 

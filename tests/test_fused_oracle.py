@@ -110,7 +110,7 @@ def test_fused_oracle_matches_composition(inst, seed):
 def _assert_batch_rows_equal_scalar(inst, X):
     f = inst.eval_f_batch(X)
     f2, norms = inst.min_subgrad_norm_batch(X)
-    G = inst._kernel(X, grad=True)[1]  # the kernel's rows, which only a stacked instance hands out
+    G = inst._kernel(X, grad=True)[1]  # the kernel's rows, also of a one-row X, which the oracle gives the scalar pass
     for r, x in enumerate(X):
         v, g = inst.value_and_subgrad(x.copy())  # a fresh row, aligned apart from X
         assert f[r:r + 1].tobytes() == f2[r:r + 1].tobytes() == np.array([v]).tobytes(), r
@@ -367,3 +367,29 @@ def test_oracle_rejects_overflowing_norm():
     # a huge but representable point is still answered
     v, g = inst.value_and_subgrad(np.array([1e150, 0.0, 0.0, 0.5]))
     assert np.isfinite(v) and np.all(np.isfinite(g))
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 60])
+@pytest.mark.parametrize("rho", [1e-3, 0.25])
+def test_stacked_cone_filter_keeps_every_row_bit_for_bit(d, rho):
+    """A capped stack's block reads its rows' cap fields: row r of each query, at the filter's edge of instance r,
+    equals instance r's scalar oracle, quietly, on blocks of 1 to 5 rows."""
+    bits = np.array([[0, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]])
+    seeds = [d, 7, 2 * d, 11, 3]
+    stack = build_instance(d, bits, rho=rho, seed=seeds)
+    rows = [build_instance(d, b, rho=rho, seed=s) for b, s in zip(bits, seeds)]
+    rng = np.random.default_rng(d)
+    edges = np.stack([_cone_edge_rows(inst, rng) for inst in rows], axis=1)  # (points, rows, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for block in (1, 2, 5):
+            with patch.object(HardInstance, "BLOCK_BYTES", 8 * d * block):
+                for X in edges:
+                    values, G = stack.value_and_subgrad(X)
+                    f, norms = stack.min_subgrad_norm_batch(X)
+                    for r, inst in enumerate(rows):
+                        v, g = inst.value_and_subgrad(X[r].copy())
+                        assert values[r:r + 1].tobytes() == f[r:r + 1].tobytes() == np.array([v]).tobytes(), r
+                        assert norms[r:r + 1].tobytes() == np.array([np.linalg.norm(g)]).tobytes(), r
+                        assert G[r].tobytes() == g.tobytes(), r
+    assert np.all(stack.eval_f_batch(edges[1]) < 1.0)  # x_star of every row: the cap is on

@@ -55,40 +55,61 @@ class ZeroFirstDraw:
         return getattr(self.gen, name)
 
 
+BITS = np.array([[0, 1, 1, 0], [1, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 0], [0, 1, 1, 0]])
+CAP_SEEDS = [2, 9, 5, 11, 2]
+
+
 def _rows(d):
-    """Five runs, each on its own instance and from its own start."""
-    if d == 1:
-        insts = [build_1d_instance(b) for b in ("0110", "1", "10101", "001", "0110")]
-    else:
-        insts = [build_instance(d, "011", rho=1e-3, seed=2), build_h(d, "10"),
-                 build_instance(d, "1101", rho=0.25, seed=5), build_h(d, "0"),
-                 build_instance(d, "011", rho=1e-3, seed=2)]
+    """Five starts, the first at the origin."""
     X0 = np.linspace(-0.5, 1.5, 5 * d).reshape(5, d)
     X0[0] = 0.0
-    return insts, X0
+    return X0
+
+
+def _stacks(d, rho=1e-3):
+    """(stack, its rows' own instances) of the five strings of BITS: the 1D stack for d = 1, else a capped
+    stack, its caps drawn from CAP_SEEDS, and the cap-free stack."""
+    if d == 1:
+        return [(build_1d_instance(BITS), [build_1d_instance(b) for b in BITS])]
+    return [(build_instance(d, BITS, rho, seed=CAP_SEEDS), [build_instance(d, b, rho, seed=s) for b, s in
+                                                            zip(BITS, CAP_SEEDS)]),
+            (build_h(d, BITS), [build_h(d, b) for b in BITS])]
+
+
+def assert_lockstep_rows_equal_one_row_runs(algorithm, stack, insts, X0, T):
+    """Row r of lockstep on the stack equals the one-row run of insts[r] from X0[r]; returns the steps
+    and the stack's Generator."""
+    R, rng = len(X0), ZeroFirstDraw(SEED)
+    steps = list(lockstep(algorithm(), stack, X0, T, rng))
+    assert [t for t, _, _, _ in steps] == list(range(T))
+    for r in range(R):
+        traj = row_run(algorithm(), insts[r], X0[r], T, RowOf(ZeroFirstDraw(SEED), R, r))
+        for t, X, values, G in steps:
+            assert X[r].tobytes() == traj.points[t].tobytes(), (r, t)
+            assert values[r:r + 1].tobytes() == traj.values[t:t + 1].tobytes(), (r, t)
+            assert G[r].tobytes() == traj.subgrads[t].tobytes(), (r, t)
+    return steps, rng
 
 
 @pytest.mark.parametrize("d", [1, 4, 9])
 @pytest.mark.parametrize("name", sorted(ALGOS))
 def test_lockstep_rows_equal_one_row_runs(name, d):
+    # each stack on its own: a capped stack with two rows from the caps' anchor and axis, and a cap-free one
     T = 12
-    insts, X0 = _rows(d)
-    rng = ZeroFirstDraw(SEED)
-    steps = list(lockstep(ALGOS[name](), insts, X0, T, rng))
-    assert [t for t, _, _, _ in steps] == list(range(T))
-    for r in range(5):
-        traj = row_run(ALGOS[name](), insts[r], X0[r], T, RowOf(ZeroFirstDraw(SEED), 5, r))
-        for t, X, values, G in steps:
-            assert X[r].tobytes() == traj.points[t].tobytes(), (r, t)
-            assert values[r:r + 1].tobytes() == traj.values[t:t + 1].tobytes(), (r, t)
-            assert G[r].tobytes() == traj.subgrads[t].tobytes(), (r, t)
-    if name == "random":
-        # the zero draw was redrawn: one extra call in the first proposal
-        assert rng.normal_calls == T
-    if name == "grid":
-        assert all(np.all(X == X[0]) for t, X, _, _ in steps if t > 0)
-    if name == "sgd":
-        assert rng.normal_calls == 0
+    for stack, insts in _stacks(d):
+        X0 = _rows(d)
+        if stack.d > 1 and stack.has_cap:
+            X0[3], X0[4] = stack.x_star[3] - stack.w[3], stack.x_star[4]  # the anchor; x_star is inside the cone
+        steps, rng = assert_lockstep_rows_equal_one_row_runs(ALGOS[name], stack, insts, X0, T)
+        if stack.d > 1 and stack.has_cap:
+            assert steps[0][2][4] < 1.0  # f < 1 only where the cap is on
+        if name == "random":
+            # the zero draw was redrawn: one extra call in the first proposal
+            assert rng.normal_calls == T
+        if name == "grid":
+            assert all(np.all(X == X[0]) for t, X, _, _ in steps if t > 0)
+        if name == "sgd":
+            assert rng.normal_calls == 0
 
 
 HITTING = [  # (T, k, N, log2(1/rho), seed)

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from test_lockstep import ALGOS, SEED, ZeroFirstDraw, _rows, default_rng
+from test_lockstep import ALGOS, SEED, _rows, _stacks, assert_lockstep_rows_equal_one_row_runs, default_rng
 
 from nshard.embed import build_h, build_instance
 from nshard.hard1d import build_1d_instance, write_records, write_table
@@ -251,7 +251,7 @@ def test_run_names_the_step_of_a_non_finite_proposal(inst):
 
 
 def test_lockstep_names_the_step_and_row_of_a_non_finite_proposal(inst):
-    steps = lockstep(ProposesNaN(row=2), [inst] * 5, np.zeros((5, 4)), 6, default_rng(0))
+    steps = lockstep(ProposesNaN(row=2), inst, np.zeros((5, 4)), 6, default_rng(0))  # five rows on one instance
     seen = []
     with pytest.raises(ValueError, match=r"step t=3: row 2: .*non-finite"):
         for t, X, values, G in steps:
@@ -263,24 +263,24 @@ def test_lockstep_names_the_step_and_row_of_a_non_finite_proposal(inst):
 @pytest.mark.parametrize("d", [1, 4, 9])
 @pytest.mark.parametrize("name", sorted(ALGOS))
 def test_lockstep_on_a_stacked_instance_equals_the_row_loop(name, d):
+    # row r of each stack against row r driven on its own; the capped stack at rho 0.25 starts rows 0, 2 and 4 at
+    # their cap's anchor, where the ramp and its gradient vanish, and rows 1 and 3 1/8 of ||w|| out along its axis
     T = 12
-    bits = np.array([[0, 1, 1, 0], [1, 1, 1, 1], [1, 0, 1, 0], [0, 0, 1, 0], [0, 1, 1, 0]])
-    stack = build_1d_instance(bits) if d == 1 else build_h(d, bits)
-    insts = [build_1d_instance(b) if d == 1 else build_h(d, b) for b in bits]
-    X0 = _rows(d)[1]
-    rows = list(lockstep(ALGOS[name](), insts, X0, T, ZeroFirstDraw(SEED)))
-    steps = list(lockstep(ALGOS[name](), stack, X0, T, ZeroFirstDraw(SEED)))
-    assert len(steps) == T
-    for (t, X, values, G), (u, Y, want_values, want_G) in zip(steps, rows):
-        assert t == u
-        assert X.tobytes() == Y.tobytes(), t
-        assert values.tobytes() == want_values.tobytes(), t
-        assert G.tobytes() == want_G.tobytes(), t
+    for stack, insts in _stacks(d, rho=0.25):
+        X0 = _rows(d)
+        if stack.d > 1 and stack.has_cap:
+            X0 = stack.x_star - stack.w + np.array([0.0, 0.125, 0.0, 0.125, 0.0])[:, None] * stack.w
+        assert_lockstep_rows_equal_one_row_runs(ALGOS[name], stack, insts, X0, T)
 
 
-def test_stacked_capped_instance_is_refused():
-    with pytest.raises(ValueError, match="cap-free"):
-        build_instance(4, np.array([[0, 1], [1, 0]]), rho=1e-3)
+def test_stacked_capped_instance_needs_one_cap_seed_per_row():
+    bits = np.array([[0, 1], [1, 0]])
+    for seed in (3, [3], [3, 4, 5], [[3, 4]]):
+        with pytest.raises(ValueError, match=r"^2 rows of bits need a sequence of as many cap seeds"):
+            build_instance(4, bits, rho=1e-3, seed=seed)
+    stack = build_instance(4, bits, rho=1e-3, seed=[3, 4])
+    assert stack.w.tobytes() == np.array([build_instance(4, b, rho=1e-3, seed=s).w for b, s in
+                                          zip(bits, [3, 4])]).tobytes()
 
 
 def test_lockstep_on_a_stacked_instance_names_the_step_and_row_of_a_non_finite_proposal():
@@ -326,7 +326,7 @@ def test_lockstep_rows_never_see_another_rows_iterates(name):
     a Generator's draws, not their iterates, responses or instances."""
     d, T = 6, 10
     stack = build_h(d, np.array([[0, 1, 1], [1, 0, 0], [1, 1, 1], [0, 0, 1], [1, 0, 1]]))
-    X0 = _rows(d)[1]
+    X0 = _rows(d)
     base = [X.copy() for _, X, _, _ in lockstep(ALGOS[name](), stack, X0, T, default_rng(SEED))]
     for r in range(len(X0)):
         moved = X0.copy()

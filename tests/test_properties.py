@@ -4,12 +4,14 @@ f is 1-Lipschitz and nonnegative on any pair of points, near or far, and the
 record ``save_instance`` writes holds every field of the instance, each float
 as a repr that reads back exactly.  A stacked build and a stacked oracle equal, row for row
 and bit for bit, the build and the oracle of each bit string on its own; so
-do the stacked instance's batch entry points, over blocks of 1 to 16 rows.
+do the stacked instance's batch entry points, over blocks of 1 to 16 rows, and
+so does a capped stack, row r with the cap of its own seed.
 Away from every kink the suite's forward difference along v matches the
 support function of the subdifferential in v, the directional derivative.
 """
 
 import dataclasses
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -134,6 +136,44 @@ def test_stacked_oracle_rows_equal_row_oracles(bits, d, block, seed):
         assert values[r:r + 1].tobytes() == f[r:r + 1].tobytes() == f2[r:r + 1].tobytes() == _bytes([v]), r
         assert G[r].tobytes() == g.tobytes(), r
         assert norms is None or norms[r:r + 1].tobytes() == _bytes([np.linalg.norm(g)]), r
+
+
+@SETTINGS
+@given(bits=bit_stacks(max_depth=12), d=st.integers(2, 30), rho=st.sampled_from([1e-6, 1e-3, 0.25, 0.9]),
+       block=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_stacked_capped_instance_rows_equal_row_instances(bits, d, rho, block, seed):
+    """Row r of a capped stack is build_instance(d, bits[r], rho, seeds[r]): its cap fields, and its oracle
+    and batch entry points at points on the cap's anchor and axis, at x_d = x_mid, with signed zero leading
+    entries and at x_d = +-1e300, where the far-out answer is quiet."""
+    rng = np.random.default_rng(seed)
+    seeds = [int(s) for s in rng.integers(2**32, size=len(bits))]
+    stack = build_instance(d, bits, rho, seed=seeds)
+    rows = [build_instance(d, b, rho, seed=s) for b, s in zip(bits, seeds)]
+    for r, inst in enumerate(rows):
+        for name in ("w", "w_unit", "shift", "x_star"):
+            assert getattr(stack, name)[r].tobytes() == getattr(inst, name).tobytes(), (r, name)
+        for name in ("w_norm", "x_mid", "cone_pad"):
+            assert getattr(stack, name)[r:r + 1].tobytes() == _bytes([getattr(inst, name)]), (r, name)
+    R = len(bits)
+    X = _queries(stack, rng)
+    kind = rng.integers(0, 6, size=R)
+    anchor = stack.x_star - stack.w
+    out = rng.choice([0.0, 1e-12, 1e-3, 0.5, 1.0, 20.0], size=(R, 1)) * stack.w_norm[:, None]
+    X[kind == 1] = anchor[kind == 1]
+    X[kind == 2] = (anchor + out * stack.w_unit)[kind == 2]
+    X[kind == 3, -1] = stack.x_mid[kind == 3]
+    X[kind == 4, :-1] = rng.choice([0.0, -0.0], size=(np.count_nonzero(kind == 4), d - 1))
+    X[kind == 5, -1] = rng.choice([1e300, -1e300], size=np.count_nonzero(kind == 5))
+    with warnings.catch_warnings(), patch.object(HardInstance, "BLOCK_BYTES", 8 * d * block):
+        warnings.simplefilter("error")
+        values, G = stack.value_and_subgrad(X)
+        f, norms = stack.min_subgrad_norm_batch(X)
+        f2 = stack.eval_f_batch(X)
+        for r, inst in enumerate(rows):
+            v, g = inst.value_and_subgrad(X[r].copy())
+            assert values[r:r + 1].tobytes() == f[r:r + 1].tobytes() == f2[r:r + 1].tobytes() == _bytes([v]), r
+            assert G[r].tobytes() == g.tobytes(), r
+            assert norms[r:r + 1].tobytes() == _bytes([np.linalg.norm(g)]), r
 
 
 @SETTINGS

@@ -12,6 +12,9 @@ its kit (``math``, ``dtype``, ``one``, ``check_depth``, ``context``).
 
 Every output table goes through ``hard1d.write_table``: no other module
 imports ``csv``.
+
+The step loop has one oracle path: ``oracles.lockstep`` calls ``query`` at
+one site, once per step for all rows, and never tests for a list of instances.
 """
 
 import ast
@@ -104,3 +107,28 @@ def test_only_hard1d_writes_csv():
 def test_imported_modules_sees_nested_imports():
     source = "import csv.x\ndef f():\n    from json import dumps\nfrom . import hard1d"
     assert imported_modules(source) == {"csv", "json"}
+
+
+def oracle_sites(source: str, function: str) -> tuple:
+    """In the named function: its ``query`` calls and its ``isinstance`` tests against list or tuple, as source text."""
+    body = next(n for n in ast.walk(ast.parse(source)) if isinstance(n, ast.FunctionDef) and n.name == function)
+    calls, tests = [], []
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "query":
+            calls.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            if any(isinstance(n, ast.Name) and n.id in ("list", "tuple") for n in ast.walk(node.args[1])):
+                tests.append(ast.unparse(node))
+    return calls, tests
+
+
+def test_lockstep_queries_the_oracle_at_one_site():
+    source = (ROOT / "src" / "nshard" / "oracles.py").read_text()
+    calls, tests = oracle_sites(source, "lockstep")
+    assert len(calls) == 1 and tests == []
+
+
+def test_oracle_sites_sees_both_kinds():
+    source = ("def lockstep(a, X):\n    if isinstance(a, (list, tuple)):\n        query(a[0], X[0])\n"
+              "    isinstance(a, dict)\n    return query(a, X)\ndef run(a, x):\n    return query(a, x)")
+    assert oracle_sites(source, "lockstep") == (["query(a, X)", "query(a[0], X[0])"], ["isinstance(a, (list, tuple))"])
