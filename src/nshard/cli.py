@@ -22,7 +22,7 @@ import numpy as np
 from .embed import build_h, build_instance, save_instance
 from .hard1d import schedule_params, write_profile_csv, write_records, write_table
 from .intervals import bits_to_str, random_bits
-from .oracles import make_algorithm, run
+from .oracles import ALGORITHMS, make_algorithm, run
 from .schedule import AngleSchedule
 from .verify import (
     concentration_check,
@@ -62,7 +62,7 @@ KEYS = [f.name for f in fields(RunConfig) if f.name != "mutate"]
 _schedule = functools.cache(AngleSchedule)  # one schedule per precision, its caches kept across commands
 CHOICES = {
     "mode": ["theory", "desk"],
-    "algo": ["sgd", "pgd", "random", "grid"],
+    "algo": list(ALGORITHMS),
     "precision": ["binary64", "extended"],
 }
 

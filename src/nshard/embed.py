@@ -221,11 +221,14 @@ class HardInstance:
         that they are not counted as oracle queries where value_and_subgrad is."""
         if np.asarray(x).ndim == 2:
             X = np.ascontiguousarray(x, dtype=float)
+            if len(X) == 1 and not self.hbar.stacked:  # one row of one instance is cheaper on the scalar pass
+                try:
+                    return tuple(np.asarray(a)[None] for a in self._oracle(X[0]))
+                except ValueError as e:  # named as reject_rows names a row; pn is the same ddot
+                    raise ValueError(f"row 0: {e}") from None
             pn, xd = np.sqrt(row_dots(X[:, :-1], X[:, :-1])), X[:, -1]
             reject_rows(np.isfinite(pn) & np.isfinite(xd), lambda r: "oracle query at a non-finite point: "
                         f"x_d={float(xd[r])!r}, ||x_(1:d-1)||={float(pn[r])!r}")
-            if len(X) == 1 and not self.hbar.stacked:  # one row of one instance is cheaper on the scalar pass
-                return tuple(np.asarray(a)[None] for a in self._oracle(X[0]))
             return self._kernel(X, grad=True, pn=pn)
         pn, _, psi, g, lo, hi = self._pass(x)
         if psi <= 0.0:  # zero region or max boundary: 0 is a subgradient

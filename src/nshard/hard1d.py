@@ -143,26 +143,6 @@ class PiecewiseAffine1D:
             out.append(abs(float(pred - self.values[k])) / denom)
         return out
 
-    def merged(self) -> "PiecewiseAffine1D":
-        """Collapse adjacent collinear pieces (equal slopes).
-
-        The construction legitimately produces equal-slope neighbors (e.g. a
-        tail continuing into the first wedge branch), so strict slope growth
-        only holds on the merged table.
-        """
-        bp, vals, slopes = [], [], [self.slopes[0]]
-        for k in range(len(self.breakpoints)):
-            nxt = self.slopes[k + 1]
-            if nxt == slopes[-1]:
-                continue
-            bp.append(self.breakpoints[k])
-            vals.append(self.values[k])
-            slopes.append(nxt)
-        if not bp:
-            bp, vals = [self.breakpoints[0]], [self.values[0]]
-            slopes = [self.slopes[0], self.slopes[-1]]
-        return PiecewiseAffine1D(bp, vals, slopes)
-
     def scale(self, c) -> "PiecewiseAffine1D":
         slopes = self.slopes * c if self.stacked else [s * c for s in self.slopes]
         return PiecewiseAffine1D(self.breakpoints.copy(), [v * c for v in self.values], slopes)

@@ -5,11 +5,11 @@ Level i carries two increasing affine maps of [0,1] into (0,1):
     child_map(i, 0):  x -> delta(i) * x + 1/2 - 2 delta(i)
     child_map(i, 1):  x -> delta(i) * x + 1/2 + delta(i)
 
-A bit string b_1 b_2 ... b_k selects one map per level; composing them and
-applying to (0,1) yields the depth-k open interval of that prefix.  Prefixes
-of equal length are pairwise disjoint and every prefix contains all of its
-extensions, giving a binary tree of exponentially shrinking intervals whose
-width at depth k is prod_{j<=k} delta(j).
+A bit string b_1 b_2 ... b_k selects one map per level; ``interval`` composes
+them and applies them to (0,1), which yields the depth-k open interval of that
+prefix.  Prefixes of equal length are pairwise disjoint and every prefix
+contains all of its extensions, giving a binary tree of exponentially
+shrinking intervals whose width at depth k is prod_{j<=k} delta(j).
 """
 
 from __future__ import annotations
@@ -49,20 +49,6 @@ def random_bits(n: int, rng) -> Bits:
 
 
 @dataclass(frozen=True)
-class AffineMap:
-    """x -> slope * x + intercept on [0, 1]."""
-
-    slope: float
-    intercept: float
-
-    def __call__(self, x):
-        return self.slope * x + self.intercept
-
-    def image(self) -> Tuple[float, float]:
-        return self(0.0), self(1.0)
-
-
-@dataclass(frozen=True)
 class Interval:
     """Open interval (lo, hi); endpoints are outside."""
 
@@ -78,16 +64,6 @@ class Interval:
         return (self.lo + self.hi) / 2
 
 
-def phi(i: int, bit: int, sched: AngleSchedule = DEFAULT_SCHEDULE) -> AffineMap:
-    """The level-i child map for the given bit."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    d = sched.delta(i)
-    # 0.5 is exact in binary, so mixed float/mpf arithmetic stays faithful
-    intercept = 0.5 + d if bit else 0.5 - 2 * d
-    return AffineMap(slope=d, intercept=intercept)
-
-
 def interval(
     bits: BitsLike,
     sched: AngleSchedule = DEFAULT_SCHEDULE,
@@ -95,18 +71,19 @@ def interval(
 ) -> Interval:
     """Open interval selected by a bit prefix.
 
-    The empty prefix gives (0,1).  ``base_level`` shifts the level indexing so
-    sub-trees can be evaluated in the local frame of an ancestor, which keeps
-    endpoint comparisons exact at depth (composition is applied outermost
-    last, so no catastrophic cancellation occurs).
+    The empty prefix gives (0,1).  ``base_level`` shifts the level indexing so sub-trees can be
+    evaluated in the local frame of an ancestor, which keeps endpoint comparisons exact at depth
+    (composition is applied outermost last, so no catastrophic cancellation occurs); one bit at
+    ``base_level=i`` gives the level-i child map's image of [0, 1].
     """
     bits = as_bits(bits)
     sched.check_depth(len(bits))
     with sched.context():
         lo, hi = sched.one * 0, sched.one
         for j in range(len(bits) - 1, -1, -1):
-            m = phi(base_level + j, bits[j], sched)
-            lo, hi = m(lo), m(hi)
+            d = sched.delta(base_level + j)
+            c = 0.5 + d if bits[j] else 0.5 - 2 * d  # 0.5 is exact, so mixed float/mpf arithmetic stays faithful
+            lo, hi = d * lo + c, d * hi + c
     return Interval(lo, hi)
 
 
@@ -180,7 +157,6 @@ def separation_margins(bits: BitsLike, k: int, sched: AngleSchedule = DEFAULT_SC
     if len(bits) < k + 1:
         raise ValueError("need at least k+1 bits")
     with sched.context():
+        child = interval(bits[k:k + 1], sched, base_level=k + 1)
         prod = sched.delta_product(k)
-        m = phi(k + 1, bits[k], sched)
-        lo, hi = m.image()
-        return prod * lo, prod * (1 - hi)
+        return prod * child.lo, prod * (1 - child.hi)

@@ -25,7 +25,7 @@ import numpy as np
 from . import hard1d
 from .embed import STATIONARITY_C, build_h, build_instance, row_dots
 from .hard1d import build_1d_instance, build_r, eval_r
-from .intervals import interval, locate, phi, random_bits, separation_margins
+from .intervals import interval, locate, random_bits, separation_margins
 from .oracles import PerturbedGD, ahead, lockstep
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 
@@ -416,11 +416,10 @@ def invariant_suite(
     worst_nest = worst_gap = np.inf
     with sched.context():  # the gaps are differences of the schedule's numbers
         for k in range(1, depth + 1):
-            for bit in (0, 1):
-                child = interval((bit,), sched, base_level=k)
-                worst_nest = min(worst_nest, child.lo - 0.0, 1.0 - child.hi)
+            left, right = interval((0,), sched, base_level=k), interval((1,), sched, base_level=k)
+            worst_nest = min(worst_nest, left.lo - 0.0, 1.0 - left.hi, right.lo - 0.0, 1.0 - right.hi)
             # disjointness at the first differing level: bands around 1/2 separated by 2 delta
-            worst_gap = min(worst_gap, phi(k, 1, sched).image()[0] - phi(k, 0, sched).image()[1])
+            worst_gap = min(worst_gap, right.lo - left.hi)
     rep.add("interval-nesting", worst_nest > 1e-12, worst_nest, 1e-12, 1e-12, f"depth <= {depth}, local frames")
     rep.add("interval-disjointness", worst_gap > 1e-12, worst_gap, 1e-12, 1e-12, "local band gap 2*delta")
 
@@ -452,9 +451,8 @@ def invariant_suite(
         worst_cont = max(worst_cont, max(table.continuity_residuals()))
         sl = np.asarray(table.slopes, dtype=float)
         worst_mono = min(worst_mono, float(np.min(np.diff(sl))))
-        merged = table.merged()
-        if merged.piece_count > 1:
-            worst_merge = min(worst_merge, float(np.min(np.diff(np.asarray(merged.slopes)))))
+        steps = np.diff(np.asarray(table.slopes))  # raw slopes: an extended step is rounded once
+        worst_merge = min(worst_merge, float(min(steps[steps != 0], default=0.0)))  # the merged table's slope steps
         slope_lo = min(slope_lo, float(np.min(np.abs(sl))))
         slope_hi = max(slope_hi, float(np.max(np.abs(sl))))
         pieces_ok &= table.piece_count == 2 * N + 4
@@ -562,16 +560,21 @@ def _skip(rng, k: int):
 def _fd_gap(inst, x, V, h: float = 1e-6) -> float:
     """Max gap between forward differences and the support function at x, along each row of V.
 
-    Along v the step is at most half the distance to the nearest valley
-    breakpoint, so that a point near a kink is not differenced across it; a
-    point within 1e-9 of one (a kink point) keeps the step h.  x and the forward
-    points are one ``eval_f_batch`` call.
+    Along v the step is at most half the distance to the nearest valley breakpoint and to the nearest cap knee
+    q = 0 or q = mu (q moves at most 3/2 per unit step), so that no kink is differenced across; a point within 1e-9
+    of one (a kink point) keeps the step h.  Inside (0, mu) the ramp's curvature 1/(4 mu) still adds up to
+    9 step / (32 mu).  x and the forward points are one ``eval_f_batch`` call.
     """
     s = inst.subgrad(x)
     to_kink = float(np.min(np.abs(np.asarray(inst.hbar.breakpoints) - x[-1])))
     U = V / np.sqrt(row_dots(V, V))[:, None]
     dist = to_kink / np.abs(U[:, -1])
     steps = np.where(dist > 1e-9, np.minimum(h, dist / 2), h)
+    if inst.has_cap:  # q as the scalar pass forms it
+        z = x + inst.shift
+        q = float(inst.w_unit.dot(z)) - 0.5 * math.sqrt(z.dot(z))
+        knee = min(abs(q), abs(q - inst.mu)) / 1.5
+        steps = np.minimum(steps, knee / 2) if knee > 1e-9 else steps
     f = inst.eval_f_batch(np.vstack([x, x + steps[:, None] * U]))
     worst = 0.0
     for u, step, fu in zip(U, steps, f[1:]):

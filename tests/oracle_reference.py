@@ -17,6 +17,9 @@
   and the piece table of r_b from one ``interval`` call per prefix, which
   the prefix sweep of ``build_r`` (one bit string or a stack of them) must
   reproduce bit for bit.
+* ``merged``: a piece table with adjacent collinear pieces collapsed, whose
+  slope differences the suite's ``r-convexity-strict-merged`` row reads as
+  the nonzero steps of the raw slopes.
 * ``reference_descend`` / ``reference_eval_r``: the interval descent and the
   recursive evaluator of r_b one point at a time, which the array descent
   and ``eval_r`` must reproduce bit for bit on every point.
@@ -306,6 +309,27 @@ def reference_build_r(bits, sched=DEFAULT_SCHEDULE) -> PiecewiseAffine1D:
     return PiecewiseAffine1D(breakpoints, values, slopes)
 
 
+def merged(table) -> PiecewiseAffine1D:
+    """Collapse adjacent collinear pieces (equal slopes).
+
+    The construction legitimately produces equal-slope neighbors (e.g. a
+    tail continuing into the first wedge branch), so strict slope growth
+    only holds on the merged table.
+    """
+    bp, vals, slopes = [], [], [table.slopes[0]]
+    for k in range(len(table.breakpoints)):
+        nxt = table.slopes[k + 1]
+        if nxt == slopes[-1]:
+            continue
+        bp.append(table.breakpoints[k])
+        vals.append(table.values[k])
+        slopes.append(nxt)
+    if not bp:
+        bp, vals = [table.breakpoints[0]], [table.values[0]]
+        slopes = [table.slopes[0], table.slopes[-1]]
+    return PiecewiseAffine1D(bp, vals, slopes)
+
+
 def reference_descend(x, bits, sched=DEFAULT_SCHEDULE):
     """(depth, local coordinate) of one point: the scalar interval descent."""
     bits = as_bits(bits)
@@ -531,12 +555,18 @@ def _reference_fd_gap(inst, x, n_dirs, rng, h=1e-6) -> float:
     s = inst.subgrad(x)
     f0 = inst.eval_f(x)
     to_kink = float(np.min(np.abs(np.asarray(inst.hbar.breakpoints) - x[-1])))
+    knee = 0.0  # the least distance to a cap knee, q = 0 or q = mu, along any unit direction
+    if inst.has_cap:
+        q = gap(inst, x - inst.x_star)
+        knee = min(abs(q), abs(q - inst.mu)) / 1.5
     worst = 0.0
     for _ in range(n_dirs):
         v = rng.standard_normal(x.shape[0])
         v /= np.linalg.norm(v)
         dist = to_kink / abs(v[-1])
         step = min(h, dist / 2) if dist > 1e-9 else h
+        if knee > 1e-9:
+            step = min(step, knee / 2)
         fd = (inst.eval_f(x + step * v) - f0) / step
         worst = max(worst, abs(fd - s.support(v)))
     return worst

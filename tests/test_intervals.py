@@ -8,7 +8,6 @@ from nshard.intervals import (
     bits_to_str,
     interval,
     locate,
-    phi,
     random_bits,
     separation_depth,
     separation_margins,
@@ -46,27 +45,26 @@ def test_stacked_bits_name_their_smallest_bad_value():
         as_bits(stack)
 
 
-def test_phi_images():
+def test_child_interval_images():
+    # one bit at base_level=i is the level-i child map applied to [0, 1]
     s = DEFAULT_SCHEDULE
     for i in (1, 2, 5, 12, 30):
         d = s.delta(i)
-        m0, m1 = phi(i, 0), phi(i, 1)
-        assert m0(0.0) == pytest.approx(0.5 - 2 * d, rel=1e-15)
-        assert m0(1.0) == pytest.approx(0.5 - d, rel=1e-15)
+        c0, c1 = interval((0,), base_level=i), interval((1,), base_level=i)
+        assert c0.lo == pytest.approx(0.5 - 2 * d, rel=1e-15)
+        assert c0.hi == pytest.approx(0.5 - d, rel=1e-15)
         # bit-1 map at 0 is 1/2 + delta by the affine formula, exactly
-        assert m1(0.0) == 0.5 + d
-        lo0, hi0 = m0.image()
-        lo1, hi1 = m1.image()
-        assert 0.0 < lo0 < hi0 < 0.5 < lo1 < hi1 < 1.0
+        assert c1.lo == 0.5 + d
+        assert 0.0 < c0.lo < c0.hi < 0.5 < c1.lo < c1.hi < 1.0
 
 
-def test_phi_reference_value():
-    assert phi(1, 0)(0.0) == pytest.approx(REF_I0[0], rel=1e-15)
+def test_child_interval_reference_value():
+    assert interval("0").lo == pytest.approx(REF_I0[0], rel=1e-15)
 
 
-def test_phi_rejects_bad_bit():
-    with pytest.raises(ValueError):
-        phi(1, 2)
+def test_child_interval_rejects_bad_bit():
+    with pytest.raises(ValueError, match=r"^bits must be 0 or 1, got 2$"):
+        interval((2,), base_level=1)
 
 
 def test_interval_empty_prefix_is_unit():
@@ -202,7 +200,8 @@ def test_separation_margins_beat_rho():
 
 def test_separation_margins_match_endpoints():
     # product form vs direct endpoint subtraction, at shallow depth where
-    # the subtraction is still well conditioned
+    # the subtraction is still well conditioned; at 50 digits both agree far
+    # below binary64 resolution, so no margin is rounded to a float
     rng = np.random.default_rng(4)
     for _ in range(20):
         bits = random_bits(4, rng)
@@ -210,3 +209,11 @@ def test_separation_margins_match_endpoints():
         i4, i3 = interval(bits), interval(bits[:3])
         assert gi == pytest.approx(i4.lo - i3.lo, rel=1e-9)
         assert gs == pytest.approx(i3.hi - i4.hi, rel=1e-9)
+    ext = AngleSchedule("extended")
+    for _ in range(20):
+        bits = random_bits(4, rng)
+        gi, gs = separation_margins(bits, 3, ext)
+        i4, i3 = interval(bits, ext), interval(bits[:3], ext)
+        with ext.context():
+            assert abs(gi - (i4.lo - i3.lo)) <= 1e-40 * gi
+            assert abs(gs - (i3.hi - i4.hi)) <= 1e-40 * gs

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from oracle_reference import full_arc_flows, reference_local_decrease_certificates
+from oracle_reference import _reference_fd_gap, full_arc_flows, merged, reference_local_decrease_certificates
 
 from nshard import cli, hard1d, verify
 from nshard.embed import STATIONARITY_C, SubgradientSet, build_instance
@@ -417,6 +417,59 @@ def test_directional_derivative_catches_a_last_axis_slope_fault(monkeypatch):
     monkeypatch.setattr(SubgradientSet, "support", lambda self, v: support(self, v) + 1e-3 * v[-1])
     failed = {c.name for c in invariant_suite(**NEAR_KINK).failed()}
     assert "f-directional-derivative" in failed
+
+
+# the benchmark's invariants sizes at its workload seed 2605; a kink point on the valley line lies just outside the
+# cap cone, at cap argument q = -0.084 mu, and forward steps of 1e-6 carried q into the ramp's quadratic band
+OUTSIDE_KNEE = dict(seed=2234166843, params=NEAR_KINK["params"])
+
+
+def test_directional_derivative_steps_short_of_a_cap_knee():
+    rep = invariant_suite(**OUTSIDE_KNEE)
+    assert rep.all_passed, rep.summary()
+    assert next(c for c in rep.checks if c.name == "f-directional-derivative-kinks").measured < 1e-4
+
+
+def _off_axis_valley_point(t):
+    """That suite's kink instance and a point on its valley line x_d = x_mid, off the axis of w by b, where the cap's
+    argument q = ||w|| - sqrt(||w||^2 + b^2) / 2 is t mu."""
+    inst = build_instance(6, (0, 1, 0), rho=0.25, seed=3744788413)
+    perp = np.eye(6)[0] - inst.w_unit[0] * inst.w_unit
+    b = math.sqrt(4.0 * (inst.w_norm - t * inst.mu) ** 2 - inst.w_norm**2)
+    return inst, inst.x_star + b * perp / np.linalg.norm(perp)
+
+
+def test_forward_difference_keeps_to_one_side_of_a_cap_knee():
+    inst, x = _off_axis_valley_point(-0.084)
+    z = x - inst.x_star + inst.w
+    assert inst.w_unit @ z - np.linalg.norm(z) / 2 == pytest.approx(-0.084 * inst.mu, rel=1e-6)
+    u = inst.w_unit + 0.01 * np.eye(6)[-1]  # q grows by about 3/4 per unit step along u
+    u /= np.linalg.norm(u)
+    f0, support = inst.eval_f(x), inst.subgrad(x).support(u)
+    assert abs((inst.eval_f(x + 1e-6 * u) - f0) / 1e-6 - support) > 1e-3  # the step of 1e-6 crosses q = 0
+    assert abs((inst.eval_f(x + 1e-8 * u) - f0) / 1e-8 - support) < 1e-5
+    assert verify._fd_gap(inst, x, u[None]) < 1e-5
+    # the reference draws each direction on its own, and steps as the suite does
+    V = np.random.default_rng(5).standard_normal((8, 6))
+    assert repr(_reference_fd_gap(inst, x, 8, np.random.default_rng(5))) == repr(verify._fd_gap(inst, x, V))
+
+
+@pytest.mark.parametrize("precision", ["binary64", "extended"])
+def test_strict_convexity_row_is_the_merged_tables_least_slope_step(precision, monkeypatch):
+    """One table per suite, N = 1..12: the row reads the least nonzero step of the raw slopes, which must equal
+    the least slope difference of the reference merged table, bit for bit."""
+    sched, tables = AngleSchedule(precision), []
+    monkeypatch.setattr(verify, "build_r", lambda bits, s: tables.append(build_r(bits, s)) or tables[-1])
+    p = SuiteParams(n_instances=1, max_depth=12, separation_draws=0, dual_points=1, dims=(), fd_points=0, fd_dirs=1)
+    seen = set()
+    for seed in range(200):
+        row = next(c for c in invariant_suite(seed, p, sched=sched).checks if c.name == "r-convexity-strict-merged")
+        want = float(np.min(np.diff(np.asarray(merged(tables[-1]).slopes))))
+        assert (row.measured, row.passed) == (want, True)
+        seen.add((tables[-1].piece_count - 4) // 2)  # 2N + 4 pieces
+        if seen == set(range(1, 13)):
+            break
+    assert seen == set(range(1, 13))
 
 
 def test_report_writers(tmp_path, suite_report):
