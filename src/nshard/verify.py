@@ -381,9 +381,10 @@ def invariant_suite(
 
     ``mutate="slope"`` injects a slope fault into one 1D table to demonstrate
     that the suite detects broken convexity; the ``hbar`` rows stay on the clean table.  The
-    embedded section checks and drops the row blocks of ``_samples``, drawn one block ahead through ``ahead``: each
-    block of Lipschitz points X is evaluated with its pairs Y = X + noise, in one pass.  Its reductions are maxima and
-    minima, so its rows equal whole-array draws'.
+    embedded section takes ``_samples`` one item ahead through ``ahead`` and draws the Lipschitz points X itself,
+    block by block from the copy of rng that ``_samples`` hands it, while the worker draws the matching block of
+    noise: each X block is evaluated with its pairs Y = X + noise, in one pass, and dropped.  Its reductions are
+    maxima and minima, so its rows equal whole-array draws'.
     """
     if mutate not in (None, "slope"):
         raise ValueError(f"unknown mutation {mutate!r}")
@@ -486,8 +487,10 @@ def invariant_suite(
         for d in p.dims:
             bits, cap_seed = next(samples)
             inst = build_instance(d, bits, rho=p.rho, seed=cap_seed, sched=sched)
-            for _ in _row_blocks(p.lipschitz_pairs, d):
-                D = next(samples)  # a block of X, then of the noise
+            xs = next(samples)
+            for n in _row_blocks(p.lipschitz_pairs, d):
+                D = xs.uniform(-3.0, 3.0, size=(n, d))  # a block of X, scaled into the ball of radius 3
+                np.divide(D, np.maximum(1.0, np.sqrt(row_dots(D, D))[:, None] / 3.0), out=D)
                 fx = inst.eval_f_batch(D)
                 min_f = min(min_f, float(np.min(fx)))
                 Yb = next(samples)
@@ -501,8 +504,8 @@ def invariant_suite(
                 active = vals > 1e-6
                 if np.any(active):
                     min_stat = min(min_stat, float(np.min(norms[active])))
-            for _ in range(p.fd_points):
-                worst_fd = max(worst_fd, _fd_gap(inst, *next(samples)))
+            for x, V in next(samples):
+                worst_fd = max(worst_fd, _fd_gap(inst, x, V))
             far = inst.x_star + np.concatenate([np.zeros(d - 1), [0.4]])
             cap_inactive_ok &= inst.eval_f(far) == inst.eval_h(far)
     rep.add("f-lipschitz", worst_lip <= 1.0 + 1e-9, worst_lip, 1.0, 1e-9, f"dims {tuple(p.dims)}")
@@ -532,28 +535,24 @@ def _row_blocks(n: int, d: int) -> List[int]:
 
 
 def _samples(rng, p: SuiteParams):
-    """The embedded section's draws in stream order: per dimension the bits, the cap seed, the Lipschitz points X
-    (uniform in [-3, 3]^d, scaled into the ball of radius 3), the pairs' noise and S in ``_row_blocks`` (a Generator
-    fills them as one call), and the fd points.  X and the noise go block by block in turn, the noise drawn from
-    ``_skip``'s Generator, whose state rng then takes."""
+    """The embedded section's draws, per dimension: the bits and the cap seed, ``_skip``'s copy of rng at the
+    Lipschitz points X, whose blocks the caller draws (uniform in [-3, 3]^d), then past X the pairs' noise and S in
+    ``_row_blocks`` (a Generator fills them as one call), and the fd points as one list.  Every number comes from
+    the state where one Generator drawing X, the noise, S and the fd points in turn would draw it."""
     for d in p.dims:
         yield random_bits(5, rng), int(rng.integers(2**32))
-        noise = _skip(rng, p.lipschitz_pairs * d)
-        for n in _row_blocks(p.lipschitz_pairs, d):
-            X = rng.uniform(-3.0, 3.0, size=(n, d))
-            yield np.divide(X, np.maximum(1.0, np.sqrt(row_dots(X, X))[:, None] / 3.0), out=X)
-            yield noise.normal(scale=0.5, size=(n, d))
-        rng.bit_generator.state = noise.bit_generator.state
+        yield _skip(rng, p.lipschitz_pairs * d)
+        yield from (rng.normal(scale=0.5, size=(n, d)) for n in _row_blocks(p.lipschitz_pairs, d))
         yield from (rng.uniform(-3.0, 3.0, size=(n, d)) for n in _row_blocks(p.stationarity_points, d))
-        for _ in range(p.fd_points):
-            yield rng.uniform(-1.0, 2.0, size=d), rng.standard_normal((p.fd_dirs, d))
+        yield [(rng.uniform(-1.0, 2.0, size=d), rng.standard_normal((p.fd_dirs, d))) for _ in range(p.fd_points)]
 
 
 def _skip(rng, k: int):
-    """A Generator where rng will be after k uniform doubles (one 64-bit draw each), rng's buffered 32 bits kept."""
+    """A copy of rng; rng itself moves past k uniform doubles (one 64-bit draw each), its buffered 32 bits kept."""
     bg, state = type(rng.bit_generator)(), rng.bit_generator.state
     bg.state = state
-    bg.state = {**bg.advance(k).state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    rng.bit_generator.state = {**rng.bit_generator.advance(k).state, "has_uint32": state["has_uint32"],
+                               "uinteger": state["uinteger"]}
     return np.random.Generator(bg)
 
 

@@ -43,7 +43,8 @@
 * ``reference_embedded_checks``: the invariant suite's embedded and kink
   sections with each sample array drawn in one call and checked whole, and
   each direction of a forward difference drawn on its own, which the suite's
-  row blocks drawn ahead on a worker thread must reproduce row for row.
+  row blocks, drawn by its caller and a worker thread, must reproduce row for
+  row.
 * ``check_instance_record``: the fields that ``save_instance``'s record must
   hold, each number as its repr.
 """
@@ -591,8 +592,8 @@ def reference_embedded_checks(rng, p, sched=DEFAULT_SCHEDULE) -> CertificateRepo
         D = X - Y
         dist = np.sqrt(row_dots(D, D))
         ok = dist > 0
-        worst_lip = max(worst_lip, float(np.max(np.abs(fx - fy)[ok] / dist[ok])))
-        min_f = min(min_f, float(np.min(fx)))
+        worst_lip = max(worst_lip, float(np.max(np.abs(fx - fy)[ok] / dist[ok], initial=0.0)))
+        min_f = min(min_f, float(np.min(fx, initial=np.inf)))  # no pairs: fx is empty
         S = rng.uniform(-3.0, 3.0, size=(p.stationarity_points, d))
         vals, norms = inst.min_subgrad_norm_batch(S)
         active = vals > 1e-6

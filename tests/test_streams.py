@@ -1,12 +1,17 @@
-"""The invariant suite's samples as a stream of row blocks, drawn ahead on a worker thread.
+"""The invariant suite's samples in row blocks, split between the caller and a worker thread.
 
 A Generator fills a block sequentially, so a draw in row blocks is the one-call draw's rows and
-leaves the Generator where that draw leaves it.  On this rests the suite's identity, check by
-check, with the one-call reference of oracle_reference, at block boundaries and away from them.
-The suite's worker ends with the suite however it ends, and a suite that draws inline gives the
-same bytes.
+leaves the Generator where that draw leaves it.  The worker hands the caller a copy of the
+suite's Generator at the Lipschitz points X and draws past them the pairs' noise, the
+stationarity points and the forward-difference points, while the caller draws X's blocks from
+the copy.  On this rests the suite's identity, check by check, with the one-call reference of
+oracle_reference, at block boundaries and away from them, and with no pairs or no
+forward-difference points.  The suite takes one item per block of noise or stationarity points
+from the worker, and three more per dimension.  The worker ends with the suite however it ends,
+and a suite that draws inline gives the same bytes.
 """
 
+import contextlib
 import os
 import threading
 import tracemalloc
@@ -49,20 +54,23 @@ def test_row_blocks_hold_about_sample_block_bytes():
 
 
 COUNTS = ["one row", "block - 1", "block", "block + 1"]
-SUITE_CASES = [pytest.param((d,), count, 0, id=f"{count}-{d}") for d in (2, 50) for count in COUNTS]
+SUITE_CASES = [pytest.param((d,), count, 0, {}, id=f"{count}-{d}") for d in (2, 50) for count in COUNTS]
 # after an odd number of separation draws rng holds a buffered uint32 when ``_skip`` runs, which the
 # other cases never do; the second dimension then reads the 32 bits that the first one's skip kept
-SUITE_CASES.append(pytest.param((2, 50), "block + 1", 1, id="block + 1-2, 50-one separation draw"))
+SUITE_CASES.append(pytest.param((2, 50), "block + 1", 1, {}, id="block + 1-2, 50-one separation draw"))
+# the copy of rng at X draws nothing, or the forward-difference item is an empty list
+SUITE_CASES += [pytest.param((2, 50), "block + 1", 0, {edge: 0}, id=f"block + 1-2, 50-{edge}=0")
+                for edge in ("lipschitz_pairs", "fd_points")]
 
 
-@pytest.mark.parametrize("dims, count, separation_draws", SUITE_CASES)
-def test_suite_equals_the_one_call_reference(any_cpu, dims, count, separation_draws):
+@pytest.mark.parametrize("dims, count, separation_draws, edge", SUITE_CASES)
+def test_suite_equals_the_one_call_reference(any_cpu, dims, count, separation_draws, edge):
     """No tables, so the embedded section follows the separation draws in the suite's stream; a block
     is counted in rows of the last dimension."""
     rows = SAMPLE_BLOCK_BYTES // (8 * dims[-1])
     n = {"one row": 1, "block - 1": rows - 1, "block": rows, "block + 1": rows + 1}[count]
-    p = SuiteParams(n_instances=0, separation_draws=separation_draws, dims=dims, lipschitz_pairs=n,
-                    stationarity_points=n)
+    p = SuiteParams(n_instances=0, separation_draws=separation_draws, dims=dims,
+                    **{"lipschitz_pairs": n, "stationarity_points": n, **edge})
     got = {c.name: c for c in invariant_suite(seed=n, params=p).checks}
     rng = np.random.default_rng(n)
     for _ in range(separation_draws):
@@ -88,6 +96,26 @@ def threads_at_build(monkeypatch):
 
     monkeypatch.setattr(verify, "build_instance", counted)
     return seen
+
+
+def test_suite_takes_the_draws_from_the_worker_in_few_items(monkeypatch, any_cpu, threads_at_build):
+    """Per dimension the bits and cap seed, the copy of rng at X, one item per block of noise and of
+    stationarity points, and the forward-difference points as one item; X's blocks are the caller's."""
+    taken, ahead = [], verify.ahead
+
+    def counted(items):
+        with contextlib.closing(ahead(items)) as it:
+            for item in it:
+                taken.append(item)
+                yield item
+
+    monkeypatch.setattr(verify, "ahead", counted)
+    before, p = threading.active_count(), SuiteParams(**SMALL)
+    assert invariant_suite(seed=3, params=p).all_passed
+    assert threads_at_build[:-1] == [before + 1] * len(p.dims)
+    want = [1 + 1 + len(verify._row_blocks(p.lipschitz_pairs, d)) + len(verify._row_blocks(p.stationarity_points, d))
+            + 1 for d in p.dims]
+    assert want == [5, 7] and len(taken) == sum(want)
 
 
 def test_suite_worker_ends_with_the_suite(any_cpu, threads_at_build):

@@ -387,23 +387,24 @@ NEAR_KINK = dict(seed=401775898, params=SuiteParams(lipschitz_pairs=20000, stati
 @pytest.mark.parametrize("k", [0, 1, 7, 20000])
 @pytest.mark.parametrize("buffered", [False, True], ids=["no-uint32", "uint32"])
 def test_skip_sits_where_uniform_draws_leave_the_stream(k, buffered):
-    # the pairs' noise is drawn from this Generator while rng still draws X's k uniform doubles
+    # rng moves on to the pairs' noise while its copy draws X's k uniform doubles
     rng = np.random.default_rng(k)
     if buffered:
         rng.integers(2**32)  # the second half of a 64-bit draw stays buffered
     state = rng.bit_generator.state
     assert state["has_uint32"] == int(buffered)
-    skipped = verify._skip(rng, k)
-    assert rng.bit_generator.state == state
+    copy = verify._skip(rng, k)
+    assert copy.bit_generator.state == state
     drawn = np.random.default_rng()
     drawn.bit_generator.state = state
-    drawn.uniform(-3.0, 3.0, size=k)
-    got, want = skipped.bit_generator.state, drawn.bit_generator.state
+    X = drawn.uniform(-3.0, 3.0, size=k)
+    assert copy.uniform(-3.0, 3.0, size=k).tobytes() == X.tobytes()
+    got, want = rng.bit_generator.state, drawn.bit_generator.state
     assert (got["has_uint32"], got["uinteger"]) == (want["has_uint32"], want["uinteger"]) == (
         state["has_uint32"], state["uinteger"])
     assert got == want
-    assert skipped.normal(scale=0.5, size=(3, 5)).tobytes() == drawn.normal(scale=0.5, size=(3, 5)).tobytes()
-    assert skipped.integers(2**32) == drawn.integers(2**32)
+    assert rng.normal(scale=0.5, size=(3, 5)).tobytes() == drawn.normal(scale=0.5, size=(3, 5)).tobytes()
+    assert rng.integers(2**32) == drawn.integers(2**32)
 
 
 def test_directional_derivative_steps_short_of_a_near_breakpoint():
