@@ -38,7 +38,7 @@ def main():
     print("\n== local decrease certificates (pgd iterates, delta=0.5) ==")
     traj = run(make_algorithm("pgd"), inst, np.zeros(D), 8, seed=SEED)
     for t in range(traj.T):
-        cert = local_decrease_certificate(inst, traj.points[t], 0.5, seed=t)
+        cert = local_decrease_certificate(inst, traj.points[t], 0.5)
         print(f"  t={t + 1}: f={traj.values[t]:.6f} -> witness {cert.witness_value:.6f} "
               f"(target {cert.target:.6f}) certified={cert.ok}")
 

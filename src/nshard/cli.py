@@ -2,9 +2,9 @@
 
 All randomness flows from one root seed: each command derives independent
 streams via numpy SeedSequence.spawn in a fixed order (bit string, cap
-vector, algorithm, certificates; for ``mc``, one seed per experiment, which
-spawns one Generator per role), so identical configs replay bit-identically.
-Data files carry no timestamps.
+vector, algorithm; for ``mc``, one seed per experiment, which spawns one
+Generator per role), so identical configs, a config.json that a command
+wrote among them, replay bit-identically.  Data files carry no timestamps.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ def _resolve_config(args) -> RunConfig:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
+        written = ("log2_inv_rho", "resolved_k", "resolved_N", "mutate")  # _write_config's keys beside KEYS
+        derived = {key: cfg.pop(key) for key in written if key in cfg}
         unknown = set(cfg) - set(KEYS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -82,6 +84,10 @@ def _resolve_config(args) -> RunConfig:
             want = (int, float) if TYPES[key] is float else TYPES[key]
             if isinstance(val, bool) or not isinstance(val, want):
                 raise ValueError(f"config key {key!r} must be {TYPES[key].__name__}, got {val!r}")
+        # as _write_config writes them for these settings: their ScheduleParams, in order, and mutate false
+        for key, want in zip(written, (*_params(RunConfig(**cfg)), False) if derived else ()):
+            if key in derived and repr(derived[key]) != repr(want):
+                raise ValueError(f"config key {key!r} is {derived[key]!r}, but these settings write {want!r}")
     for key in KEYS:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
@@ -169,15 +175,13 @@ def cmd_run(cfg: RunConfig) -> int:
         raise ValueError(f"--delta must be non-negative (0 turns certificates off), got {cfg.delta!r}")
     if cfg.delta > 1:  # the certificates take delta in (0, 1]; refuse it before the run
         raise ValueError(f"--delta must be at most 1, got {cfg.delta!r}")
-    bits_ss, w_ss, algo_ss, cert_ss = np.random.SeedSequence(cfg.seed).spawn(4)
+    bits_ss, w_ss, algo_ss = np.random.SeedSequence(cfg.seed).spawn(3)
     inst, params = _instance(cfg, bits_ss, w_ss)
     algo = _algorithm(cfg)
     traj = run(algo, inst, np.zeros(inst.d), cfg.T, seed=int(algo_ss.generate_state(1)[0]))
     Z = progress_process(traj.points[:, -1], inst.bits, _schedule(cfg.precision))
-    cert_seed = int(cert_ss.generate_state(1)[0])
     if cfg.delta > 0:
-        certs = [local_decrease_certificate(inst, x, cfg.delta, seed=cert_seed + t)
-                 for t, x in enumerate(traj.points)]
+        certs = [local_decrease_certificate(inst, x, cfg.delta) for x in traj.points]
         certified, witness_vals = [int(c.ok) for c in certs], [c.witness_value for c in certs]
     else:  # certificates off
         certified, witness_vals = [-1] * traj.T, [float("nan")] * traj.T

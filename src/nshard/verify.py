@@ -5,9 +5,9 @@ Three kinds of artifact live here:
 * Monte-Carlo experiments with their probability bounds: the progress process
   of nested-interval depths, hitting-probability estimates, and the
   concentration of a random cap direction against trajectory directions.
-* The subgradient-flow certifier: forward-Euler integration of the normalized
-  minimal-norm-subgradient flow, which converts a pointwise lower bound on
-  subgradient norms into a certified function decrease over a ball.
+* The local-decrease certificate: forward-Euler integration of the normalized
+  minimal-norm-subgradient flow, then up to four analytic points of the ball,
+  any of which below the target certifies a function decrease over the ball.
 * The invariant suite: one callable that re-checks every structural property
   of the schedule, intervals, 1D tables, and embedded instances, and reports
   per-check pass/fail rows.
@@ -249,20 +249,15 @@ class CertResult:
     flow_status: str
 
 
-def local_decrease_certificate(
-    instance,
-    x,
-    delta: float,
-    seed: int = 0,
-) -> CertResult:
+def local_decrease_certificate(instance, x, delta: float) -> CertResult:
     """Witness that min over B(x, delta) of f drops below f(x) - delta * c, c = ``STATIONARITY_C``.
 
     One-sided: any point of the ball below the target certifies, and an
     upper bound on the minimum is all the certificate needs.  The flow stops
     at its first point below the target, which is then the witness.  Only
     if the flow (Euler step delta/1000) finds none (its best point over the
-    whole arc, which stays inside the ball, is not below the target) are 1000
-    uniform ball samples drawn.
+    whole arc, which stays inside the ball, is not below the target) are
+    ``_witnesses``' up to four points evaluated, in one batch.
     As in ``lockstep``, overflow is not warned about: norms of points far
     from the origin may overflow.
     """
@@ -273,24 +268,30 @@ def local_decrease_certificate(
         target = flow.start_value - drop
         best_point, best_value = flow.best_point, flow.best_value
         if best_value >= target:
-            rng = np.random.default_rng(seed)
-            d = x.shape[0]
-            U = rng.standard_normal((1000, d))
-            U /= np.linalg.norm(U, axis=1, keepdims=True)
-            R = delta * rng.uniform(size=1000) ** (1.0 / d)
-            pts = x[None, :] + R[:, None] * U
+            pts = _witnesses(instance, x, delta)
             vals = instance.eval_f_batch(pts)
             j = int(np.argmin(vals))
             if vals[j] < best_value:
                 best_point, best_value = pts[j], float(vals[j])
-    return CertResult(
-        ok=bool(best_value < target),
-        witness=best_point,
-        witness_value=float(best_value),
-        start_value=flow.start_value,
-        target=target,
-        flow_status=flow.status,
-    )
+    return CertResult(ok=bool(best_value < target), witness=best_point, witness_value=float(best_value),
+                      start_value=flow.start_value, target=target, flow_status=flow.status)
+
+
+def _witnesses(instance, x, delta: float) -> np.ndarray:
+    """x plus each move, shortened to r: the leading part toward 0 (h falls by its length / 32), x_d toward
+    x_mid (hbar's slopes are at least 1/16), both at r / sqrt(2) each, and, if capped, to the cone-axis point
+    x_star - w + w_unit.  r keeps the rounded points in B(x, delta); far out it is 0 and every point is x."""
+    r = max(0.0, (1.0 - 2.0**-40) * delta - 2.0**-50 * x.shape[0] * float(np.max(np.abs(x))))
+    lead, last = np.zeros_like(x), np.zeros_like(x)
+    lead[:-1], last[-1] = -x[:-1], instance.x_star[-1] - x[-1]
+    cone = [instance.x_star - instance.w + instance.w_unit - x] if instance.has_cap else []
+    moves = [lead, last, _shorten(lead, r / math.sqrt(2.0)) + _shorten(last, r / math.sqrt(2.0)), *cone]
+    return x + np.array([_shorten(m, r) for m in moves])
+
+
+def _shorten(move, r: float) -> np.ndarray:
+    n = float(np.linalg.norm(move))
+    return move * (r / n) if n > r else move
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@
   subgradient flow over its whole arc from many points at once, one row
   kernel call per Euler step, which must give ``subgradient_flow``'s result
   row for row; and the certificates that keep each arc's best point, then
-  draw the ball samples, with which the certificate whose flow stops at its
-  first witness must agree on ``ok`` everywhere.
+  try the fallback points of ``reference_witnesses``, with which the
+  certificate whose flow stops at its first witness must agree on ``ok``
+  everywhere.
 * ``reference_embedded_checks``: the invariant suite's embedded and kink
   sections with each sample array drawn in one call and checked whole, and
   each direction of a forward difference drawn on its own, which the suite's
@@ -528,20 +529,36 @@ def full_arc_flows(inst, X0, deltas) -> list:
             for r in range(len(X))]
 
 
-def reference_local_decrease_certificates(inst, X, deltas, c, seeds) -> list:
-    """``local_decrease_certificate`` at each row of X with its delta and seed, the flow run over its
-    whole arc (``full_arc_flows``) before the ball samples."""
+def reference_witnesses(inst, x, delta) -> np.ndarray:
+    """The certificate's fallback points, each formed as x moved toward a point of its own by at most
+    r = (1 - 2^-40) delta - 2^-50 d max|x_i| (at least 0): toward x with its leading part at 0, toward x
+    with x_d at x_mid, both of those moves by r / sqrt(2) each, and on a capped instance toward the
+    cone-axis point x_star - w + w_unit."""
+    d = x.shape[0]
+    r = max(0.0, (1 - 2.0**-40) * delta - 2.0**-50 * d * float(np.abs(x).max()))
+
+    def toward(p, length):
+        move = p - x
+        n = np.linalg.norm(move)
+        return move if n <= length else move * (length / n)
+
+    axis_lead, at_mid = x.copy(), x.copy()
+    axis_lead[:-1] = 0.0
+    at_mid[-1] = inst.x_star[-1]
+    both = x + toward(axis_lead, r / math.sqrt(2)) + toward(at_mid, r / math.sqrt(2))
+    ends = [axis_lead, at_mid, both] + ([inst.x_star - inst.w + inst.w_unit] if inst.has_cap else [])
+    return np.array([x + toward(p, r) for p in ends])
+
+
+def reference_local_decrease_certificates(inst, X, deltas, c) -> list:
+    """``local_decrease_certificate`` at each row of X with its delta, the flow run over its whole arc
+    (``full_arc_flows``) before the points of ``reference_witnesses``."""
     out = []
-    for x, delta, seed, flow in zip(X, deltas, seeds, full_arc_flows(inst, X, deltas)):
+    for x, delta, flow in zip(X, deltas, full_arc_flows(inst, X, deltas)):
         target = flow.start_value - delta * c
         best_point, best_value = flow.best_point, flow.best_value
         if best_value >= target:
-            rng = np.random.default_rng(seed)
-            d = x.shape[0]
-            U = rng.standard_normal((1000, d))
-            U /= np.linalg.norm(U, axis=1, keepdims=True)
-            R = delta * rng.uniform(size=1000) ** (1.0 / d)
-            pts = x[None, :] + R[:, None] * U
+            pts = reference_witnesses(inst, x, delta)
             vals = inst.eval_f_batch(pts)
             j = int(np.argmin(vals))
             if vals[j] < best_value:

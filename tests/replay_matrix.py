@@ -37,6 +37,8 @@ COMMANDS = [
     "run --mode desk --d 4 --k 3 --T 12 --algo random --radius 0.3 --seed 4",
     "run --mode desk --d 4 --k 3 --T 12 --algo grid --resolution 0.7 --seed 4",
     "run --mode desk --d 4 --k 3 --T 12 --algo pgd --noise 0.5 --eta 0.02 --seed 4",
+    # from t = 14 on the flow steps over the cap cone; the fallback points certify every iterate
+    "run --mode desk --d 10 --k 4 --rho 1e-3 --algo sgd --T 24 --delta 1.0 --seed 9",
     *[f"{CERTIFY_BENCH} --seed {s}" for s in (1, 2)],
     *[f"mc --mode desk --runs 100 --T 8 --d 12 --algo {a} --seed 0" for a in ALGOS],
     *[f"{MC_BENCH} --algo {a} --seed {s}" for a in ALGOS for s in (1, 2)],

@@ -248,7 +248,7 @@ def test_c10_local_decrease_certificates():
             for t in range(traj.T):
                 if traj.values[t] < 1.0:
                     continue
-                cert = local_decrease_certificate(inst, traj.points[t], delta, seed=100 + t)
+                cert = local_decrease_certificate(inst, traj.points[t], delta)
                 assert cert.ok, (algo.name, delta, t, cert.witness_value, cert.target)
                 assert np.linalg.norm(cert.witness - traj.points[t]) <= delta * (1 + 1e-9)
                 checked += 1

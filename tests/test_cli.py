@@ -145,6 +145,54 @@ def test_run_certifies_high_value_iterates(tmp_path):
             assert r["certified"] == "1"
 
 
+@pytest.mark.parametrize("algo", ["pgd", "sgd"])
+def test_run_certifies_every_iterate_where_the_flow_steps_over_the_cap_cone(tmp_path, algo):
+    # at rho 1e-3 the flow's Euler step delta/1000 is wider than the cap scale rho/99; on these
+    # runs it misses the cone at some iterate of each delta, and the fallback points certify them
+    for seed in (1, 4, 7, 9, 12):
+        for delta in ("0.5", "1.0"):
+            out = tmp_path / f"{seed}-{delta}"
+            out.mkdir()
+            assert main(["run", "--mode", "desk", "--d", "10", "--k", "4", "--rho", "1e-3", "--algo", algo,
+                         "--T", "40", "--delta", delta, "--seed", str(seed), "--out", str(out)]) == 0
+            rows = list(csv.DictReader((out / "summary.csv").open()))
+            assert [r["t"] for r in rows if r["f_ge_1"] == "1" and r["certified"] != "1"] == []
+
+
+@pytest.mark.parametrize("argv", [
+    "build --mode desk --d 6 --k 4 --rho 1e-3 --seed 7",
+    "build --mode theory --d 5 --T 3 --seed 2",
+    "run --mode desk --d 10 --k 4 --rho 1e-3 --T 20 --algo sgd --delta 1.0 --seed 4",
+    "run --mode theory --d 5 --T 3 --algo pgd --seed 2",
+    "mc --mode desk --runs 100 --T 8 --d 12 --algo random --seed 0",
+])
+def test_config_json_replays_its_command(tmp_path, monkeypatch, argv):
+    # the written config.json, read back through --config into a fresh directory, gives every file again
+    first, again = tmp_path / "first", tmp_path / "again"
+    first.mkdir()
+    again.mkdir()
+    monkeypatch.chdir(first)
+    assert main([*argv.split(), "--out", "."]) == 0
+    monkeypatch.chdir(again)
+    assert main([argv.split()[0], "--config", str(first / "config.json")]) == 0
+    assert file_hashes(again) == file_hashes(first)
+
+
+@pytest.mark.parametrize("key, value", [("log2_inv_rho", 9.0), ("resolved_k", 5), ("resolved_N", 4.0),
+                                        ("resolved_N", True), ("mutate", True), ("mutate", 0)])
+def test_config_refuses_a_resolved_key_the_settings_do_not_give(tmp_path, capsys, key, value):
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["build", "--mode", "desk", "--d", "3", "--k", "3", "--rho", "1e-3", "--out", str(out)]) == 0
+    cfg = json.loads((out / "config.json").read_text())
+    cfg[key] = value
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfgp), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config key {key!r} is {value!r}")
+
+
 def test_run_unknown_algorithm_from_config(tmp_path):
     out = tmp_path / "o"
     out.mkdir()

@@ -8,9 +8,12 @@ do the stacked instance's batch entry points, over blocks of 1 to 16 rows, and
 so does a capped stack, row r with the cap of its own seed.
 Away from every kink the suite's forward difference along v matches the
 support function of the subdifferential in v, the directional derivative.
+At every point with f >= 1 the certificate's fallback points lie in the ball
+B(x, delta), with no slack, and one of them is below f(x) - delta c.
 """
 
 import dataclasses
+import math
 import warnings
 from unittest.mock import patch
 
@@ -21,9 +24,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from oracle_reference import check_instance_record, reference_build_r
 
-from nshard.embed import HardInstance, build_h, build_instance, cap_value, save_instance
+from nshard.embed import STATIONARITY_C, HardInstance, build_h, build_instance, cap_value, save_instance
 from nshard.hard1d import build_1d_instance, build_hbar, build_r
-from nshard.verify import _fd_gap
+from nshard.verify import _fd_gap, _witnesses
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -217,3 +220,31 @@ def test_forward_difference_matches_the_support_function_away_from_kinks(d, bits
     assume(abs(q) >= 1e-3 + inst.mu)
     assume(abs(inst.eval_h(x) - cap_value(q, inst.mu)) >= 1e-4)
     assert _fd_gap(inst, x, rng.standard_normal((1, d))) <= 1e-4
+
+
+@SETTINGS
+@given(d=st.integers(2, 60), bits=st.lists(st.integers(0, 1), min_size=1, max_size=8),
+       rho=st.sampled_from([1e-3, 1e-2, 0.25]), log_delta=st.floats(-3.0, 0.0), seed=st.integers(0, 2**32 - 1))
+def test_a_fallback_point_of_the_ball_is_below_the_target(d, bits, rho, log_delta, seed):
+    """Points at distances from 1e-8 to 30 around x_star, the cap anchor x_star - w and the origin,
+    one of each 8 at 30; those with f >= 1 are kept, each checked at the drawn delta and at 1e-3.
+    The far ones have every move shortened onto the sphere, and where |x_i| / delta is large the
+    rounding of x + move can leave it."""
+    rng = np.random.default_rng(seed)
+    inst = build_instance(d, bits, rho=rho, seed=seed)
+    scales = 10.0 ** rng.uniform(-8.0, math.log10(30.0), size=(24, 1))
+    scales[::8] = 30.0
+    V = rng.standard_normal((24, d))
+    V *= scales / np.linalg.norm(V, axis=1, keepdims=True)
+    X = np.repeat([inst.x_star, inst.x_star - inst.w, np.zeros(d)], 8, axis=0) + V
+    kept = 0
+    for x in X:
+        f0 = inst.value_and_subgrad(x)[0]
+        if f0 < 1.0:
+            continue
+        for delta in (10.0**log_delta, 1e-3):
+            P = _witnesses(inst, x, delta)
+            assert np.all(np.linalg.norm(P - x, axis=1) <= delta)
+            assert np.min(inst.eval_f_batch(P)) < f0 - delta * STATIONARITY_C
+        kept += 1
+    assume(kept)
