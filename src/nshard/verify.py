@@ -26,7 +26,7 @@ from . import hard1d
 from .embed import STATIONARITY_C, build_h, build_instance, row_dots
 from .hard1d import build_1d_instance, build_r, eval_r
 from .intervals import interval, locate, random_bits, separation_margins
-from .oracles import PerturbedGD, ahead, lockstep
+from .oracles import PerturbedGD, RandomSearch, SubgradientDescent, ahead, lockstep
 from .schedule import DEFAULT_SCHEDULE, AngleSchedule
 
 SAMPLE_BLOCK_BYTES = 1 << 20  # the invariant suite draws and checks its samples in row blocks of about this size
@@ -146,7 +146,13 @@ def concentration_check(
     lockstep step), and measures max_t <u, (x_t - x_star)/||x_t - x_star||> step by step for an
     independent unit vector u supported on the leading d-1 coordinates.  The seed spawns
     one Generator per role, (bits, algorithm, directions), each drawing for all runs at
-    once, as in ``mc_hitting``; the directions are one (n_runs, d - 1) draw.
+    once, as in ``mc_hitting``.
+
+    sgd, pgd and random search, equivariant under rotations of the leading coordinates, take
+    u = e_1 and step on min(d, 3)-dimensional instances (past d = 3 pgd and random search as
+    ``_Chain``, its chi-square draws from the directions' Generator), at a cost that does not
+    grow with d: their row agrees with d-dimensional runs' in law, not bit for bit.  Others
+    (grid search) run in d dimensions against one (n_runs, d - 1) draw of u.
 
     Returns the row that ``nshard mc`` writes, ``alignment_ge_third_d{d}``: the frequency
     of an alignment of at least 1/3, with its Wilson interval, against T exp(-d/36), which
@@ -157,21 +163,45 @@ def concentration_check(
         raise ValueError("d must be >= 2")
     if algorithm is None:
         algorithm = PerturbedGD()
+    chain = isinstance(algorithm, (SubgradientDescent, RandomSearch))
     bits_rng, algo_rng, dir_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
-    inst = build_h(d, bits_rng.integers(0, 2, (n_runs, N)), sched)
-    U = dir_rng.standard_normal((n_runs, d - 1))
-    W = np.zeros((n_runs, d))
+    inst = build_h(min(d, 3) if chain else d, bits_rng.integers(0, 2, (n_runs, N)), sched)
+    U = np.eye(1, inst.d - 1) if chain else dir_rng.standard_normal((n_runs, d - 1))
+    W = np.zeros((n_runs, inst.d))
     W[:, :-1] = U / np.sqrt(row_dots(U, U))[:, None]
+    algorithm = _Chain(algorithm, d, dir_rng) if chain and d > 3 and hasattr(algorithm, "draw") else algorithm
     # running max of each run's alignment; a run whose iterate sits on x_star
     # gives 0/0 = NaN there, which fmax skips; one far out may overflow its
     # norm before the oracle rejects its next point
     align = np.full(n_runs, -np.inf)
     with np.errstate(invalid="ignore", over="ignore"):
-        for _, X, _, _ in lockstep(algorithm, inst, np.zeros((n_runs, d)), T, algo_rng):
+        for _, X, _, _ in lockstep(algorithm, inst, np.zeros((n_runs, inst.d)), T, algo_rng):
             diffs = X - inst.x_star
             align = np.fmax(align, np.einsum("ij,ij->i", diffs, W) / np.linalg.norm(diffs, axis=1))
     exceed = int(np.count_nonzero(align >= 1.0 / 3.0))
     return _wilson_row(f"alignment_ge_third_d{d}", exceed, n_runs, T * math.exp(-d / 36.0)), float(np.max(align))
+
+
+class _Chain:
+    """pgd or random search in d > 3 dimensions from the origin, stepped in the (a, b, x_d) coordinates of its
+    iterates, the noise orthogonal to those axes folded into b: pgd's b becomes hypot(b, noise_scale * sqrt(chi2_(d-3)))
+    after its step; random search's direction is (g1, hypot(g2, sqrt(chi2_(d-3))), g3), its length radius U^(1/d)."""
+
+    def __init__(self, algorithm, d: int, chi_rng):
+        self.algorithm, self.d, self.chi = algorithm, d, chi_rng
+
+    def draw(self, rng, R, m):
+        alg, chi = self.algorithm, np.sqrt(self.chi.chisquare(self.d - 3, R))
+        if isinstance(alg, RandomSearch):
+            u = rng.standard_normal((R, m))
+            u[:, 1] = np.hypot(u[:, 1], chi)
+            return (u, np.sqrt(row_dots(u, u)), alg.radius * np.float_power(rng.uniform(size=R), 1.0 / self.d)), 0.0
+        return alg.draw(rng, R, m), alg.noise_scale * chi
+
+    def propose(self, t, x, response, draw):
+        X = self.algorithm.propose(t, x, response, draw[0])
+        X[:, 1] = np.hypot(X[:, 1], draw[1])
+        return X
 
 
 # ---------------------------------------------------------------------------

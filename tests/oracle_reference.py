@@ -31,7 +31,12 @@
   row r of each role's draws, each ``nshard mc`` row written out here as a
   dict of its own, which the lockstep experiments must reproduce (the
   largest alignment to rounding: a row dot differs from a matrix-vector
-  product in the last bit).
+  product in the last bit).  ``reference_concentration_check`` runs in d
+  dimensions, as grid search does.
+* ``reference_chain_concentration_check``: the concentration check of sgd,
+  pgd and random search one run after another on the (a, b, x_d) chain,
+  each step and its chi-square fold written out on one point, which the
+  check's lockstep chain must reproduce the same way.
 * ``max_boundary_ties``: float points where h equals the cap exactly, the
   max boundary that no drawn point reaches.
 * ``full_arc_flows`` / ``reference_local_decrease_certificates``: the
@@ -59,7 +64,7 @@ from nshard.embed import (NORM_WEIGHT, STATIONARITY_C, SubgradientSet, build_h, 
                           row_dots)
 from nshard.hard1d import PiecewiseAffine1D, build_1d_instance
 from nshard.intervals import as_bits, interval, random_bits
-from nshard.oracles import PerturbedGD, Trajectory, lockstep
+from nshard.oracles import PerturbedGD, RandomSearch, Trajectory, lockstep
 from nshard.schedule import DEFAULT_SCHEDULE
 from nshard.verify import (
     FLOW_HALT_NORM,
@@ -394,6 +399,9 @@ class RowOf:
     def uniform(self, size):
         return self.rng.uniform(size=self.R)[self.r:self.r + 1]
 
+    def chisquare(self, df, size):
+        return self.rng.chisquare(df, self.R)[self.r:self.r + 1]
+
 
 def row_run(algorithm, inst, x0, T, rng) -> Trajectory:
     """``run`` from x0, drawing from rng (a ``RowOf``) instead of a seed."""
@@ -472,6 +480,54 @@ def reference_concentration_check(d, T, n_runs, seed=0, algorithm=None, N=5,
         max_align = max(max_align, align)
         if align >= 1.0 / 3.0:
             exceed += 1
+    bound = T * math.exp(-d / 36.0)
+    lo, hi = wilson_interval(exceed, n_runs)
+    row = {"check": f"alignment_ge_third_d{d}", "estimate": exceed / n_runs, "wilson_lo": lo, "wilson_hi": hi,
+           "bound": bound, "vacuous": bound >= 1.0}
+    return row, float(max_align)
+
+
+def reference_chain_concentration_check(d, T, n_runs, seed=0, algorithm=None, N=5, sched=DEFAULT_SCHEDULE):
+    """``concentration_check``'s row and largest alignment for sgd, pgd and random search, run r driven on its own
+    as the chain (a, b, x_d) of its iterates from the origin, with a = <e_1, x_(1:d-1)> and b the norm of the rest:
+    each step written out on the min(d, 3) numbers of one point of a min(d, 3)-dimensional instance, past d = 3 the
+    part of the noise orthogonal to those axes folded into b from row r of the chi-square draws."""
+    if algorithm is None:
+        algorithm = PerturbedGD()
+    m = min(d, 3)
+    exceed, max_align = 0, -np.inf
+    bits_ss, algo_ss, chi_ss = np.random.SeedSequence(seed).spawn(3)
+    all_bits = np.random.default_rng(bits_ss).integers(0, 2, (n_runs, N))
+    for r in range(n_runs):
+        inst = build_h(m, as_bits(all_bits[r]), sched)
+        rng, chi = (RowOf(np.random.default_rng(ss), n_runs, r) for ss in (algo_ss, chi_ss))
+        x, align = np.zeros(m), []
+        for t in range(T):
+            if t > 0:
+                fold = math.sqrt(chi.chisquare(d - 3, 1)[0]) if d > 3 else 0.0
+                if isinstance(algorithm, RandomSearch):
+                    u = rng.standard_normal((1, m))[0]
+                    if d > 3:
+                        u[1] = math.hypot(u[1], fold)
+                    while not np.any(u):  # a zero direction is redrawn; past d = 3 the fold leaves none
+                        u = rng.standard_normal((1, m))[0]
+                    radius = algorithm.radius * np.float_power(rng.uniform(1)[0], 1.0 / d)
+                    x = 0.0 + radius * u / math.sqrt(u.dot(u))
+                else:
+                    x = x - (algorithm.eta0 / np.sqrt(t)) * g
+                    sigma = getattr(algorithm, "noise_scale", 0.0)
+                    if sigma > 0.0:
+                        x += sigma * rng.standard_normal((1, m))[0]
+                        if d > 3:
+                            x[1] = math.hypot(x[1], sigma * fold)
+            _, g = inst.value_and_subgrad(x)
+            diff = x - inst.x_star
+            norm = np.linalg.norm(diff)
+            if norm > 0:
+                align.append(diff[0] / norm)
+        if align:
+            max_align = max(max_align, max(align))
+            exceed += int(max(align) >= 1.0 / 3.0)
     bound = T * math.exp(-d / 36.0)
     lo, hi = wilson_interval(exceed, n_runs)
     row = {"check": f"alignment_ge_third_d{d}", "estimate": exceed / n_runs, "wilson_lo": lo, "wilson_hi": hi,

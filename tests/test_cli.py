@@ -255,21 +255,25 @@ def test_mc_replay_bit_identical(tmp_path):
 # one Generator per role (bits, algorithm, directions) in (R, ·) blocks instead
 # of one seed per run; the lockstep experiments equal the serial per-run
 # references of oracle_reference on that layout; any change to these bytes
-# must say why
+# must say why.  pgd and random were re-recorded again when their alignment
+# row came to be read from the (a, b, x_d) chain's stream (the directions'
+# Generator draws its chi-square folds); sgd's leading part stays 0 from the
+# origin and grid runs in d dimensions, so their bytes are unchanged
 MC_GOLDEN = {
     "sgd": "2b319e5fb256b4bde23954aaa801ba3f460abfb3afe8b520c57ebd9b8863c675",
-    "pgd": "cdcef3b93612227d02a24200198f3998ff3b26da968c0aecdd91a4bae4a79dd4",
-    "random": "55a9dbbc83b8ef12a2d0c0a5b9deb935aeceba4eacd570580c85f9a7cbac61db",
+    "pgd": "e75a32b9b73e1ba1c4cc082448495a5a66c5752a1c3a8e40c1d8f6ecb4b25dd3",
+    "random": "9e6651fb8a0b7015f18ead4ead23b56a6b281c92006a37966ebbf4ec383a8591",
     "grid": "a63ce38e0580e0aa199c032902d880bbf15c8fd1597efd8992151a5aaa93e315",
 }
 
 
 # sha256 of mc_report.jsonl of the same commands, recorded beside MC_GOLDEN when the
-# experiments came to return the rows that `nshard mc` writes, from the tree before that change
+# experiments came to return the rows that `nshard mc` writes, from the tree before that change;
+# pgd and random re-recorded with MC_GOLDEN, as their alignment row now comes from the chain's stream
 MC_JSONL_GOLDEN = {
     "sgd": "f3399424c444bb81a0536b19bb456ad0bd3159ae5ade24a3fa865f31da85d39e",
-    "pgd": "e0f7c1540bd385b623692bd39af7a8bbee0db0fc9766a5302b519dd110e6535f",
-    "random": "0c2ce4250c4b7a8106ac4fef0573112ff20643ec72775743710fb485f6999b2b",
+    "pgd": "2b5bbe3955c5aba1b1185d2db8f936d773df5975a3203b9aa8e3f7238f4fe362",
+    "random": "2daabc086815bad2ddd4f33265cbb7190dd7a6050977116cb93218d2c47ed5e7",
     "grid": "0cd9e95654f68336b4e48ff4b2b04f089b3065d1cee0382c5a71416f5edd257f",
 }
 
@@ -285,8 +289,9 @@ def test_mc_report_matches_golden_digest(tmp_path, algo):
 
 
 # sha256 of mc_report.csv in extended precision, re-recorded with MC_GOLDEN
-# for the per-role seed layout
-MC_EXTENDED_GOLDEN = "5a0e98dac93124a05f770162f27fcf0dac50a706056469f2930c2218ff3eeacb"
+# for the per-role seed layout, and again as its pgd alignment row now comes
+# from the chain's stream
+MC_EXTENDED_GOLDEN = "8aac0140dd13ccb03c02ad0c99720851f833a87054181056b168031d8922abf1"
 
 
 def test_mc_extended_report_matches_golden_digest(tmp_path):

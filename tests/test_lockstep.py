@@ -16,7 +16,8 @@ import threading
 
 import numpy as np
 import pytest
-from oracle_reference import RowOf, reference_concentration_check, reference_mc_hitting, row_run
+from oracle_reference import (RowOf, reference_chain_concentration_check, reference_concentration_check,
+                              reference_mc_hitting, row_run)
 
 from nshard import oracles
 from nshard.cli import main
@@ -136,15 +137,81 @@ def test_mc_hitting_reference_configs_count_hits_and_depth():
     assert row["jump_ge_2"]["estimate"] > 0
 
 
-@pytest.mark.parametrize("d", [2, 12, 60])
+@pytest.mark.parametrize("d", [2, 3, 12, 60])
 @pytest.mark.parametrize("name", sorted(ALGOS))
 def test_concentration_check_matches_serial_reference(name, d):
+    # grid search runs in d dimensions; the others, at d = 2 and 3 without a chi-square draw, on the chain
+    reference = reference_concentration_check if name == "grid" else reference_chain_concentration_check
     args = dict(d=d, T=8, n_runs=100, seed=d, algorithm=ALGOS[name](), N=4)
     got, got_max = concentration_check(**args)
     args["algorithm"] = ALGOS[name]()
-    want, want_max = reference_concentration_check(**args)
+    want, want_max = reference(**args)
     assert repr(got) == repr(want)
     assert abs(got_max - want_max) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 12])
+def test_concentration_check_after_a_zero_draw_matches_serial_reference(monkeypatch, d):
+    """The algorithm role's first normal draw is all zeros.  Up to d = 3 random search redraws every row, as its
+    reference does; past it the chi-square part keeps each direction off zero, and nothing is redrawn."""
+    made = []
+
+    def generator(seed):  # the algorithm role is the second spawned SeedSequence
+        made.append(ZeroFirstDraw(seed) if getattr(seed, "spawn_key", ())[-1:] == (1,) else default_rng(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", generator)
+    T, args = 8, dict(d=d, n_runs=100, seed=d, N=4)
+    got, got_max = concentration_check(T=T, algorithm=ALGOS["random"](), **args)
+    assert made[1].normal_calls == (T if d <= 3 else T - 1)
+    want, want_max = reference_chain_concentration_check(T=T, algorithm=ALGOS["random"](), **args)
+    assert repr(got) == repr(want)
+    assert abs(got_max - want_max) <= 1e-12
+
+
+def test_concentration_check_queries_do_not_grow_with_d(monkeypatch):
+    """sgd, pgd and random search query (R, 3) rows at any d; grid search queries (R, d).  A spy that sees
+    another shape stops the check before the oracle runs; R is 4 at d = 10^6, so a (R, d) array stays 32 MB."""
+    seen, query = [], oracles.query
+
+    def spy(instance, X):
+        seen.append(X.shape)
+        assert X.shape == want, X.shape
+        return query(instance, X)
+
+    monkeypatch.setattr(oracles, "query", spy)
+    T = 6
+    chains = [(name, d, R, (R, 3)) for name in ("sgd", "pgd", "random") for d, R in ((200, 100), (10**6, 4))]
+    for name, d, R, want in chains + [("grid", 200, 100, (100, 200))]:
+        seen.clear()
+        concentration_check(d=d, T=T, n_runs=R, seed=1, algorithm=ALGOS[name]())
+        assert seen == [want] * T, (name, d)
+
+
+class FullPath:
+    """An algorithm of a class that ``concentration_check`` does not know, which it runs in d dimensions."""
+
+    def __init__(self, algorithm):
+        self.algorithm = algorithm
+
+    def draw(self, rng, R, d):
+        return self.algorithm.draw(rng, R, d)
+
+    def propose(self, t, x, response, draw):
+        return self.algorithm.propose(t, x, response, draw)
+
+
+@pytest.mark.parametrize("d", [4, 10, 24])
+@pytest.mark.parametrize("name,T", [("pgd", 50), ("random", 5)])
+def test_chain_agrees_with_the_full_path_in_law(name, T, d):
+    """A statistical check at fixed seeds: the chain's estimate and the one of d-dimensional runs through the loop
+    that grid search takes, each from 2 000 runs, have overlapping 95 % Wilson intervals.  The estimates lie
+    between 0.1 and 0.8, where each interval is about +-0.02 wide, so a bias of about 0.04 separates them."""
+    algorithm = {"pgd": PerturbedGD, "random": RandomSearch}[name]
+    chain, _ = concentration_check(d=d, T=T, n_runs=2000, seed=31 + d, algorithm=algorithm())
+    full, _ = concentration_check(d=d, T=T, n_runs=2000, seed=71 + d, algorithm=FullPath(algorithm()))
+    assert 0.1 < chain["estimate"] < 0.8 and 0.1 < full["estimate"] < 0.8
+    assert chain["wilson_lo"] <= full["wilson_hi"] and full["wilson_lo"] <= chain["wilson_hi"], (chain, full)
 
 
 def _stack(R, d):
@@ -161,8 +228,9 @@ def any_cpu(monkeypatch):
 
 # sha256 of mc_report.csv and mc_report.jsonl at the montecarlo benchmark's
 # configuration, recorded with every draw made inline, before draws of
-# DRAW_AHEAD numbers moved to a worker thread; the (100, 200) draws of the
-# concentration check are made on the worker now
+# DRAW_AHEAD numbers moved to a worker thread.  The alignment row now comes
+# from the chain's stream, whose (100, 3) draws stay inline; its estimate is 0
+# at d = 200 on both streams, so the bytes did not change
 MC_BENCH_GOLDEN = {
     "pgd": ("f0313d05c374d6b48a88177269f2beedf617df4eb15ab7ad816e3a4d0735d343",
             "0c7701cbf20ed6207ad270371edd1dc43eba9ea37669fa279569d48ac9270e21"),
@@ -172,7 +240,7 @@ MC_BENCH_GOLDEN = {
 
 
 @pytest.mark.parametrize("algo", sorted(MC_BENCH_GOLDEN))
-def test_mc_at_the_benchmark_size_matches_golden_digest(tmp_path, any_cpu, algo):
+def test_mc_at_the_benchmark_size_matches_golden_digest(tmp_path, algo):
     assert main(["mc", "--mode", "desk", "--k", "5", "--rho", "1e-4", "--T", "50", "--d", "200", "--runs", "100",
                  "--algo", algo, "--seed", "0", "--out", str(tmp_path)]) == 0
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
