@@ -219,7 +219,7 @@ class HardInstance:
     def _oracle(self, x):
         """Body of value_and_subgrad; eval_f and min_subgrad call it directly so
         that they are not counted as oracle queries where value_and_subgrad is."""
-        if np.asarray(x).ndim == 2:
+        if np.ndim(x) == 2:
             X = np.ascontiguousarray(x, dtype=float)
             if len(X) == 1 and not self.hbar.stacked:  # one row of one instance is cheaper on the scalar pass
                 try:
@@ -298,26 +298,31 @@ class HardInstance:
                         q = np.where(ramp, row_dots(Z, w_unit) - 0.5 * nz, 0.0)
                         psi[near] -= cap_value(q, self.mu)
                         slope = cap_slope(q, self.mu) if grad else None
-            f[rows] = np.where(psi <= 0.0, 0.0, psi)
+            zero = psi <= 0.0
+            f[rows] = np.where(zero, 0.0, psi)
             if not grad:
                 continue
             Gb = G[rows]
             flat = pnb == 0.0  # the norm kink (or a leading part whose squared norm underflows)
-            np.divide(Xb[:, :-1], (32.0 * np.where(flat, 1.0, pnb))[:, None], out=Gb[:, :-1])  # x_d may overflow it
-            Gb[flat, :-1] = Gb[:, -1] = 0.0
+            kink = flat.any()
+            np.divide(Xb[:, :-1], (32.0 * (np.where(flat, 1.0, pnb) if kink else pnb))[:, None], out=Gb[:, :-1])
+            Gb[:, -1] = 0.0  # set apart, as x_d may overflow the division
+            if kink:
+                Gb[flat, :-1] = 0.0
             if self.has_cap and len(near) and slope.any():  # Gb -= s * (w_unit - Z / (2 nz)) on the near rows
                 np.divide(Z, (2.0 * np.where(ramp, nz, 1.0))[:, None], out=Z)
                 np.subtract(w_unit, Z, out=Z)
                 Z *= slope[:, None]
                 Z[slope == 0.0] = 0.0
                 Gb[near] -= Z
-            if flat.any():  # project the leading part onto the 1/32 ball
+            if kink:  # project the leading part onto the 1/32 ball
                 gp = Gb[flat, :-1]
                 gn = np.sqrt(row_dots(gp, gp))
                 Gb[flat, :-1] = np.where((gn <= NORM_WEIGHT)[:, None], 0.0,
                                          gp * (1.0 - NORM_WEIGHT / np.maximum(gn, NORM_WEIGHT))[:, None])
-            Gb[:, -1] += np.clip(-Gb[:, -1], lo[rows], hi[rows])  # = min(max(-gd, lo), hi), as no slope is 0
-            Gb[psi <= 0.0] = 0.0
+            Gb[:, -1] += np.minimum(np.maximum(-Gb[:, -1], lo[rows]), hi[rows])
+            if zero.any():
+                Gb[zero] = 0.0
         return f, G
 
     def eval_f_batch(self, X: np.ndarray) -> np.ndarray:

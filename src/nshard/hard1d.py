@@ -95,28 +95,29 @@ class PiecewiseAffine1D:
     # -- batch evaluation ------------------------------------------------------
 
     def _arrays(self):
+        """The lookup arrays as floats, built once per table.  A stacked table keeps its breakpoints with a NaN column
+        appended, so that a row's compare with x holds a False; the values and flat breakpoints, each row led by its
+        first, so that count r reads breakpoint max(r - 1, 0); the flat slopes; and each row's flat offset."""
         if self._np is None:
-            self._np = (
-                np.asarray(self.breakpoints, dtype=float),
-                np.asarray(self.values, dtype=float),
-                np.asarray(self.slopes, dtype=float),
-            )
+            b, v, s = (np.asarray(a, dtype=float) for a in (self.breakpoints, self.values, self.slopes))
+            if self.stacked:
+                ext = np.concatenate([b, np.full((len(b), 1), np.nan)], axis=1)
+                lead = np.concatenate([b[:, :1], b], axis=1).ravel()
+                self._np = ext, lead, np.concatenate([v[:1], v]), s.ravel(), np.arange(0, s.size, s.shape[1])
+            else:
+                self._np = b, v, s
         return self._np
 
     def value_and_subdiff_batch(self, x: np.ndarray):
         """``value_and_subdiff`` at each entry of an array x, counting b <= x and b < x.  A stacked
         table looks up x[r] in table r.  On the binary64 tables of ``build_hbar`` it equals the
         scalar lookup in both precisions; an extended ``build_r`` table is read rounded.  b < x
-        counts fewer than b <= x only where x sits on a breakpoint, so only there are ties counted."""
-        if self.stacked:
-            bp, s = self.breakpoints, self.slopes
-            rows, r = np.arange(len(bp)), (bp <= x[:, None]).sum(axis=1)
-            a = np.maximum(r - 1, 0)
-            b, v = bp[rows, a], np.asarray(self.values)[a]
-            on = b == x
-            l = r.copy()
-            l[on] -= (bp[on] == x[on, None]).sum(axis=1)
-            return v + s[rows, r] * (x - b), s[rows, l], s[rows, r]
+        counts fewer than b <= x only where x sits on a breakpoint, so one table counts ties only there."""
+        if self.stacked:  # a sorted row's first False is its count; NaN's column holds one, and a NaN x counts 0
+            ext, b, v, s, off = self._arrays()
+            r, l = (ext <= x[:, None]).argmin(axis=1), (ext < x[:, None]).argmin(axis=1)
+            i = off + r
+            return v[r] + s[i] * (x - b[i]), s[off + l], s[i]
         b, v, s = self._arrays()
         r = np.searchsorted(b, x, side="right")
         a = np.maximum(r - 1, 0)
@@ -344,11 +345,11 @@ class OneDimInstance:
     def value_and_subgrad(self, x):
         """Value and minimal-norm slope from one table lookup; rejects a non-finite x.
         An (R, 1) x is looked up row by row in one batch, row r in table r if stacked."""
-        if np.asarray(x).ndim == 2:
+        if np.ndim(x) == 2:
             x = np.asarray(x, dtype=float)[:, 0]
             reject_rows(np.isfinite(x), lambda r: f"oracle query at a non-finite point x={float(x[r])!r}")
             v, lo, hi = self.pwa.value_and_subdiff_batch(x)
-            return v, np.where(lo > 0, lo, np.where(hi < 0, hi, 0.0))[:, None]
+            return v, np.minimum(np.maximum(lo, 0.0), hi)[:, None]  # lo, hi or +0.0, as no slope is 0
         x0 = float(np.asarray(x, dtype=float).reshape(-1)[0])
         if not math.isfinite(x0):
             raise ValueError(f"oracle query at a non-finite point x={x0!r}")

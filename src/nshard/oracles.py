@@ -61,7 +61,7 @@ class SubgradientDescent:
         self.eta0 = eta0
 
     def propose(self, t, x, response, draw):
-        return x - (self.eta0 / np.sqrt(t)) * response.subgrad
+        return x - (self.eta0 / math.sqrt(t)) * response.subgrad
 
 
 class PerturbedGD(SubgradientDescent):
@@ -80,7 +80,7 @@ class PerturbedGD(SubgradientDescent):
         return rng.standard_normal((R, d)) if self.noise_scale > 0.0 else None
 
     def propose(self, t, x, response, draw):
-        return pgd_step(x, response.subgrad, self.eta0 / np.sqrt(t), self.noise_scale, draw)
+        return pgd_step(x, response.subgrad, self.eta0 / math.sqrt(t), self.noise_scale, draw)
 
 
 class RandomSearch:

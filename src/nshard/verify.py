@@ -152,7 +152,10 @@ def concentration_check(
     u = e_1 and step on min(d, 3)-dimensional instances (past d = 3 pgd and random search as
     ``_Chain``, its chi-square draws from the directions' Generator), at a cost that does not
     grow with d: their row agrees with d-dimensional runs' in law, not bit for bit.  Others
-    (grid search) run in d dimensions against one (n_runs, d - 1) draw of u.
+    (grid search) run in d dimensions against one (n_runs, d - 1) draw of u.  Under sgd, and
+    pgd at noise_scale 0, the leading part stays exactly 0 from the origin (the minimal-norm
+    subgradient has none at the norm kink), so the row reads 0 at every d; the check still
+    makes its T queries, which the information model and the benchmark count.
 
     Returns the row that ``nshard mc`` writes, ``alignment_ge_third_d{d}``: the frequency
     of an alignment of at least 1/3, with its Wilson interval, against T exp(-d/36), which

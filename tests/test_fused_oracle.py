@@ -393,3 +393,32 @@ def test_stacked_cone_filter_keeps_every_row_bit_for_bit(d, rho):
                         assert norms[r:r + 1].tobytes() == np.array([np.linalg.norm(g)]).tobytes(), r
                         assert G[r].tobytes() == g.tobytes(), r
     assert np.all(stack.eval_f_batch(edges[1]) < 1.0)  # x_star of every row: the cap is on
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.25])
+def test_kernel_gates_take_both_ways_in_one_query(rho):
+    """The row kernel skips the norm-kink and zero-region writes in a block without such rows: in a capped stacked
+    query of two blocks, one block has neither, the other a row at pn = 0, a row whose leading part squares to an
+    underflow and a row in the zero region, x_star - w + 20 w_unit.  Each row equals the scalar pass, quietly."""
+    d = 10
+    bits = np.array([[0, 1, 1, 0], [1, 1, 0, 1], [0, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 0]])
+    seeds = [4, 7, 20, 11, 3, 9]
+    stack = build_instance(d, bits, rho=rho, seed=seeds)
+    rows = [build_instance(d, b, rho=rho, seed=s) for b, s in zip(bits, seeds)]
+    X = np.random.default_rng(3).uniform(-1.0, 2.0, size=(6, d))
+    X[3] = stack.x_star[3]  # pn = 0
+    X[4, :-1] = 0.0
+    X[4, 0] = 1e-170  # its square underflows, so pn = 0 too
+    X[5] = stack.x_star[5] - stack.w[5] + 20.0 * stack.w_unit[5]  # q = 10: the cap exceeds h
+    with warnings.catch_warnings(), patch.object(HardInstance, "BLOCK_BYTES", 8 * d * 3):  # blocks of 3 rows
+        warnings.simplefilter("error")
+        values, G = stack.value_and_subgrad(X)
+        f, norms = stack.min_subgrad_norm_batch(X)
+    pn = np.linalg.norm(X[:, :-1], axis=1)
+    assert np.all(pn[:3] > 0.0) and np.all(values[:3] > 0.0)  # the first block has neither gate's rows
+    assert pn[3] == pn[4] == 0.0 and X[4, 0] > 0.0 and values[3] > 0.0 and values[4] > 0.0 and values[5] == 0.0
+    for r, inst in enumerate(rows):
+        v, g = inst.value_and_subgrad(X[r].copy())
+        assert values[r:r + 1].tobytes() == f[r:r + 1].tobytes() == np.array([v]).tobytes(), r
+        assert norms[r:r + 1].tobytes() == np.array([np.linalg.norm(g)]).tobytes(), r
+        assert G[r].tobytes() == g.tobytes(), r

@@ -359,7 +359,8 @@ def test_batch_lookup_equals_scalar_lookup_on_tied_breakpoints():
 
 def test_stacked_lookup_equals_one_table_lookup_at_breakpoints():
     # row r of a stacked lookup reads table r as the one-table branch does, on every breakpoint
-    # of its row (tied ones included at N = 24), beside it, and on other rows' breakpoints
+    # of its row (tied ones included at N = 24), beside it, on other rows' breakpoints, and at
+    # +-1e300 and +-inf
     rng = np.random.default_rng(5)
     for N in (3, 24):
         bits = rng.integers(0, 2, size=(20, N))
@@ -367,9 +368,33 @@ def test_stacked_lookup_equals_one_table_lookup_at_breakpoints():
         b = stack.breakpoints
         assert N < 24 or np.any(np.diff(b, axis=1) == 0.0)
         tables = [build_hbar(row)[0] for row in bits]
-        columns = [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), np.roll(b, 1, axis=0)]
+        far = np.broadcast_to([-np.inf, -1e300, 1e300, np.inf], (len(b), 4))
+        columns = [b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf), np.roll(b, 1, axis=0), far]
         for x in np.concatenate(columns, axis=1).T:
             got = stack.value_and_subdiff_batch(x)
             for r, table in enumerate(tables):
                 want = table.value_and_subdiff_batch(x[r:r + 1])
                 assert [g[r:r + 1].tobytes() for g in got] == [w.tobytes() for w in want], (N, r, x[r])
+        # at NaN both branches read NaN as the value.  Their slopes differ: the stacked branch counts no
+        # breakpoint below NaN and reads the left tail, searchsorted sorts NaN last and reads the right
+        # one.  Neither is exposed, as the oracles reject a non-finite point before the lookup.
+        nan = np.full(len(b), np.nan)
+        assert np.isnan(stack.value_and_subdiff_batch(nan)[0]).all()
+        assert all(np.isnan(table.value_and_subdiff_batch(nan[:1])[0]).all() for table in tables)
+
+
+def test_stacked_lookup_arrays_belong_to_their_table():
+    # the lookup arrays a table caches are its own: after a lookup on a stacked table, its scaled copy
+    # and a table of other bits each read their own slopes, as freshly built tables do
+    rng = np.random.default_rng(8)
+    bits, other = rng.integers(0, 2, size=(2, 20, 6))
+    x = rng.uniform(-0.5, 1.5, 20)
+    fresh = [build_hbar(bits)[0].scale(0.5), build_hbar(other)[0]]
+    want = [[a.tobytes() for a in table.value_and_subdiff_batch(x)] for table in fresh]
+    stack, _ = build_hbar(bits)
+    _, lo, hi = stack.value_and_subdiff_batch(x)
+    for table, w in zip([stack.scale(0.5), build_hbar(other)[0]], want):
+        assert [a.tobytes() for a in table.value_and_subdiff_batch(x)] == w
+    half = stack.scale(0.5).value_and_subdiff_batch(x)
+    assert np.array_equal(half[1], 0.5 * lo) and np.array_equal(half[2], 0.5 * hi)
+    assert not np.array_equal(fresh[1].value_and_subdiff_batch(x)[1], lo)

@@ -22,7 +22,7 @@ from oracle_reference import (RowOf, reference_chain_concentration_check, refere
 from nshard import oracles
 from nshard.cli import main
 from nshard.embed import build_h, build_instance
-from nshard.hard1d import build_1d_instance
+from nshard.hard1d import PiecewiseAffine1D, build_1d_instance
 from nshard.oracles import DRAW_AHEAD, GridSearch, PerturbedGD, RandomSearch, SubgradientDescent, lockstep
 from nshard.verify import concentration_check, mc_hitting
 
@@ -246,6 +246,26 @@ def test_mc_at_the_benchmark_size_matches_golden_digest(tmp_path, algo):
     digests = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                     for name in ("mc_report.csv", "mc_report.jsonl"))
     assert digests == MC_BENCH_GOLDEN[algo]
+
+
+def test_mc_at_the_benchmark_size_makes_one_lookup_per_query(monkeypatch, tmp_path):
+    """The benchmark's `nshard mc` makes 2T stacked queries, T for hitting and T for concentration, and each
+    makes one table lookup."""
+    counts = {"query": 0, "lookup": 0}
+
+    def counted(name, f):
+        def spy(*args):
+            counts[name] += 1
+            return f(*args)
+        return spy
+
+    monkeypatch.setattr(oracles, "query", counted("query", oracles.query))
+    monkeypatch.setattr(PiecewiseAffine1D, "value_and_subdiff_batch",
+                        counted("lookup", PiecewiseAffine1D.value_and_subdiff_batch))
+    T = 50
+    assert main(["mc", "--mode", "desk", "--k", "5", "--rho", "1e-4", "--T", str(T), "--d", "200", "--runs", "100",
+                 "--algo", "pgd", "--seed", "0", "--out", str(tmp_path)]) == 0
+    assert counts == {"query": 2 * T, "lookup": 2 * T}
 
 
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs")
