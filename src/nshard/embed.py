@@ -19,14 +19,14 @@ As w is orthogonal to e_d, with pn = ||x_{1:d-1}|| and x_mid = x_star_d,
 the row kernel skips the cap where the middle bound is negative, the scalar pass where |x_d - x_mid| >= 4 pn + 4 ||w||.
 
 Each point is evaluated by one scalar pass up to the kinks; the oracle (value
-and minimal-norm subgradient) and the structured subdifferential are views of
-it.  Stacks of rows go through one row kernel, in cache-sized blocks, whose rows
-equal the scalar oracle's bit for bit; the value, subgradient-norm and stacked
-oracle batches are views of it.  In both the cap adds no term where its slope is
-0.  The subdifferential's structure is a smooth base vector, a slope interval
-along the last axis (the valley kink), an optional radius-1/32 ball in the
-leading coordinates (the norm kink at x_{1:d-1} = 0), and an optional scaling
-segment to the origin (the max kink); its support function is exact.
+and minimal-norm subgradient) and ``support``, the directional derivatives, are
+views of it.  Stacks of rows go through one row kernel, in cache-sized blocks,
+whose rows equal the scalar oracle's bit for bit; the value, subgradient-norm
+and stacked oracle batches are views of it.  In both the cap adds no term where
+its slope is 0.  ``support`` is the exact support function of the Clarke
+subdifferential: a smooth gradient, a slope interval along the last axis (the
+valley kink), an optional radius-1/32 ball in the leading coordinates (the norm
+kink at x_{1:d-1} = 0), and an optional scaling segment to the origin (the max kink).
 """
 
 from __future__ import annotations
@@ -66,39 +66,6 @@ def cap_slope(z, mu: float):
 
 
 # ---------------------------------------------------------------------------
-# structured subdifferential
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class SubgradientSet:
-    """Clarke subdifferential at a point, as base + interval + ball structure.
-
-    The set is { t * (base + lam e_d + u) } with lam in [ed_lo, ed_hi], u a
-    vector of norm <= ball_radius supported on the first d-1 coordinates, and
-    t in [0,1] when includes_zero else t = 1.
-    """
-
-    dim: int
-    base: np.ndarray
-    ed_lo: float
-    ed_hi: float
-    ball_radius: float = 0.0
-    includes_zero: bool = False
-
-    def support(self, v) -> float:
-        """max over the set of <g, v>; equals the directional derivative."""
-        v = np.asarray(v, dtype=float)
-        s = float(self.base @ v)
-        s += max(self.ed_lo * v[-1], self.ed_hi * v[-1])
-        if self.ball_radius > 0.0:
-            s += self.ball_radius * float(np.linalg.norm(v[:-1]))
-        if self.includes_zero:
-            return max(0.0, s)
-        return s
-
-
-# ---------------------------------------------------------------------------
 # instance construction
 # ---------------------------------------------------------------------------
 
@@ -132,9 +99,10 @@ def choose_w_mu(d: int, rho: float, seed: int = 0) -> Tuple[np.ndarray, float]:
 class HardInstance:
     """Immutable d-dimensional instance; evaluation and subgradients are pure.
 
-    Every query is a view of the scalar pass ``_pass`` or, for (R, d) queries but one row of one instance, the row
-    kernel ``_kernel``.  A stack of R instances, with (R, N) ``bits``, answers row r as instance r from per-row
-    fields: (R, d) ``x_star``, ``w``, ``w_unit`` and ``shift``; (R,) ``w_norm``, ``x_mid`` and ``cone_pad``.
+    Every query is a view of the scalar pass ``_pass`` (the oracle at a point and ``support``) or, for (R, d)
+    queries but one row of one instance, the row kernel ``_kernel``.  A stack of R instances, with (R, N) ``bits``,
+    answers row r as instance r from per-row fields: (R, d) ``x_star``, ``w``, ``w_unit`` and ``shift``; (R,)
+    ``w_norm``, ``x_mid`` and ``cone_pad``.
     """
 
     d: int
@@ -197,9 +165,6 @@ class HardInstance:
             g -= s * (self.w_unit - z / (2.0 * nz))
         return pn, h, h - cap, g, lo, hi
 
-    def eval_h(self, x) -> float:
-        return self._pass(x)[1]
-
     def eval_f(self, x) -> float:
         return self._oracle(x)[0]
 
@@ -209,7 +174,7 @@ class HardInstance:
     def value_and_subgrad(self, x):
         """f(x) and the minimal-norm Clarke subgradient at x.
 
-        The minimal-norm element of ``subgrad(x)``, computed in place: zero
+        The minimal-norm element of the subdifferential (see ``support``), computed in place: zero
         where f = 0, else the leading part projected onto the 1/32 ball at
         the norm kink and the last component clipped by the valley interval.
         Raises ValueError at a non-finite point, as ``_pass`` does.
@@ -241,18 +206,19 @@ class HardInstance:
         g[-1] = gd + min(max(-gd, lo), hi)
         return psi, g
 
-    def subgrad(self, x) -> SubgradientSet:
-        """Clarke subdifferential at x: the zero set where psi < 0, else the smooth
-        gradient with the valley interval, the 1/32 ball at the norm kink and, on
-        the max boundary psi = 0, the scaling to the origin.
-
-        The cap contributes a plain gradient (the ramp composition is continuously
-        differentiable, including at the anchor x_star - w where its gradient vanishes).
-        """
+    def support(self, x, U) -> np.ndarray:
+        """f'(x; u) for each row u of the (n, d) array U, from one ``_pass``: the support function of the Clarke
+        subdifferential, {0} where psi < 0, else g + [lo, hi] e_d, plus the leading 1/32 ball at the norm kink and,
+        where psi = 0, the scaling to the origin (the cap's ramp is C^1: it adds a plain gradient).  Each row equals
+        the scalar ``g @ u + max(lo u_d, hi u_d)``, ball and clip bit for bit: ``row_dots`` takes the same BLAS ddot
+        as ``g @ u`` and ``np.linalg.norm``, and ``np.maximum`` keeps on a tie what ``max`` keeps."""
         pn, _, psi, g, lo, hi = self._pass(x)
         if psi < 0.0:
-            return SubgradientSet(self.d, np.zeros(self.d), 0.0, 0.0)
-        return SubgradientSet(self.d, g, lo, hi, NORM_WEIGHT if pn == 0.0 else 0.0, includes_zero=psi == 0.0)
+            return np.zeros(len(U))
+        s = row_dots(U, g) + np.maximum(hi * U[:, -1], lo * U[:, -1])
+        if pn == 0.0:
+            s += NORM_WEIGHT * np.sqrt(row_dots(U[:, :-1], U[:, :-1]))
+        return np.maximum(s, 0.0) if psi == 0.0 else s
 
     # -- row kernel and its views -------------------------------------------------
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -418,7 +418,7 @@ def invariant_suite(
     embedded section takes ``_samples`` one item ahead through ``ahead`` and draws the Lipschitz points X itself,
     block by block from the copy of rng that ``_samples`` hands it, while the worker draws the matching block of
     noise: each X block is evaluated with its pairs Y = X + noise, in one pass, and dropped.  Its reductions are
-    maxima and minima, so its rows equal whole-array draws'.
+    maxima and minima, so its rows equal whole-array draws' (in the tables and embedded sections NaN-keeping ones).
     """
     if mutate not in (None, "slope"):
         raise ValueError(f"unknown mutation {mutate!r}")
@@ -483,24 +483,25 @@ def invariant_suite(
         bits = random_bits(N, rng)
         clean = build_r(bits, sched)
         table = _mutate_slope(clean) if mutate == "slope" and i == 0 else clean
-        worst_cont = max(worst_cont, max(table.continuity_residuals()))
+        worst_cont = np.maximum(worst_cont, np.max(table.continuity_residuals()))
         sl = np.asarray(table.slopes, dtype=float)
-        worst_mono = min(worst_mono, float(np.min(np.diff(sl))))
+        worst_mono = np.minimum(worst_mono, np.min(np.diff(sl)))
         steps = np.diff(np.asarray(table.slopes))  # raw slopes: an extended step is rounded once
-        worst_merge = min(worst_merge, float(min(steps[steps != 0], default=0.0)))  # the merged table's slope steps
-        slope_lo = min(slope_lo, float(np.min(np.abs(sl))))
-        slope_hi = max(slope_hi, float(np.max(np.abs(sl))))
+        steps = steps[steps != 0]  # the merged table's slope steps
+        worst_merge = np.minimum(worst_merge, float(np.min(steps)) if len(steps) else 0.0)
+        slope_lo = np.minimum(slope_lo, np.min(np.abs(sl)))
+        slope_hi = np.maximum(slope_hi, np.max(np.abs(sl)))
         pieces_ok &= table.piece_count == 2 * N + 4
         r_at_zero_ok &= table(0.0) == 1.0
         xs = rng.uniform(-0.5, 1.5, size=p.dual_points)
         ref = table.eval_batch(xs)
         dual = np.abs(ref - eval_r(bits, xs, sched))
-        worst_dual = max(worst_dual, float(np.max(dual / np.maximum(1.0, np.abs(ref)))))
+        worst_dual = np.maximum(worst_dual, np.max(dual / np.maximum(1.0, np.abs(ref))))
         hbar, x_mid = hard1d.build_hbar(bits, sched, clean)
-        hbar_zero_max = max(hbar_zero_max, hbar(0.0))
+        hbar_zero_max = np.maximum(hbar_zero_max, hbar(0.0))
         grid = rng.uniform(-1.0, 2.0, size=500)
         slack = hbar.eval_batch(grid) - (2.0 + np.abs(grid - x_mid) / 8.0)
-        worst_growth = min(worst_growth, float(np.min(slack)))
+        worst_growth = np.minimum(worst_growth, np.min(slack))
     rep.add("r-continuity", worst_cont <= 1e-9, worst_cont, 1e-9, 1e-9, f"{p.n_instances} tables, N <= {p.max_depth}")
     rep.add("r-convexity", worst_mono >= -1e-12, worst_mono, 0.0, 1e-12, "slope sequence nondecreasing")
     rep.add("r-convexity-strict-merged", worst_merge > 1e-12, worst_merge, 0.0, 1e-12, "after merging collinear pieces")
@@ -526,22 +527,22 @@ def invariant_suite(
                 D = xs.uniform(-3.0, 3.0, size=(n, d))  # a block of X, scaled into the ball of radius 3
                 np.divide(D, np.maximum(1.0, np.sqrt(row_dots(D, D))[:, None] / 3.0), out=D)
                 fx = inst.eval_f_batch(D)
-                min_f = min(min_f, float(np.min(fx)))
+                min_f = np.minimum(min_f, np.min(fx))
                 Yb = next(samples)
                 Yb += D  # Y = X + noise, as IEEE addition commutes
                 D -= Yb
                 dist = np.sqrt(row_dots(D, D))
                 ok = dist > 0
-                worst_lip = max(worst_lip, float(np.max(np.abs(fx - inst.eval_f_batch(Yb))[ok] / dist[ok], initial=0)))
+                worst_lip = np.maximum(worst_lip, np.max(np.abs(fx - inst.eval_f_batch(Yb))[ok] / dist[ok], initial=0))
             for _ in _row_blocks(p.stationarity_points, d):
                 vals, norms = inst.min_subgrad_norm_batch(next(samples))
                 active = vals > 1e-6
                 if np.any(active):
-                    min_stat = min(min_stat, float(np.min(norms[active])))
+                    min_stat = np.minimum(min_stat, np.min(norms[active]))
             for x, V in next(samples):
-                worst_fd = max(worst_fd, _fd_gap(inst, x, V))
+                worst_fd = np.maximum(worst_fd, _fd_gap(inst, x, V))
             far = inst.x_star + np.concatenate([np.zeros(d - 1), [0.4]])
-            cap_inactive_ok &= inst.eval_f(far) == inst.eval_h(far)
+            cap_inactive_ok &= inst.eval_f(far) == replace(inst, w=None).eval_f(far)  # its f is h, as h >= 1
     rep.add("f-lipschitz", worst_lip <= 1.0 + 1e-9, worst_lip, 1.0, 1e-9, f"dims {tuple(p.dims)}")
     rep.add("f-nonnegative", min_f >= 0.0, min_f, 0.0, 0.0)
     rep.add("f-stationarity", min_stat >= 0.02 - 1e-9, min_stat, 0.02, 1e-9, "min-norm subgradient where f > 1e-6")
@@ -555,7 +556,7 @@ def invariant_suite(
         q = rng.uniform(-0.5, 0.5, size=6)
         q[-1] = bp
         kink_pts.append(q)
-    worst_kink = max(_fd_gap(kink_inst, x, rng.standard_normal((p.fd_dirs, 6))) for x in kink_pts)
+    worst_kink = np.max([_fd_gap(kink_inst, x, rng.standard_normal((p.fd_dirs, 6))) for x in kink_pts])
     rep.add("f-directional-derivative-kinks", worst_kink <= 1e-4, worst_kink, 1e-4, 0.0,
             "axis and valley-breakpoint points")
     rep.add("f-cap-inactive", cap_inactive_ok, float(cap_inactive_ok), 1.0, 0.0, "f == h off the cap cone")
@@ -591,14 +592,13 @@ def _skip(rng, k: int):
 
 
 def _fd_gap(inst, x, V, h: float = 1e-6) -> float:
-    """Max gap between forward differences and the support function at x, along each row of V.
+    """Max gap between forward differences and ``inst.support`` at x, along each row of V, normalized.
 
-    Along v the step is at most half the distance to the nearest valley breakpoint and to the nearest cap knee
+    Along u the step is at most half the distance to the nearest valley breakpoint and to the nearest cap knee
     q = 0 or q = mu (q moves at most 3/2 per unit step), so that no kink is differenced across; a point within 1e-9
     of one (a kink point) keeps the step h.  Inside (0, mu) the ramp's curvature 1/(4 mu) still adds up to
-    9 step / (32 mu).  x and the forward points are one ``eval_f_batch`` call.
+    9 step / (32 mu).  x and the forward points are one ``eval_f_batch`` call; a NaN in either stays in the result.
     """
-    s = inst.subgrad(x)
     to_kink = float(np.min(np.abs(np.asarray(inst.hbar.breakpoints) - x[-1])))
     U = V / np.sqrt(row_dots(V, V))[:, None]
     dist = to_kink / np.abs(U[:, -1])
@@ -609,7 +609,4 @@ def _fd_gap(inst, x, V, h: float = 1e-6) -> float:
         knee = min(abs(q), abs(q - inst.mu)) / 1.5
         steps = np.minimum(steps, knee / 2) if knee > 1e-9 else steps
     f = inst.eval_f_batch(np.vstack([x, x + steps[:, None] * U]))
-    worst = 0.0
-    for u, step, fu in zip(U, steps, f[1:]):
-        worst = max(worst, abs((fu - f[0]) / step - s.support(u)))
-    return worst
+    return float(np.max(np.abs((f[1:] - f[0]) / steps - inst.support(x, U)), initial=0.0))

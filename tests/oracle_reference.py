@@ -4,15 +4,19 @@
   projection of the origin onto the convex hull of finitely many points.
 * ``generators``: a finite generating set of a structured subdifferential,
   for feeding ``min_norm_point``.
+* ``LabelledSet``: a Clarke subdifferential as base + valley interval +
+  norm-kink ball + max-kink scaling, with its support function one direction
+  at a time and the branch of the analysis that produced it.
 * ``reference_h``, ``gap``, ``reference_subgrad`` and ``min_norm``: h, the
   cap gap, the structured subdifferential with its case label and its
   minimal-norm element, each computed on its own through ``np.linalg.norm``,
   the table's ``__call__`` and the slope interval of ``value_and_subdiff``,
-  and the vectorized ``cap_value`` / ``cap_slope``.  ``assert_same_set``
-  compares ``subgrad`` with ``reference_subgrad`` field by field.
+  and the vectorized ``cap_value`` / ``cap_slope``.  ``assert_same_support``
+  compares ``HardInstance.support`` with the support of ``reference_subgrad``
+  row by row, on the directions of ``support_directions``.
 * ``composed_value`` / ``composed_subgrad`` / ``composed_1d``: the oracle
   assembled from those parts, which the one-pass ``value_and_subgrad`` (and
-  ``subgrad``, which shares its pass) must reproduce bit for bit.
+  ``support``, which shares its pass) must reproduce bit for bit.
 * ``wedge_slopes`` / ``reference_build_r``: the slopes of a level's wedge,
   and the piece table of r_b from one ``interval`` call per prefix, which
   the prefix sweep of ``build_r`` (one bit string or a stack of them) must
@@ -60,8 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nshard.embed import (NORM_WEIGHT, STATIONARITY_C, SubgradientSet, build_h, build_instance, cap_slope, cap_value,
-                          row_dots)
+from nshard.embed import NORM_WEIGHT, STATIONARITY_C, build_h, build_instance, cap_slope, cap_value, row_dots
 from nshard.hard1d import PiecewiseAffine1D, build_1d_instance
 from nshard.intervals import as_bits, interval, random_bits
 from nshard.oracles import PerturbedGD, RandomSearch, Trajectory, lockstep
@@ -140,7 +143,7 @@ def min_norm_point(points, tol: float = 1e-10, max_iter: int = 10000) -> np.ndar
 
 
 def generators(s, ball_points: int = 0, seed: int = 0):
-    """Finite generating set of a SubgradientSet (the ball is sampled, so approximate)."""
+    """Finite generating set of a LabelledSet (the ball is sampled, so approximate)."""
     ed = np.zeros(s.dim)
     ed[-1] = 1.0
     corners = [s.base + s.ed_lo * ed]
@@ -175,17 +178,54 @@ def gap(inst, y) -> float:
 
 
 @dataclass
-class LabelledSet(SubgradientSet):
-    """A SubgradientSet with the branch of the pointwise analysis that produced it."""
+class LabelledSet:
+    """Clarke subdifferential at a point, as base + interval + ball structure, with the branch of the
+    pointwise analysis that produced it.
 
+    The set is { t * (base + lam e_d + u) } with lam in [ed_lo, ed_hi], u a
+    vector of norm <= ball_radius supported on the first d-1 coordinates, and
+    t in [0,1] when includes_zero else t = 1.
+    """
+
+    dim: int
+    base: np.ndarray
+    ed_lo: float
+    ed_hi: float
+    ball_radius: float = 0.0
+    includes_zero: bool = False
     case: str = ""
 
+    def support(self, v) -> float:
+        """max over the set of <g, v>; equals the directional derivative."""
+        v = np.asarray(v, dtype=float)
+        s = float(self.base @ v)
+        s += max(self.ed_lo * v[-1], self.ed_hi * v[-1])
+        if self.ball_radius > 0.0:
+            s += self.ball_radius * float(np.linalg.norm(v[:-1]))
+        if self.includes_zero:
+            return max(0.0, s)
+        return s
 
-def assert_same_set(s, ref):
-    """s equals the reference set ref in every field but the label, signs of zeros included."""
-    assert s.base.tobytes() == ref.base.tobytes()
-    for name in ("dim", "ed_lo", "ed_hi", "ball_radius", "includes_zero"):
-        assert getattr(s, name) == getattr(ref, name), name
+
+def support_directions(d, rng, n=6) -> np.ndarray:
+    """Rows to compare support functions on: +-e_d, +-e_1 (leading only), the zero row, two rows with u_d = 0.0
+    and -0.0, and n Gaussian rows, a third of whose entries are -0.0."""
+    E = np.eye(d)
+    flat = rng.standard_normal((2, d))
+    flat[:, -1] = [0.0, -0.0]
+    gauss = rng.standard_normal((n, d))
+    gauss[rng.uniform(size=gauss.shape) < 1.0 / 3.0] = -0.0
+    return np.vstack([E[-1], -E[-1], E[0], -E[0], np.zeros(d), flat, gauss])
+
+
+def assert_same_support(inst, x, U, ref=None):
+    """``inst.support(x, U)`` equals the support of the reference set (by default ``reference_subgrad(inst, x)``)
+    row by row, signs of zeros included."""
+    ref = reference_subgrad(inst, x) if ref is None else ref
+    got = inst.support(x, U)
+    assert got.shape == (len(U),)
+    for r, u in enumerate(U):
+        assert got[r:r + 1].tobytes() == np.array([ref.support(u)]).tobytes(), (r, u)
 
 
 def reference_subgrad(inst, x) -> LabelledSet:
@@ -245,7 +285,7 @@ def reference_subgrad(inst, x) -> LabelledSet:
 
 
 def min_norm(s) -> np.ndarray:
-    """The unique minimal-norm element of a SubgradientSet (exact for its structure)."""
+    """The unique minimal-norm element of a LabelledSet (exact for its structure)."""
     if s.includes_zero:
         return np.zeros(s.dim)
     g = np.array(s.base, dtype=float, copy=True)
@@ -625,8 +665,9 @@ def reference_local_decrease_certificates(inst, X, deltas, c) -> list:
 
 
 def _reference_fd_gap(inst, x, n_dirs, rng, h=1e-6) -> float:
-    """The suite's forward-difference gap, drawing each direction from rng on its own."""
-    s = inst.subgrad(x)
+    """The suite's forward-difference gap, drawing each direction from rng on its own, against the support of
+    the reference set."""
+    s = reference_subgrad(inst, x)
     f0 = inst.eval_f(x)
     to_kink = float(np.min(np.abs(np.asarray(inst.hbar.breakpoints) - x[-1])))
     knee = 0.0  # the least distance to a cap knee, q = 0 or q = mu, along any unit direction
@@ -643,7 +684,7 @@ def _reference_fd_gap(inst, x, n_dirs, rng, h=1e-6) -> float:
             step = min(step, knee / 2)
         fd = (inst.eval_f(x + step * v) - f0) / step
         worst = max(worst, abs(fd - s.support(v)))
-    return worst
+    return float(worst)
 
 
 def reference_embedded_checks(rng, p, sched=DEFAULT_SCHEDULE) -> CertificateReport:
@@ -676,7 +717,7 @@ def reference_embedded_checks(rng, p, sched=DEFAULT_SCHEDULE) -> CertificateRepo
             x = rng.uniform(-1.0, 2.0, size=d)
             worst_fd = max(worst_fd, _reference_fd_gap(inst, x, p.fd_dirs, rng))
         far = inst.x_star + np.concatenate([np.zeros(d - 1), [0.4]])
-        cap_inactive_ok &= inst.eval_f(far) == inst.eval_h(far)
+        cap_inactive_ok &= inst.eval_f(far) == reference_h(inst, far)
     rep.add("f-lipschitz", worst_lip <= 1.0 + 1e-9, worst_lip, 1.0, 1e-9, f"dims {tuple(p.dims)}")
     rep.add("f-nonnegative", min_f >= 0.0, min_f, 0.0, 0.0)
     rep.add("f-stationarity", min_stat >= 0.02 - 1e-9, min_stat, 0.02, 1e-9, "min-norm subgradient where f > 1e-6")

@@ -3,7 +3,6 @@ import pytest
 
 from nshard.embed import (
     HardInstance,
-    SubgradientSet,
     build_h,
     build_instance,
     cap_slope,
@@ -12,13 +11,16 @@ from nshard.embed import (
     save_instance,
 )
 from oracle_reference import (
-    assert_same_set,
+    LabelledSet,
+    assert_same_support,
     check_instance_record,
     gap,
     generators,
     min_norm,
     min_norm_point,
+    reference_h,
     reference_subgrad,
+    support_directions,
 )
 
 RHO = 1e-3
@@ -163,8 +165,8 @@ def test_choose_w_mu_direction_spread():
 def test_build_h_contract():
     h = build_h(3, BITS)
     assert not h.has_cap
-    assert h.eval_h(np.zeros(3)) <= 1.5
-    assert h.eval_h(h.x_star) == 1.0
+    assert reference_h(h, np.zeros(3)) <= 1.5
+    assert reference_h(h, h.x_star) == 1.0
     with pytest.raises(ValueError):
         build_h(1, BITS)
 
@@ -220,7 +222,7 @@ def test_f_equals_h_where_cap_inactive(inst):
         z = y + inst.w
         if (inst.w_unit @ z) / np.linalg.norm(z) < 0.5 - 1e-6:
             x = inst.x_star + y
-            assert inst.eval_f(x) == inst.eval_h(x)
+            assert inst.eval_f(x) == reference_h(inst, x)
             count += 1
     assert count > 100
 
@@ -274,21 +276,22 @@ CASE_MIN_NORMS = {
 
 
 def test_case_classification_and_bounds(inst):
+    rng = np.random.default_rng(13)
     for name in list(CASE_MIN_NORMS) + ["zero_region"]:
         x = case_point(inst, name)
-        s, ref = inst.subgrad(x), reference_subgrad(inst, x)
+        ref = reference_subgrad(inst, x)
         assert ref.case == name, f"{name}: got {ref.case}"
-        assert_same_set(s, ref)
+        assert_same_support(inst, x, support_directions(D, rng), ref)
         if name == "zero_region":
             assert inst.eval_f(x) == 0.0
-            assert np.linalg.norm(min_norm(s)) == 0.0
+            assert np.linalg.norm(min_norm(ref)) == 0.0
         else:
             assert inst.eval_f(x) > 0
-            assert np.linalg.norm(min_norm(s)) >= CASE_MIN_NORMS[name] - 1e-12
+            assert np.linalg.norm(min_norm(ref)) >= CASE_MIN_NORMS[name] - 1e-12
 
 
 def test_minimizer_set_structure(inst):
-    s = inst.subgrad(inst.x_star)
+    s = reference_subgrad(inst, inst.x_star)
     assert s.ball_radius == 1.0 / 32.0
     assert s.ed_lo < 0 < s.ed_hi
     # projection of any element away from the last axis has norm >= 3/32
@@ -299,11 +302,13 @@ def test_minimizer_set_structure(inst):
 def test_cap_anchor_reduces_to_h(inst):
     # the ramp gradient vanishes at the anchor, leaving the h subdifferential
     x = inst.x_star - inst.w
-    s = inst.subgrad(x)
+    s = reference_subgrad(inst, x)
     h_only = build_h(D, BITS)
-    sh = h_only.subgrad(x)
+    sh = reference_subgrad(h_only, x)
     assert np.allclose(s.base, sh.base, atol=1e-15)
     assert (s.ed_lo, s.ed_hi) == (sh.ed_lo, sh.ed_hi)
+    U = support_directions(D, np.random.default_rng(14))
+    assert np.allclose(inst.support(x, U), h_only.support(x, U), rtol=0.0, atol=1e-15)
 
 
 def test_stationarity_floor_random(inst):
@@ -354,7 +359,7 @@ def test_zero_region_boundary_bracket(inst):
 
 
 def test_max_boundary_tie_branch():
-    s = SubgradientSet(3, np.array([0.2, 0.0, -0.1]), -0.5, 0.5, 0.0, includes_zero=True)
+    s = LabelledSet(3, np.array([0.2, 0.0, -0.1]), -0.5, 0.5, 0.0, includes_zero=True)
     assert np.all(min_norm(s) == 0.0)
     v = np.array([1.0, 0.0, 0.0])
     assert s.support(v) == pytest.approx(max(0.0, 0.2 + 0.0))
@@ -367,9 +372,8 @@ def test_max_boundary_tie_branch():
 
 
 def fd_gap(inst, x, v, h=1e-6):
-    s = inst.subgrad(x)
     fd = (inst.eval_f(x + h * v) - inst.eval_f(x)) / h
-    return abs(fd - s.support(v))
+    return abs(fd - inst.support(x, v[None])[0])
 
 
 def test_central_differences_match_gradient(inst):
@@ -380,7 +384,7 @@ def test_central_differences_match_gradient(inst):
     checked = 0
     while checked < 100:
         x = rng.uniform(-3, 3, size=D)
-        s = inst.subgrad(x)
+        s = reference_subgrad(inst, x)
         lo_hi_gap = s.ed_hi - s.ed_lo
         if s.ball_radius > 0 or lo_hi_gap != 0.0 or s.includes_zero:
             continue
@@ -494,7 +498,7 @@ def test_min_norm_subgrad_matches_generator_hull(inst):
     rng = np.random.default_rng(12)
     for _ in range(40):
         x = rng.uniform(-1.5, 1.5, size=D)
-        s = inst.subgrad(x)
+        s = reference_subgrad(inst, x)
         analytic = min_norm(s)
         hull = min_norm_point(np.stack(generators(s, ball_points=64, seed=3)), tol=1e-12)
         if s.ball_radius == 0.0:
@@ -507,18 +511,18 @@ def test_min_norm_subgrad_matches_generator_hull(inst):
 
 def test_min_subgrad_matches_min_norm(inst):
     x = inst.x_star + 0.3 * np.eye(D)[0]
-    assert np.array_equal(inst.min_subgrad(x), min_norm(inst.subgrad(x)))
+    assert np.array_equal(inst.min_subgrad(x), min_norm(reference_subgrad(inst, x)))
 
 
 def test_subgradient_set_clipping():
     base = np.array([0.01, 0.0, -0.3])
-    s = SubgradientSet(3, base, -0.5, 0.5, 0.0)
+    s = LabelledSet(3, base, -0.5, 0.5, 0.0)
     g = min_norm(s)
     assert g[-1] == 0.0  # interval absorbs the last component
     assert g[:2] == pytest.approx(base[:2])
-    s2 = SubgradientSet(3, base, 0.4, 0.5, 0.0)
+    s2 = LabelledSet(3, base, 0.4, 0.5, 0.0)
     assert min_norm(s2)[-1] == pytest.approx(-0.3 + 0.4)
-    s3 = SubgradientSet(3, np.array([0.01, 0.0, 0.0]), 0.0, 0.0, 1.0 / 32.0)
+    s3 = LabelledSet(3, np.array([0.01, 0.0, 0.0]), 0.0, 0.0, 1.0 / 32.0)
     assert np.linalg.norm(min_norm(s3)) == 0.0  # ball absorbs the small base
 
 

@@ -1,10 +1,11 @@
 """The one-pass oracle against the oracle composed from its separate parts.
 
-``HardInstance.value_and_subgrad`` and ``HardInstance.subgrad`` are views of
+``HardInstance.value_and_subgrad`` and ``HardInstance.support`` are views of
 one scalar pass that computes the leading norm, the table lookup and the cap
 gap once each; the reference in ``oracle_reference`` recomputes them on its
 own, through ``np.linalg.norm``, the table's ``__call__`` and ``subdiff``,
-``cap_value`` and ``cap_slope``.  The arithmetic is the same, so the outputs
+``cap_value`` and ``cap_slope``, and takes the support of its set one
+direction at a time.  The arithmetic is the same, so the outputs
 must be equal exactly, not within a tolerance.  Points are drawn at random and also on every kink: the last
 axis, valley breakpoints, x_star, the cap anchor x_star - w, the cap band
 where the ramp is quadratic, the zero region, and (for the batch entry
@@ -27,13 +28,15 @@ from nshard.embed import HardInstance, build_h, build_instance
 from nshard.hard1d import build_1d_instance
 from nshard.schedule import DEFAULT_SCHEDULE, AngleSchedule
 from oracle_reference import (
-    assert_same_set,
+    assert_same_support,
     composed_1d,
     composed_subgrad,
     composed_value,
     gap,
     max_boundary_ties,
+    reference_h,
     reference_subgrad,
+    support_directions,
 )
 
 EXTENDED = AngleSchedule("extended")
@@ -89,13 +92,13 @@ def _point(inst, kind, rng):
     return x
 
 
-def _assert_same(inst, x):
+def _assert_same(inst, x, U):
     v, g = inst.value_and_subgrad(x)
     assert v == composed_value(inst, x)
     assert np.array_equal(g, composed_subgrad(inst, x))
     assert inst.eval_f(x) == v
     assert np.array_equal(inst.min_subgrad(x), g)
-    assert_same_set(inst.subgrad(x), reference_subgrad(inst, x))
+    assert_same_support(inst, x, U)
 
 
 @SETTINGS
@@ -104,7 +107,7 @@ def test_fused_oracle_matches_composition(inst, seed):
     rng = np.random.default_rng(seed)
     for kind in KINDS:
         for _ in range(3):
-            _assert_same(inst, _point(inst, kind, rng))
+            _assert_same(inst, _point(inst, kind, rng), support_directions(inst.d, rng))
 
 
 def _assert_batch_rows_equal_scalar(inst, X):
@@ -228,12 +231,13 @@ def test_far_out_capped_answers_are_cap_free_and_quiet(d, rho):
     capped, free = build_instance(d, "0110", rho=rho, seed=d), build_h(d, "0110")
     X = np.random.default_rng(d).uniform(-3.0, 3.0, size=(6, d))
     X[:, -1] = [1e155, -1e155, 1e200, -1e200, 1e300, -1e300]
+    U = support_directions(d, np.random.default_rng(d))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x in X:
             (vc, gc), (vf, gf) = capped.value_and_subgrad(x), free.value_and_subgrad(x)
-            assert (vc, capped.eval_h(x), gc.tobytes()) == (vf, free.eval_h(x), gf.tobytes())
-            assert_same_set(capped.subgrad(x), free.subgrad(x))
+            assert (vc, reference_h(capped, x), gc.tobytes()) == (vf, reference_h(free, x), gf.tobytes())
+            assert capped.support(x, U).tobytes() == free.support(x, U).tobytes()
         assert capped.eval_f_batch(X).tobytes() == free.eval_f_batch(X).tobytes()
         for a, b in zip(capped.min_subgrad_norm_batch(X), free.min_subgrad_norm_batch(X)):
             assert a.tobytes() == b.tobytes()
@@ -323,12 +327,31 @@ def test_engineered_points_hit_every_branch():
     assert "max_boundary" not in cases
     ties = max_boundary_ties(inst, span=64)
     assert ties and {reference_subgrad(inst, x).case for x in ties} == {"max_boundary"}
-    for x in ties:
-        assert inst.subgrad(x).includes_zero
+    for x in ties:  # the scaling to the origin: no direction descends
+        assert np.all(inst.support(x, support_directions(inst.d, rng)) >= 0.0)
     assert cases & {"slice_cap_band_near", "slice_cap_band_far"}
     band = [_point(inst, "cap_band", rng) for _ in range(20)]
     gaps = [gap(inst, x - inst.x_star) for x in band]
     assert all(0.0 < q <= inst.mu * (1 + 1e-9) for q in gaps)
+
+
+@pytest.mark.parametrize("sched", [DEFAULT_SCHEDULE, EXTENDED], ids=["binary64", "extended"])
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_support_equals_the_reference_sets_support_at_every_case(d, sched):
+    """At every case label that the engineered points and ``max_boundary_ties`` reach, capped and cap-free,
+    ``support`` equals the reference set's support row by row, by bytes, on +-e_d, rows with u_d = +-0.0, leading-only
+    rows and Gaussian rows with -0.0 entries."""
+    rng = np.random.default_rng(d)
+    cases = set()
+    for inst in (build_instance(d, "0110", rho=0.25, seed=2, sched=sched), build_h(d, "0110", sched)):
+        points = [_point(inst, kind, rng) for kind in KINDS for _ in range(20)]
+        points += max_boundary_ties(inst, span=64) if inst.has_cap else []
+        for x in points:
+            ref = reference_subgrad(inst, x)
+            cases.add(ref.case)
+            assert_same_support(inst, x, support_directions(d, rng), ref)
+    assert {"no_cap", "zero_region", "max_boundary", "at_minimizer", "at_cap_anchor", "off_slice"} <= cases
+    assert d == 2 or cases & {"slice_cap_band_near", "slice_cap_band_far"}  # at d = 2 the slice has no band
 
 
 @SETTINGS
@@ -355,7 +378,7 @@ def test_oracle_rejects_non_finite_points(bad, where):
         with pytest.raises(ValueError, match="non-finite"):
             inst.eval_f(x)
         with pytest.raises(ValueError, match="non-finite"):
-            inst.subgrad(x)
+            inst.support(x, np.eye(4))
     with pytest.raises(ValueError, match="non-finite"):
         build_1d_instance("01").value_and_subgrad(np.array([bad]))
 

@@ -15,6 +15,11 @@ imports ``csv``.
 
 The step loop has one oracle path: ``oracles.lockstep`` calls ``query`` at
 one site, once per step for all rows, and never tests for a list of instances.
+
+Code kept only for cross-checking lives in ``tests/``: each public module-level
+name of ``src/nshard`` and each public ``HardInstance`` method is read outside
+``tests/``, by another line of ``src``, a demo, the benchmark (its code or a
+``nshard.module:qualname`` target of its tracer) or the README's code.
 """
 
 import ast
@@ -58,6 +63,58 @@ def test_every_name_a_user_imports_is_exported():
 def test_every_export_has_a_user():
     readme_calls = set(re.findall(r"`([A-Za-z_]\w*)\(", README))
     assert exported() <= user_imports() | readme_calls
+
+
+def public_names() -> dict:
+    """The public module-level names of src/nshard (functions, classes, constants) as ``module.name``, and the
+    public methods of HardInstance as ``HardInstance.name``, each mapped to its bare name."""
+    names = {}
+    for path in sorted((ROOT / "src" / "nshard").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            names.update({f"{path.stem}.{n}": n for n in defined if not n.startswith("_")})
+            if isinstance(node, ast.ClassDef) and node.name == "HardInstance":
+                names.update({f"HardInstance.{m.name}": m.name for m in node.body
+                              if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")})
+    return names
+
+
+def referenced(source: str) -> set:
+    """The names that source reads, as names or attributes, and the parts of its ``nshard.module:qualname``
+    strings (the benchmark tracer's targets)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            for target in re.findall(r"nshard\.\w+:([\w.]+)", node.value):
+                names |= set(target.split("."))
+    return names
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    sources = [p.read_text() for p in sorted((ROOT / "src" / "nshard").glob("*.py")) if p.name != "__init__.py"]
+    sources += [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
+    sources += [p.read_text() for p in sorted((ROOT / "bench").rglob("*.py")) if "tests" not in p.parts]
+    sources += re.findall(r"```python\n(.*?)```", README, flags=re.S)
+    users = set().union(*map(referenced, sources)) | set(re.findall(r"`([A-Za-z_]\w*)\(", README))
+    assert {key for key, name in public_names().items() if name not in users} == set()
+
+
+def test_public_names_and_referenced_see_every_kind():
+    names = public_names()
+    assert {"embed.HardInstance", "embed.row_dots", "embed.NORM_WEIGHT", "HardInstance.support"} <= set(names)
+    assert not any(name.startswith("_") for name in names.values())
+    source = 'X = 1\nf(a.b)\nc.d = 2\nT = "nshard.embed:HardInstance.min_subgrad"\ndef g():\n    pass'
+    assert referenced(source) == {"f", "a", "b", "c", "HardInstance", "min_subgrad"}
 
 
 def schedule_type_tests(source: str) -> list:

@@ -6,7 +6,7 @@ import pytest
 from oracle_reference import _reference_fd_gap, full_arc_flows, merged, reference_local_decrease_certificates
 
 from nshard import cli, hard1d, verify
-from nshard.embed import STATIONARITY_C, SubgradientSet, build_instance
+from nshard.embed import STATIONARITY_C, HardInstance, build_instance
 from nshard.hard1d import build_1d_instance, build_r
 from nshard.oracles import PerturbedGD, RandomSearch, run
 from nshard.schedule import AngleSchedule
@@ -377,6 +377,49 @@ def test_invariant_suite_rejects_unknown_mutation():
         invariant_suite(mutate="values")
 
 
+def test_a_nan_row_of_the_kernel_fails_the_embedded_rows(monkeypatch):
+    """A row kernel that answers one row of each call with NaN fails the Lipschitz, nonnegativity and both
+    directional-derivative rows, each measuring NaN: the running reductions keep a NaN where builtin max and min
+    drop it (max(0.0, nan) is 0.0)."""
+    kernel = HardInstance._kernel
+
+    def nan_row(self, X, grad=False, pn=None):
+        f, G = kernel(self, X, grad, pn)
+        f[0] = np.nan
+        if G is not None:
+            G[0] = np.nan
+        return f, G
+
+    monkeypatch.setattr(HardInstance, "_kernel", nan_row)
+    rows = {c.name: c for c in invariant_suite(seed=0).checks}
+    for name in ("f-lipschitz", "f-nonnegative", "f-directional-derivative", "f-directional-derivative-kinks"):
+        assert not rows[name].passed and math.isnan(rows[name].measured), rows[name]
+
+
+def test_a_nan_in_the_tables_section_fails_its_row(monkeypatch):
+    """The recursive evaluator answering NaN at one point of each table fails ``r-dual-representation``, and a NaN
+    slope in the middle of each table fails ``r-convexity-strict-merged``, each measuring NaN."""
+    eval_r, build_r = verify.eval_r, verify.build_r
+
+    def nan_point(bits, xs, sched):
+        out = eval_r(bits, xs, sched)
+        out[0] = np.nan
+        return out
+
+    def nan_slope(bits, sched):
+        table = build_r(bits, sched)
+        slopes = list(table.slopes)
+        slopes[len(slopes) // 2] = math.nan
+        return hard1d.PiecewiseAffine1D(list(table.breakpoints), list(table.values), slopes)
+
+    for name, target, fake in (("r-dual-representation", "eval_r", nan_point),
+                               ("r-convexity-strict-merged", "build_r", nan_slope)):
+        with monkeypatch.context() as patched:
+            patched.setattr(verify, target, fake)
+            row = next(c for c in invariant_suite(seed=0).checks if c.name == name)
+        assert not row.passed and math.isnan(row.measured), row
+
+
 # the benchmark's invariants sizes at its workload seed 610; a point of the d = 50 draw lies
 # 3.05e-7 from a valley breakpoint, where a forward step of 1e-6 measured 3.9e-4
 NEAR_KINK = dict(seed=401775898, params=SuiteParams(lipschitz_pairs=20000, stationarity_points=20000,
@@ -413,8 +456,8 @@ def test_directional_derivative_steps_short_of_a_near_breakpoint():
 
 
 def test_directional_derivative_catches_a_last_axis_slope_fault(monkeypatch):
-    support = SubgradientSet.support
-    monkeypatch.setattr(SubgradientSet, "support", lambda self, v: support(self, v) + 1e-3 * v[-1])
+    support = HardInstance.support
+    monkeypatch.setattr(HardInstance, "support", lambda self, x, U: support(self, x, U) + 1e-3 * U[:, -1])
     failed = {c.name for c in invariant_suite(**NEAR_KINK).failed()}
     assert "f-directional-derivative" in failed
 
@@ -445,7 +488,7 @@ def test_forward_difference_keeps_to_one_side_of_a_cap_knee():
     assert inst.w_unit @ z - np.linalg.norm(z) / 2 == pytest.approx(-0.084 * inst.mu, rel=1e-6)
     u = inst.w_unit + 0.01 * np.eye(6)[-1]  # q grows by about 3/4 per unit step along u
     u /= np.linalg.norm(u)
-    f0, support = inst.eval_f(x), inst.subgrad(x).support(u)
+    f0, support = inst.eval_f(x), inst.support(x, u[None])[0]
     assert abs((inst.eval_f(x + 1e-6 * u) - f0) / 1e-6 - support) > 1e-3  # the step of 1e-6 crosses q = 0
     assert abs((inst.eval_f(x + 1e-8 * u) - f0) / 1e-8 - support) < 1e-5
     assert verify._fd_gap(inst, x, u[None]) < 1e-5
