@@ -35,8 +35,7 @@ from .verify import (
 
 @dataclass
 class RunConfig:
-    """Every command's settings, with their defaults; each field but
-    ``mutate`` is both a ``--flag`` and a ``--config`` key."""
+    """Every command's settings, with their defaults; each field is both a ``--flag`` and a ``--config`` key."""
 
     mode: str = "desk"
     T: int = 30
@@ -54,11 +53,10 @@ class RunConfig:
     delta: float = 1.0
     resolution: float = 0.25
     radius: float = 1.0
-    mutate: bool = False
 
 
 TYPES = typing.get_type_hints(RunConfig)
-KEYS = [f.name for f in fields(RunConfig) if f.name != "mutate"]
+KEYS = [f.name for f in fields(RunConfig)]
 _schedule = functools.cache(AngleSchedule)  # one schedule per precision, its caches kept across commands
 CHOICES = {
     "mode": ["theory", "desk"],
@@ -74,7 +72,7 @@ def _resolve_config(args) -> RunConfig:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
-        written = ("log2_inv_rho", "resolved_k", "resolved_N", "mutate")  # _write_config's keys beside KEYS
+        written = ("log2_inv_rho", "resolved_k", "resolved_N")  # _write_config's keys beside KEYS
         derived = {key: cfg.pop(key) for key in written if key in cfg}
         unknown = set(cfg) - set(KEYS)
         if unknown:
@@ -84,14 +82,14 @@ def _resolve_config(args) -> RunConfig:
             want = (int, float) if TYPES[key] is float else TYPES[key]
             if isinstance(val, bool) or not isinstance(val, want):
                 raise ValueError(f"config key {key!r} must be {TYPES[key].__name__}, got {val!r}")
-        # as _write_config writes them for these settings: their ScheduleParams, in order, and mutate false
-        for key, want in zip(written, (*_params(RunConfig(**cfg)), False) if derived else ()):
+        # as _write_config writes them for these settings: their ScheduleParams, in order
+        for key, want in zip(written, _params(RunConfig(**cfg)) if derived else ()):
             if key in derived and repr(derived[key]) != repr(want):
                 raise ValueError(f"config key {key!r} is {derived[key]!r}, but these settings write {want!r}")
     for key in KEYS:
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
-    return RunConfig(mutate=getattr(args, "mutate", False), **cfg)
+    return RunConfig(**cfg)
 
 
 def _require_out(cfg: RunConfig) -> str:
@@ -161,8 +159,7 @@ def _write_slices(inst, path, n: int = 2001) -> None:
 
 def cmd_check(cfg: RunConfig) -> int:
     out = _require_out(cfg)
-    report = invariant_suite(seed=cfg.seed, mutate="slope" if cfg.mutate else None,
-                             sched=_schedule(cfg.precision))
+    report = invariant_suite(seed=cfg.seed, sched=_schedule(cfg.precision))
     report.write_csv(os.path.join(out, "report.csv"))
     report.write_jsonl(os.path.join(out, "report.jsonl"))
     print(report.summary())
@@ -244,10 +241,7 @@ def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="nshard", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("build", "check", "run", "mc"):
-        sp = sub.add_parser(name)
-        _add_common(sp)
-        if name == "check":
-            sp.add_argument("--mutate", action="store_true", help="inject a slope fault (suite must fail)")
+        _add_common(sub.add_parser(name))
     return parser
 
 

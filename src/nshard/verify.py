@@ -389,39 +389,18 @@ class SuiteParams:
     rho: float = 1e-3
 
 
-def _mutate_slope(pwa):
-    """Bump the first slope of an equal-slope adjacent pair by 1e-3.
-
-    Such a pair always exists (a tail continues collinearly into the first
-    wedge branch on one side), and the bump inverts the slope order there.
-    """
-    slopes = list(pwa.slopes)
-    for j in range(len(slopes) - 1):
-        if slopes[j] == slopes[j + 1]:
-            slopes[j] = slopes[j] + 1e-3
-            break
-    else:
-        slopes[0] = slopes[0] + 1e-3
-    return hard1d.PiecewiseAffine1D(list(pwa.breakpoints), list(pwa.values), slopes)
-
-
 def invariant_suite(
     seed: int = 0,
     params: Optional[SuiteParams] = None,
-    mutate: Optional[str] = None,
     sched: AngleSchedule = DEFAULT_SCHEDULE,
 ) -> CertificateReport:
     """Re-check every structural invariant on fresh random instances.
 
-    ``mutate="slope"`` injects a slope fault into one 1D table to demonstrate
-    that the suite detects broken convexity; the ``hbar`` rows stay on the clean table.  The
-    embedded section takes ``_samples`` one item ahead through ``ahead`` and draws the Lipschitz points X itself,
+    The embedded section takes ``_samples`` one item ahead through ``ahead`` and draws the Lipschitz points X itself,
     block by block from the copy of rng that ``_samples`` hands it, while the worker draws the matching block of
     noise: each X block is evaluated with its pairs Y = X + noise, in one pass, and dropped.  Its reductions are
     maxima and minima, so its rows equal whole-array draws' (in the tables and embedded sections NaN-keeping ones).
     """
-    if mutate not in (None, "slope"):
-        raise ValueError(f"unknown mutation {mutate!r}")
     p = params or SuiteParams()
     rng = np.random.default_rng(seed)
     rep = CertificateReport()
@@ -478,11 +457,10 @@ def invariant_suite(
     hbar_zero_max = 0.0
     pieces_ok = True
     r_at_zero_ok = True
-    for i in range(p.n_instances):
+    for _ in range(p.n_instances):
         N = int(rng.integers(1, p.max_depth + 1))
         bits = random_bits(N, rng)
-        clean = build_r(bits, sched)
-        table = _mutate_slope(clean) if mutate == "slope" and i == 0 else clean
+        table = build_r(bits, sched)
         worst_cont = np.maximum(worst_cont, np.max(table.continuity_residuals()))
         sl = np.asarray(table.slopes, dtype=float)
         worst_mono = np.minimum(worst_mono, np.min(np.diff(sl)))
@@ -497,7 +475,7 @@ def invariant_suite(
         ref = table.eval_batch(xs)
         dual = np.abs(ref - eval_r(bits, xs, sched))
         worst_dual = np.maximum(worst_dual, np.max(dual / np.maximum(1.0, np.abs(ref))))
-        hbar, x_mid = hard1d.build_hbar(bits, sched, clean)
+        hbar, x_mid = hard1d.build_hbar(bits, sched, table)
         hbar_zero_max = np.maximum(hbar_zero_max, hbar(0.0))
         grid = rng.uniform(-1.0, 2.0, size=500)
         slack = hbar.eval_batch(grid) - (2.0 + np.abs(grid - x_mid) / 8.0)

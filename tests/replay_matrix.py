@@ -66,7 +66,6 @@ COMMANDS = [
     "run --noise -0.5",
     "mc --runs 10",
     "check --seed 0",
-    "check --seed 0 --mutate",
     "check --seed 0 --precision extended",
 ]
 

@@ -5,6 +5,7 @@ import json
 import os
 import warnings
 
+import mutants
 import numpy as np
 import pytest
 from oracle_reference import check_instance_record
@@ -87,7 +88,8 @@ def test_extended_check_passes_every_row(tmp_path):
 def test_check_mutation_fails_but_writes_report(tmp_path):
     out = tmp_path / "o"
     out.mkdir()
-    rc = main(["check", "--seed", "0", "--out", str(out), "--mutate"])
+    with mutants.BY_NAME["table-slope-bump"].patch():
+        rc = main(["check", "--seed", "0", "--out", str(out)])
     assert rc == 1
     rows = list(csv.DictReader((out / "report.csv").open()))
     failed = [r["check"] for r in rows if r["passed"] == "0"]
@@ -181,6 +183,7 @@ def test_config_json_replays_its_command(tmp_path, monkeypatch, argv):
 @pytest.mark.parametrize("key, value", [("log2_inv_rho", 9.0), ("resolved_k", 5), ("resolved_N", 4.0),
                                         ("resolved_N", True), ("mutate", True), ("mutate", 0)])
 def test_config_refuses_a_resolved_key_the_settings_do_not_give(tmp_path, capsys, key, value):
+    # "mutate" is no longer written at all, so a file carrying it fails the unknown-key rule instead
     out = tmp_path / "o"
     out.mkdir()
     assert main(["build", "--mode", "desk", "--d", "3", "--k", "3", "--rho", "1e-3", "--out", str(out)]) == 0
@@ -190,7 +193,25 @@ def test_config_refuses_a_resolved_key_the_settings_do_not_give(tmp_path, capsys
     cfgp.write_text(json.dumps(cfg))
     capsys.readouterr()
     assert main(["build", "--config", str(cfgp), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: config key {key!r} is {value!r}")
+    want = "error: unknown config keys: ['mutate']" if key == "mutate" else f"error: config key {key!r} is {value!r}"
+    assert capsys.readouterr().err.startswith(want)
+
+
+def test_config_refuses_the_mutate_key_and_flag(tmp_path, capsys):
+    # config.json no longer carries "mutate": false, and a file that still does fails the unknown-key rule
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["build", "--mode", "desk", "--d", "3", "--k", "3", "--rho", "1e-3", "--out", str(out)]) == 0
+    cfg = json.loads((out / "config.json").read_text())
+    assert "mutate" not in cfg
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({**cfg, "mutate": False}))
+    capsys.readouterr()
+    assert main(["build", "--config", str(cfgp), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: ['mutate']\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--mutate", "--out", str(out)])
+    assert exc.value.code == 2
 
 
 def test_run_unknown_algorithm_from_config(tmp_path):

@@ -15,6 +15,7 @@ row on the same points, in both precisions: both read the binary64 table.
 """
 
 import dataclasses
+import itertools
 import warnings
 from unittest.mock import patch
 
@@ -199,6 +200,25 @@ def test_flat_ramp_adds_no_cap_term_in_either_path():
     _assert_batch_rows_equal_scalar(inst, np.array(flat + band))
 
 
+@pytest.mark.parametrize("d, seed", [(3, 0), (4, 3), (5, 1)])
+def test_kernel_keeps_the_signed_zeros_of_flat_rows_beside_a_cone_row(d, seed):
+    # a cone row (slope 1/4) sends its block's near rows through Gb[near] -= Z; on a near row where q <= 0
+    # the slope is 0 and 0 * (w_unit - z / (2 ||z||)) is -0.0 at a -0.0 leading entry with w_i < 0, where
+    # z_i = w_i and ||z|| > ||w|| / 2: the kernel must subtract +0.0 there, or -0.0 - -0.0 turns it +0.0
+    inst = build_instance(d, "0110", rho=0.25, seed=seed)
+    wu, wn = inst.w_unit, inst.w_norm
+    flat = []
+    for j, s in itertools.product(np.flatnonzero(inst.w > 0), (1.0, 1.5, 2.0)):  # toward the anchor, off w
+        x = inst.x_star - s * wn * np.eye(d)[j]
+        x[inst.w < 0] = -0.0
+        reach = x @ wu + wn - 0.5 * max(0.0, np.linalg.norm(x[:-1]) - wn)  # the kernel's bound on the gap
+        if gap(inst, x - inst.x_star) <= 0.0 < reach:
+            flat.append(x)
+    cone = inst.x_star + 0.5 * wu
+    assert gap(inst, cone - inst.x_star) > inst.mu and len(flat) > 0
+    _assert_batch_rows_equal_scalar(inst, np.array([cone, *flat]))
+
+
 @pytest.mark.parametrize("d", [2, 3, 10, 60])
 def test_cap_offset_is_one_addition(d):
     # x + shift is (x - x_star) + w bit for bit, as x_star is 0 off the last axis, w is 0 on it and
@@ -254,9 +274,14 @@ def test_scalar_oracle_is_quiet_where_only_the_cap_norm_overflows():
 
 def _cone_edge_rows(inst, rng):
     """Rows where the cone filter decides: reach within +-1e-9 of 0, the cone's surface, the anchor and the
-    cone axis on both sides of it, +-0.0 entries and x_d = +-1e300."""
+    cone axis on both sides of it, one and two ulps of each w_i from the anchor toward w (where q may round
+    above 0 and reach below it, so that only the filter's rounding margin keeps the cap), +-0.0 entries and
+    x_d = +-1e300."""
     d, wu, anchor, wn = inst.d, inst.w_unit, inst.x_star - inst.w, inst.w_norm
     rows = [anchor, inst.x_star]
+    ulps = np.zeros(d)
+    ulps[:-1] = np.spacing(np.abs(inst.w[:-1])) * np.sign(inst.w[:-1])
+    rows += [anchor + k * ulps for k in (1, 2)]
     rows += [anchor + t * wu for t in (-1.0, -1e-3, -1e-9, -1e-12, 1e-12, 1e-9, inst.mu, 0.5, 20.0)]
     for t in (-1e-9, -3e-10, -1e-11, 0.0, 1e-11, 3e-10, 1e-9):  # reach = t, through x_d
         x = rng.uniform(-3.0, 3.0, size=d)
