@@ -265,14 +265,14 @@ class HardInstance:
                         psi[near] -= cap_value(q, self.mu)
                         slope = cap_slope(q, self.mu) if grad else None
             zero = psi <= 0.0
-            f[rows] = np.where(zero, 0.0, psi)
+            nzero = np.count_nonzero(zero)
+            f[rows] = np.where(zero, 0.0, psi) if nzero else psi
             if not grad:
                 continue
             Gb = G[rows]
             flat = pnb == 0.0  # the norm kink (or a leading part whose squared norm underflows)
-            kink = flat.any()
+            kink = np.count_nonzero(flat)
             np.divide(Xb[:, :-1], (32.0 * (np.where(flat, 1.0, pnb) if kink else pnb))[:, None], out=Gb[:, :-1])
-            Gb[:, -1] = 0.0  # set apart, as x_d may overflow the division
             if kink:
                 Gb[flat, :-1] = 0.0
             if self.has_cap and len(near) and slope.any():  # Gb -= s * (w_unit - Z / (2 nz)) on the near rows
@@ -280,14 +280,17 @@ class HardInstance:
                 np.subtract(w_unit, Z, out=Z)
                 Z *= slope[:, None]
                 Z[slope == 0.0] = 0.0
+                Gb[:, -1] = 0.0  # set apart from the division, which x_d may overflow
                 Gb[near] -= Z
+                Gb[:, -1] += np.minimum(np.maximum(-Gb[:, -1], lo[rows]), hi[rows])
+            else:  # the line above without a cap term, 0.0 + min(max(-0.0, lo), hi), as no slope is 0
+                Gb[:, -1] = np.minimum(np.maximum(lo[rows], 0.0), hi[rows])
             if kink:  # project the leading part onto the 1/32 ball
                 gp = Gb[flat, :-1]
                 gn = np.sqrt(row_dots(gp, gp))
                 Gb[flat, :-1] = np.where((gn <= NORM_WEIGHT)[:, None], 0.0,
                                          gp * (1.0 - NORM_WEIGHT / np.maximum(gn, NORM_WEIGHT))[:, None])
-            Gb[:, -1] += np.minimum(np.maximum(-Gb[:, -1], lo[rows]), hi[rows])
-            if zero.any():
+            if nzero:
                 Gb[zero] = 0.0
         return f, G
 
@@ -303,10 +306,10 @@ class HardInstance:
 
 
 def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dot product of each row of A with that row of B, or with B if it is one vector: a stacked
-    (1, k) by (k, 1) matmul, which takes BLAS ddot per row as ``a.dot(b)`` and ``np.linalg.norm``
-    do for one row (``np.linalg.norm(axis=1)`` and ``einsum`` sum in another order)."""
-    return np.matmul(A[:, None, :], B[..., None])[:, 0, 0]
+    """Dot product of each row of A with that row of B, or with B if it is one vector: ``np.vecdot``, whose
+    float64 loop takes BLAS ddot per row as ``a.dot(b)`` and ``np.linalg.norm`` do for one row
+    (``np.linalg.norm(axis=1)`` and ``einsum`` sum in another order)."""
+    return np.vecdot(A, B)
 
 
 def build_h(d: int, bits: BitsLike, sched: AngleSchedule = DEFAULT_SCHEDULE) -> HardInstance:

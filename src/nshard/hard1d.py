@@ -43,8 +43,8 @@ def eq_fields(self, other):
 
 
 def reject_rows(ok, message):
-    """Raise a ValueError naming the first row r where ``ok`` is False, with message(r)."""
-    if not ok.all():
+    """Raise a ValueError naming the first row r where the 1-D ``ok`` is False, with message(r) (one count of ok)."""
+    if np.count_nonzero(ok) < ok.size:
         raise ValueError(f"row {np.argmin(ok)}: {message(np.argmin(ok))}")
 
 
@@ -112,12 +112,15 @@ class PiecewiseAffine1D:
         """``value_and_subdiff`` at each entry of an array x, counting b <= x and b < x.  A stacked
         table looks up x[r] in table r.  On the binary64 tables of ``build_hbar`` it equals the
         scalar lookup in both precisions; an extended ``build_r`` table is read rounded.  b < x
-        counts fewer than b <= x only where x sits on a breakpoint, so one table counts ties only there."""
+        counts fewer than b <= x only where x sits on a breakpoint, so a table counts ties only where
+        some x is the breakpoint its value is read from; elsewhere a stacked table's lo is its hi array."""
         if self.stacked:  # a sorted row's first False is its count; NaN's column holds one, and a NaN x counts 0
             ext, b, v, s, off = self._arrays()
-            r, l = (ext <= x[:, None]).argmin(axis=1), (ext < x[:, None]).argmin(axis=1)
+            r = (ext <= x[:, None]).argmin(axis=1)
             i = off + r
-            return v[r] + s[i] * (x - b[i]), s[off + l], s[i]
+            dx, hi = x - b[i], s[i]
+            lo = s[off + (ext < x[:, None]).argmin(axis=1)] if np.count_nonzero(dx == 0.0) else hi
+            return v[r] + hi * dx, lo, hi
         b, v, s = self._arrays()
         r = np.searchsorted(b, x, side="right")
         a = np.maximum(r - 1, 0)

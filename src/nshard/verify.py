@@ -149,12 +149,12 @@ def concentration_check(
     once, as in ``mc_hitting``.
 
     sgd, pgd and random search, equivariant under rotations of the leading coordinates, take
-    u = e_1 and step on min(d, 3)-dimensional instances (past d = 3 pgd and random search as
-    ``_Chain``, its chi-square draws from the directions' Generator), at a cost that does not
-    grow with d: their row agrees with d-dimensional runs' in law, not bit for bit.  Others
-    (grid search) run in d dimensions against one (n_runs, d - 1) draw of u.  Under sgd, and
-    pgd at noise_scale 0, the leading part stays exactly 0 from the origin (the minimal-norm
-    subgradient has none at the norm kink), so the row reads 0 at every d; the check still
+    u = e_1, so that the alignment's numerator is x_t's first entry, and step on min(d, 3)-dimensional
+    instances (past d = 3 pgd and random search as ``_Chain``, its T - 1 chi-square folds drawn up front by
+    the directions' Generator), at a cost that does not grow with d: their row agrees with d-dimensional
+    runs' in law, not bit for bit.  Others (grid search) run in d dimensions against one (n_runs, d - 1)
+    draw of u.  Under sgd, and pgd at noise_scale 0, the leading part stays exactly 0 from the origin (the
+    minimal-norm subgradient has none at the norm kink), so the row reads 0 at every d; the check still
     makes its T queries, which the information model and the benchmark count.
 
     Returns the row that ``nshard mc`` writes, ``alignment_ge_third_d{d}``: the frequency
@@ -164,37 +164,41 @@ def concentration_check(
     """
     if d < 2:
         raise ValueError("d must be >= 2")
+    if T < 1:  # lockstep's message, before the folds' draw could refuse a negative count in numpy's words
+        raise ValueError("T must be >= 1")
     if algorithm is None:
         algorithm = PerturbedGD()
     chain = isinstance(algorithm, (SubgradientDescent, RandomSearch))
     bits_rng, algo_rng, dir_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
     inst = build_h(min(d, 3) if chain else d, bits_rng.integers(0, 2, (n_runs, N)), sched)
-    U = np.eye(1, inst.d - 1) if chain else dir_rng.standard_normal((n_runs, d - 1))
-    W = np.zeros((n_runs, inst.d))
-    W[:, :-1] = U / np.sqrt(row_dots(U, U))[:, None]
-    algorithm = _Chain(algorithm, d, dir_rng) if chain and d > 3 and hasattr(algorithm, "draw") else algorithm
+    if not chain:
+        U = dir_rng.standard_normal((n_runs, d - 1))
+        W = np.concatenate([U / np.sqrt(row_dots(U, U))[:, None], np.zeros((n_runs, 1))], axis=1)
+    elif d > 3 and hasattr(algorithm, "draw"):
+        algorithm = _Chain(algorithm, d, np.sqrt(dir_rng.chisquare(d - 3, (T - 1, n_runs))))
     # running max of each run's alignment; a run whose iterate sits on x_star
     # gives 0/0 = NaN there, which fmax skips; one far out may overflow its
-    # norm before the oracle rejects its next point
+    # norm, taken as np.linalg.norm(axis=1) takes it, before the oracle rejects its next point
     align = np.full(n_runs, -np.inf)
     with np.errstate(invalid="ignore", over="ignore"):
         for _, X, _, _ in lockstep(algorithm, inst, np.zeros((n_runs, inst.d)), T, algo_rng):
             diffs = X - inst.x_star
-            align = np.fmax(align, np.einsum("ij,ij->i", diffs, W) / np.linalg.norm(diffs, axis=1))
+            lead = diffs[:, 0] if chain else np.einsum("ij,ij->i", diffs, W)
+            np.fmax(align, lead / np.sqrt(np.add.reduce(diffs * diffs, axis=1)), out=align)
     exceed = int(np.count_nonzero(align >= 1.0 / 3.0))
     return _wilson_row(f"alignment_ge_third_d{d}", exceed, n_runs, T * math.exp(-d / 36.0)), float(np.max(align))
 
 
 class _Chain:
     """pgd or random search in d > 3 dimensions from the origin, stepped in the (a, b, x_d) coordinates of its
-    iterates, the noise orthogonal to those axes folded into b: pgd's b becomes hypot(b, noise_scale * sqrt(chi2_(d-3)))
-    after its step; random search's direction is (g1, hypot(g2, sqrt(chi2_(d-3))), g3), its length radius U^(1/d)."""
+    iterates, the noise orthogonal to them folded into b by c, a draw's row of ``chi``, the folds sqrt(chi2_(d-3)):
+    pgd's stepped b becomes hypot(b, noise_scale c); random search goes radius U^(1/d) along (g1, hypot(g2, c), g3)."""
 
-    def __init__(self, algorithm, d: int, chi_rng):
-        self.algorithm, self.d, self.chi = algorithm, d, chi_rng
+    def __init__(self, algorithm, d: int, chi):
+        self.algorithm, self.d, self.chi = algorithm, d, iter(chi)
 
     def draw(self, rng, R, m):
-        alg, chi = self.algorithm, np.sqrt(self.chi.chisquare(self.d - 3, R))
+        alg, chi = self.algorithm, next(self.chi)
         if isinstance(alg, RandomSearch):
             u = rng.standard_normal((R, m))
             u[:, 1] = np.hypot(u[:, 1], chi)

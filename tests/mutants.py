@@ -117,7 +117,8 @@ REGISTRY: Sequence[Mutant] = (
     Mutant("table-slope-bump", f"{VERIFY}.build_r", bump_first_equal_slopes, "killed",
            "a slope of each table the suite builds rises by 1e-3: the tables lose convexity, r-convexity fails",
            (f"{VERIFY_TESTS}::test_invariant_suite_passes",), site=True),
-    Mutant("chain-chi-square-d-2", f"{CHAIN}.draw", edit("chisquare(self.d - 3, R)", "chisquare(self.d - 2, R)"),
+    Mutant("chain-chi-square-d-2", f"{VERIFY}.concentration_check",
+           edit("chisquare(d - 3, (T - 1, n_runs))", "chisquare(d - 2, (T - 1, n_runs))"),
            "killed", "the folded noise has one degree of freedom too many: the chain leaves the full path's law",
            (f"{LOCKSTEP}::test_chain_agrees_with_the_full_path_in_law[random-5-10]",
             f"{LOCKSTEP}::test_chain_agrees_with_the_full_path_in_law[pgd-50-24]")),
@@ -125,9 +126,9 @@ REGISTRY: Sequence[Mutant] = (
            "random search's step length is drawn as in d - 1 dimensions",
            (f"{LOCKSTEP}::test_concentration_check_matches_serial_reference[random-12]",)),
     Mutant("stationarity-c-half", f"{EMBED}.STATIONARITY_C", constant(1.0 / 200.0), "killed",
-           "the certificate's target drop halves; only output bytes and the saved instance's c see it, no "
-           "property test", ("tests/test_embed.py::test_save_load_roundtrip",
-                             f"{CLI}::test_run_summary_matches_golden_digest[sgd]")),
+           "the certificate's target drop halves: its target leaves f - delta / 100", (
+               f"{VERIFY_TESTS}::test_certificate_target_is_f_minus_a_hundredth_of_delta[0.1]",
+               "tests/test_embed.py::test_save_load_roundtrip", f"{CLI}::test_run_summary_matches_golden_digest[sgd]")),
     Mutant("flow-never-steps", f"{VERIFY}.FLOW_HALT_NORM", constant(1e9), "killed",
            "the flow stalls at its start; the witnesses still certify every run iterate, so c10 passes",
            (f"{VERIFY_TESTS}::test_flow_radial_decrease",
@@ -145,8 +146,9 @@ REGISTRY: Sequence[Mutant] = (
            (f"{VERIFY_TESTS}::test_wilson_interval_values", f"{CLI}::test_mc_report_matches_golden_digest[sgd]")),
     Mutant("jump-band-2-se", f"{VERIFY}.mc_hitting",
            edit("freq - 3 * se), min(1.0, freq + 3 * se)", "freq - 2 * se), min(1.0, freq + 2 * se)"), "killed",
-           "the jump rows' band narrows to 2 standard errors; only output bytes and the serial reference see it",
-           (f"{LOCKSTEP}::test_mc_hitting_matches_serial_reference[sgd-cfg0]",
+           "the jump rows' band narrows to 2 standard errors",
+           (f"{VERIFY_TESTS}::test_mc_hitting_jump_rows_span_three_standard_errors[random]",
+            f"{LOCKSTEP}::test_mc_hitting_matches_serial_reference[sgd-cfg0]",
             f"{CLI}::test_mc_report_matches_golden_digest[sgd]")),
     Mutant("cap-slope-0.2501", f"{EMBED}.cap_slope", edit("z / (4.0 * mu), 0.25)", "z / (4.0 * mu), 0.2501)"),
            "killed", "the row kernel's cap gradient leaves the scalar pass's, which writes 1/4 itself",

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nshard
 from nshard.embed import (
     HardInstance,
     build_h,
@@ -586,3 +593,44 @@ def test_extended_precision_instance_roundtrip(tmp_path):
     ref = build_instance(3, "01", rho=1e-3, seed=1)
     save_instance(ref, tmp_path / "r.txt")
     assert p.read_text() == (tmp_path / "r.txt").read_text().replace("binary64", "extended")
+
+
+# ---------------------------------------------------------------------------
+# row dot products on every OpenBLAS kernel
+# ---------------------------------------------------------------------------
+
+ROW_DOTS_CHILD = """
+import json, sys
+import numpy as np
+from nshard.embed import row_dots
+
+rng, bad = np.random.default_rng(5), []
+for R, k in json.loads(sys.argv[1]):
+    wide = rng.standard_normal((R, k + 3))
+    for A in (rng.standard_normal((R, k)), wide[:, 1:k + 1]):  # contiguous, and an offset view of strided rows
+        for B in (rng.standard_normal((R, k)), wide[:, 2:k + 2], rng.standard_normal(k)):
+            got = row_dots(A, B).tobytes()
+            per_row = np.array([a.dot(b) for a, b in zip(A, np.broadcast_to(B, A.shape))]).tobytes()
+            matmul = np.matmul(A[:, None, :], B[..., None])[:, 0, 0].tobytes()
+            if not got == per_row == matmul:
+                bad.append([R, k, B.ndim, got == per_row, got == matmul])
+print(json.dumps(bad))
+"""
+ROW_DOTS_SHAPES = [(100, 2), (100, 3), (655, 49), (3276, 9), (20000, 1), (5, 200), (1, 9)]
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell", "Prescott"])
+def test_row_dots_take_each_rows_blas_ddot(coretype):
+    """``row_dots`` equals the per-row ``ndarray.dot`` and the stacked (1, k) by (k, 1) matmul it replaced, byte for
+    byte, on contiguous and offset operands and a one-vector B, under OpenBLAS's default kernel and with
+    ``OPENBLAS_CORETYPE`` forcing an AVX2 (Haswell) and a generic (Prescott) one, in a child process each; the
+    variable is set for the child only.  Where numpy's BLAS is not an OpenBLAS ``DYNAMIC_ARCH`` build, the variable
+    selects nothing, and the three cases check the one kernel there is."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(Path(nshard.__file__).resolve().parent.parent)
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    done = subprocess.run([sys.executable, "-c", ROW_DOTS_CHILD, json.dumps(ROW_DOTS_SHAPES)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []

@@ -188,6 +188,14 @@ def test_concentration_check_queries_do_not_grow_with_d(monkeypatch):
         assert seen == [want] * T, (name, d)
 
 
+@pytest.mark.parametrize("T", [0, -2])
+@pytest.mark.parametrize("d", [2, 12])
+def test_concentration_check_refuses_t_below_1_before_it_draws(d, T):
+    # at d = 12 pgd's chain would draw its T - 1 chi-square folds up front, which numpy refuses in its own words
+    with pytest.raises(ValueError, match=r"^T must be >= 1$"):
+        concentration_check(d=d, T=T, n_runs=100, seed=1, algorithm=ALGOS["pgd"]())
+
+
 class FullPath:
     """An algorithm of a class that ``concentration_check`` does not know, which it runs in d dimensions."""
 

@@ -104,6 +104,25 @@ def test_mc_hitting_small():
     assert row["jump_ge_1"]["bound"] == 1.0
 
 
+@pytest.mark.parametrize("name", ["random", "pgd"])
+def test_mc_hitting_jump_rows_span_three_standard_errors(name):
+    """Each jump_ge_m row is a count of jumps over the n = n_runs T steps, with the band freq -/+ 3 se, clipped to
+    [0, 1], where se = sqrt(max(freq (1 - freq), 1/n) / n); both a zero count and a positive one are checked."""
+    T, n_runs = 20, 200
+    algorithm = RandomSearch(radius=1.0) if name == "random" else PerturbedGD(eta0=0.1, noise_scale=0.5)
+    rows = mc_hitting(algorithm, T=T, k=4, N=5, n_runs=n_runs, seed=0, log2_inv_rho=-math.log2(1e-4))[2:]
+    n, counts = n_runs * T, []
+    for m, row in enumerate(rows, start=1):
+        assert row["check"] == f"jump_ge_{m}"
+        counts.append(round(row["estimate"] * n))
+        freq = counts[-1] / n
+        assert freq == row["estimate"]
+        se = math.sqrt(max(freq * (1.0 - freq), 1.0 / n) / n)
+        band = (max(0.0, freq - 3.0 * se), min(1.0, freq + 3.0 * se))
+        assert (row["wilson_lo"], row["wilson_hi"]) == pytest.approx(band, rel=1e-12, abs=1e-15), m
+    assert counts[0] > 0 and counts[-1] == 0, counts
+
+
 def test_mc_hitting_vacuous_flag():
     # 16 T / sqrt(256) = T: already vacuous at T = 1; 4T/k is vacuous for k <= 4, and then clamped to 1
     for k, depth_bound in ((3, 1.0), (4, 1.0), (5, 0.8)):
@@ -234,6 +253,19 @@ def test_certificate_on_hard_instance():
                 assert cert.ok
                 assert cert.witness_value < cert.start_value - delta * STATIONARITY_C
                 assert np.linalg.norm(cert.witness - traj.points[t]) <= delta * (1 + 1e-9)
+
+
+PAPER_C = 1.0 / 100.0  # the paper's stationarity constant, written here rather than read from nshard
+
+
+@pytest.mark.parametrize("delta", [0.1, 1.0])
+def test_certificate_target_is_f_minus_a_hundredth_of_delta(delta):
+    # the target is f(x) - delta c, with c the paper's 1/100, whether or not the ball shows the decrease
+    inst = build_instance(5, "0101", rho=1e-3, seed=5)
+    for x in (np.array([0.3, -0.2, 0.1, 0.05, 0.7]), inst.x_star):
+        cert = local_decrease_certificate(inst, x, delta)
+        assert cert.start_value == inst.eval_f(x)
+        assert cert.target == cert.start_value - delta * PAPER_C
 
 
 def _cli_trajectory(tmp_path, rho, algo, seed, T):
